@@ -1,9 +1,13 @@
 """Vectorized helpers shared by the quantizer and the decoders.
 
 Messages are natural-log LLRs with positive sign favoring bit 0.  Check
-updates run in the tanh half-angle domain; leave-one-out products are
-computed per factor in log-magnitude/sign form so exact zeros (fully
-uninformative legs) are handled without division.
+updates run in the tanh half-angle domain.  The leave-one-out product of
+each factor is taken per degree bucket (see SparseBipartiteGraph.buckets):
+a bucket's edges form an (n_fac_d, d) block, and each edge's product is
+its exclusive prefix product times its exclusive suffix product along its
+row (the standard tanh-rule layout, Richardson & Urbanke, Modern Coding
+Theory, 2008).  Exact zeros (fully uninformative legs) therefore need no
+log, exp or division, and a degree-1 factor gets the empty product 1.
 """
 
 from __future__ import annotations
@@ -20,29 +24,29 @@ def clamp_llr(values: np.ndarray, limit: float = LLR_CLAMP) -> np.ndarray:
 
 
 def leave_one_out_products(
-    t: np.ndarray, edge_fac: np.ndarray, n_fac: int
+    t: np.ndarray, buckets: tuple[tuple[int, slice | np.ndarray], ...]
 ) -> np.ndarray:
     """Per-edge product of t over the other edges of the same factor."""
-    zero = t == 0.0
-    neg = t < 0.0
-    logabs = np.zeros_like(t)
-    np.log(np.abs(t), out=logabs, where=~zero)
-    fac_log = np.bincount(edge_fac, weights=np.where(zero, 0.0, logabs), minlength=n_fac)
-    fac_neg = np.bincount(edge_fac, weights=neg.astype(float), minlength=n_fac)
-    fac_zero = np.bincount(edge_fac, weights=zero.astype(float), minlength=n_fac)
-
-    zeros_excl = fac_zero[edge_fac] - zero
-    log_excl = fac_log[edge_fac] - np.where(zero, 0.0, logabs)
-    neg_excl = fac_neg[edge_fac] - neg
-    prod = np.where(zeros_excl > 0, 0.0, np.exp(log_excl))
-    sign = np.where(neg_excl % 2 == 1, -1.0, 1.0)
-    return prod * sign
+    out = np.empty_like(t)
+    for d, edges in buckets:
+        # Column by column: numpy's cumprod along a row this short costs
+        # about three times as much.
+        blk = t[edges].reshape(-1, d)
+        res = np.ones_like(blk)
+        for j in range(1, d):  # res[:, j] = prod(blk[:, :j])
+            np.multiply(res[:, j - 1], blk[:, j - 1], out=res[:, j])
+        suffix = blk[:, d - 1].copy()  # prod(blk[:, j + 1:])
+        for j in range(d - 2, -1, -1):
+            res[:, j] *= suffix
+            suffix *= blk[:, j]
+        out[edges] = res.ravel()
+    return out
 
 
 def check_messages(
     m_in: np.ndarray,
     edge_fac: np.ndarray,
-    n_fac: int,
+    buckets: tuple[tuple[int, slice | np.ndarray], ...],
     factor_scale: np.ndarray | None = None,
 ) -> np.ndarray:
     """Parity-check message update 2*atanh(scale_f * prod tanh(m/2)).
@@ -52,10 +56,10 @@ def check_messages(
     for quantizer factors.
     """
     t = np.tanh(0.5 * m_in)
-    prod = leave_one_out_products(t, edge_fac, n_fac)
+    prod = leave_one_out_products(t, buckets)
     if factor_scale is not None:
-        prod = prod * factor_scale[edge_fac]
-    prod = np.clip(prod, -TANH_CLIP, TANH_CLIP)
+        prod *= factor_scale[edge_fac]
+    np.clip(prod, -TANH_CLIP, TANH_CLIP, out=prod)
     return clamp_llr(2.0 * np.arctanh(prod))
 
 

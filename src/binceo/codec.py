@@ -65,8 +65,10 @@ def bias_propagation_quantize(
     channel_tanh = np.tanh(0.5 * channel_llr)
 
     k = code.k
-    edge_fac, edge_var = code.graph.edge_arrays()
-    m_fv = np.zeros(len(edge_fac))
+    graph = code.graph
+    edge_var = graph.indices
+    m_fv = np.zeros(graph.n_edges)
+    fv_sums = np.zeros(k)
     fixed = np.full(k, -1, dtype=np.int8)
     fix_llr = np.zeros(k)
     converged = True
@@ -75,10 +77,12 @@ def bias_propagation_quantize(
         unfixed = np.flatnonzero(fixed < 0)
         if len(unfixed) == 0:
             break
-        var_tot = fix_llr + variable_sums(m_fv, edge_var, k)
+        var_tot = fix_llr + fv_sums
         m_vf = clamp_llr(var_tot[edge_var] - m_fv, FIXED_LLR)
-        m_fv = check_messages(m_vf, edge_fac, code.n, factor_scale=channel_tanh)
-        bias = fix_llr + variable_sums(m_fv, edge_var, k)
+        m_fv = check_messages(m_vf, graph.edge_fac, graph.buckets,
+                              factor_scale=channel_tanh)
+        fv_sums = variable_sums(m_fv, edge_var, k)
+        bias = fix_llr + fv_sums
 
         batch = -(-len(unfixed) // (max_iters - sweep))  # ceil division
         order = np.lexsort((unfixed, -np.abs(bias[unfixed])))

@@ -52,16 +52,17 @@ def sum_product_decode(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
-    edge_fac, edge_var = code.graph.edge_arrays()
+    graph = code.graph
+    edge_var = graph.indices
     sign = 1.0 - 2.0 * syndrome.astype(float)
-    m_cv = np.zeros(len(edge_fac))
+    m_cv = np.zeros(graph.n_edges)
     posterior = prior.copy()
     u_hat = (posterior < 0).astype(np.uint8)
     iterations = 0
     for it in range(max_iters):
-        var_tot = prior + variable_sums(m_cv, edge_var, code.n)
-        m_vc = clamp_llr(var_tot[edge_var] - m_cv)
-        m_cv = check_messages(m_vc, edge_fac, code.m, factor_scale=sign)
+        # posterior holds prior plus the sums of the current check messages.
+        m_vc = clamp_llr(posterior[edge_var] - m_cv)
+        m_cv = check_messages(m_vc, graph.edge_fac, graph.buckets, factor_scale=sign)
         if message_hook is not None:
             message_hook(it, m_vc, m_cv)
         posterior = prior + variable_sums(m_cv, edge_var, code.n)
@@ -131,12 +132,15 @@ def joint_sum_product_decode(
     if s1.shape != (code1.m,) or s2.shape != (code2.m,):
         raise ValueError("syndrome lengths do not match the codes")
 
-    ef1, ev1 = code1.graph.edge_arrays()
-    ef2, ev2 = code2.graph.edge_arrays()
+    g1, g2 = code1.graph, code2.graph
+    ev1, ev2 = g1.indices, g2.indices
     sign1 = 1.0 - 2.0 * s1.astype(float)
     sign2 = 1.0 - 2.0 * s2.astype(float)
-    m_cv1 = np.zeros(len(ef1))
-    m_cv2 = np.zeros(len(ef2))
+    m_cv1 = np.zeros(g1.n_edges)
+    m_cv2 = np.zeros(g2.n_edges)
+    # Check-message sums per variable, refreshed once per iteration.
+    cv_sums1 = np.zeros(code1.n)
+    cv_sums2 = np.zeros(code2.n)
     cross1 = np.zeros(code1.n)  # correlation-factor message into decoder 1
     cross2 = np.zeros(code2.n)
     total = local_iters * global_iters
@@ -146,24 +150,26 @@ def joint_sum_product_decode(
     satisfied = False
     last_reset1 = last_reset2 = 0
     for it in range(total):
-        tot1 = prior1 + cross1 + variable_sums(m_cv1, ev1, code1.n)
-        tot2 = prior2 + cross2 + variable_sums(m_cv2, ev2, code2.n)
+        tot1 = prior1 + cross1 + cv_sums1
+        tot2 = prior2 + cross2 + cv_sums2
         extr1 = tot1[:nc] - cross1[:nc]
         extr2 = tot2[:nc] - cross2[:nc]
         cross1 = np.zeros(code1.n)
         cross2 = np.zeros(code2.n)
         cross1[:nc] = _cross_transfer(extr2, q)
         cross2[:nc] = _cross_transfer(extr1, q)
-        tot1 = prior1 + cross1 + variable_sums(m_cv1, ev1, code1.n)
-        tot2 = prior2 + cross2 + variable_sums(m_cv2, ev2, code2.n)
+        tot1 = prior1 + cross1 + cv_sums1
+        tot2 = prior2 + cross2 + cv_sums2
         m_vc1 = clamp_llr(tot1[ev1] - m_cv1)
         m_vc2 = clamp_llr(tot2[ev2] - m_cv2)
-        m_cv1 = check_messages(m_vc1, ef1, code1.m, factor_scale=sign1)
-        m_cv2 = check_messages(m_vc2, ef2, code2.m, factor_scale=sign2)
+        m_cv1 = check_messages(m_vc1, g1.edge_fac, g1.buckets, factor_scale=sign1)
+        m_cv2 = check_messages(m_vc2, g2.edge_fac, g2.buckets, factor_scale=sign2)
+        cv_sums1 = variable_sums(m_cv1, ev1, code1.n)
+        cv_sums2 = variable_sums(m_cv2, ev2, code2.n)
         used = it + 1
         if used % local_iters == 0 or used == total:
-            post1 = prior1 + cross1 + variable_sums(m_cv1, ev1, code1.n)
-            post2 = prior2 + cross2 + variable_sums(m_cv2, ev2, code2.n)
+            post1 = prior1 + cross1 + cv_sums1
+            post2 = prior2 + cross2 + cv_sums2
             hat1 = (post1 < 0).astype(np.uint8)
             hat2 = (post2 < 0).astype(np.uint8)
             ok1 = bool(np.array_equal(code1.syndrome(hat1), s1))
@@ -175,10 +181,12 @@ def joint_sum_product_decode(
             # so it is not trapped in a fixed point reached while the other
             # side's beliefs were still unreliable.
             if ok1 and not ok2 and used - last_reset2 >= 3 * local_iters:
-                m_cv2 = np.zeros(len(ef2))
+                m_cv2 = np.zeros(g2.n_edges)
+                cv_sums2 = np.zeros(code2.n)
                 last_reset2 = used
             elif ok2 and not ok1 and used - last_reset1 >= 3 * local_iters:
-                m_cv1 = np.zeros(len(ef1))
+                m_cv1 = np.zeros(g1.n_edges)
+                cv_sums1 = np.zeros(code1.n)
                 last_reset1 = used
     hat1 = (post1 < 0).astype(np.uint8)
     hat2 = (post2 < 0).astype(np.uint8)
@@ -199,16 +207,19 @@ def combined_syndrome_code(cc: CompoundCode) -> LdpcCode:
     extra factors carry syndrome 0 by construction.
     """
     n = cc.n
-    k = cc.ldgm.k
-    ldpc_adj = list(cc.ldpc.graph.factor_adj)
-    ldgm_adj = [
-        np.concatenate(([i], np.asarray(adj) + n))
-        for i, adj in enumerate(cc.ldgm.graph.factor_adj)
-    ]
+    ldpc, ldgm = cc.ldpc.graph, cc.ldgm.graph
+    # Factor i of the LDGM part is (i, its information bits shifted by n);
+    # own[e] marks the edges that carry the codeword bit.
+    indptr = ldgm.indptr + np.arange(n + 1)
+    own = np.zeros(indptr[-1], dtype=bool)
+    own[indptr[:-1]] = True
+    ldgm_indices = np.empty(indptr[-1], dtype=np.int64)
+    ldgm_indices[own] = np.arange(n)
+    ldgm_indices[~own] = ldgm.indices + n
     graph = SparseBipartiteGraph(
-        n_var=n + k,
-        n_fac=len(ldpc_adj) + n,
-        factor_adj=tuple(ldpc_adj + ldgm_adj),
+        n_var=n + ldgm.n_var,
+        indptr=np.concatenate([ldpc.indptr, indptr[1:] + ldpc.n_edges]),
+        indices=np.concatenate([ldpc.indices, ldgm_indices]),
     )
     return LdpcCode(graph=graph)
 

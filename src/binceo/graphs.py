@@ -1,8 +1,9 @@
 """Sparse bipartite graph construction for LDGM quantizers and LDPC
 syndrome formers, plus the compound pairing used by both coding schemes.
 
-Graphs are sampled by permutation-based socket matching with a seeded
-generator; duplicate edges within a factor are repaired by socket swaps.
+Graphs are stored as factor-major CSR arrays and sampled by
+permutation-based socket matching with a seeded generator; duplicate
+edges within a factor are repaired by socket swaps.
 """
 
 from __future__ import annotations
@@ -101,65 +102,69 @@ def _repair_edge_total(degrees: np.ndarray, target: int) -> np.ndarray:
     return degrees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseBipartiteGraph:
+    """CSR adjacency: factor f touches variables indices[indptr[f]:indptr[f + 1]].
+
+    Edges are numbered in that order.  Construction also derives edge_fac
+    (edge -> factor) and the check kernel's degree buckets: one (d, edges)
+    pair per factor degree d > 0, where edges selects those factors' edges
+    in factor order, as a slice when the factors are consecutive.
+    """
+
     n_var: int
-    n_fac: int
-    factor_adj: tuple[np.ndarray, ...]
-    _edges: dict = field(default_factory=dict, repr=False, compare=False)
+    indptr: np.ndarray
+    indices: np.ndarray
+    edge_fac: np.ndarray = field(init=False, repr=False)
+    buckets: tuple[tuple[int, slice | np.ndarray], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        indices = np.asarray(self.indices, dtype=np.int64)
+        degrees = np.diff(indptr)
+        if indptr[0] != 0 or np.any(degrees < 0) or indptr[-1] != len(indices):
+            raise GraphConstructionError("indptr must rise from 0 to len(indices)")
+        if np.any((indices < 0) | (indices >= self.n_var)):
+            raise GraphConstructionError(f"variable index outside [0, {self.n_var})")
+        buckets = []
+        for d in np.unique(degrees[degrees > 0]):
+            facs = np.flatnonzero(degrees == d)
+            if facs[-1] - facs[0] + 1 == len(facs):
+                edges = slice(int(indptr[facs[0]]), int(indptr[facs[-1] + 1]))
+            else:
+                edges = (indptr[facs, None] + np.arange(d)).ravel()
+            buckets.append((int(d), edges))
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "edge_fac", np.repeat(np.arange(len(degrees)), degrees))
+        object.__setattr__(self, "buckets", tuple(buckets))
+
+    @property
+    def n_fac(self) -> int:
+        return len(self.indptr) - 1
 
     @property
     def n_edges(self) -> int:
-        return int(sum(len(a) for a in self.factor_adj))
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (edge -> factor, edge -> variable) index arrays, cached."""
-        if "fac" not in self._edges:
-            fac = np.repeat(
-                np.arange(self.n_fac), [len(a) for a in self.factor_adj]
-            )
-            var = (
-                np.concatenate(self.factor_adj)
-                if self.factor_adj
-                else np.empty(0, dtype=int)
-            )
-            self._edges["fac"] = fac.astype(np.int64)
-            self._edges["var"] = var.astype(np.int64)
-        return self._edges["fac"], self._edges["var"]
+        return len(self.indices)
 
     def factor_parity(self, bits: np.ndarray) -> np.ndarray:
         """Mod-2 sum of bits over each factor's neighborhood."""
         bits = np.asarray(bits)
         if bits.shape != (self.n_var,):
             raise ValueError(f"bit length {bits.shape} does not match n_var={self.n_var}")
-        fac, var = self.edge_arrays()
-        sums = np.bincount(fac, weights=bits[var].astype(float), minlength=self.n_fac)
-        return (sums.astype(np.int64) % 2).astype(np.uint8)
-
-    def to_text(self) -> str:
-        """One factor per line, space-separated variable indices."""
-        return "\n".join(" ".join(map(str, adj)) for adj in self.factor_adj) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, n_var: int) -> "SparseBipartiteGraph":
-        adj = tuple(
-            np.array([int(t) for t in line.split()], dtype=np.int64)
-            for line in text.strip("\n").split("\n")
-        )
-        return cls(n_var=n_var, n_fac=len(adj), factor_adj=adj)
+        # acc[e] is the running XOR of the first e edge bits; a factor's
+        # parity is the XOR of acc at its two ends.
+        acc = np.zeros(self.n_edges + 1, dtype=np.uint8)
+        np.bitwise_xor.accumulate(bits[self.indices].astype(np.uint8), out=acc[1:])
+        return (acc[self.indptr[1:]] ^ acc[self.indptr[:-1]]) & 1
 
 
-def sample_graph(
-    dist: DegreeDistribution, n_var: int, n_fac: int, seed: int
-) -> SparseBipartiteGraph:
-    """Sample a simple bipartite graph realizing the degree distribution.
-
-    Deterministic for a fixed (dist, n_var, n_fac, seed).  Degrees are off
-    by at most one per node when the two sides' edge budgets disagree.
-    """
+def _degrees(
+    dist: DegreeDistribution, n_var: int, n_fac: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node (variable, factor) degrees that sample_graph realizes."""
     if n_var < 1 or n_fac < 1:
         raise GraphConstructionError("n_var and n_fac must be positive")
-    rng = np.random.default_rng(seed)
     var_degs = _apportion(dist.var, n_var) if dist.var is not None else None
     fac_degs = _apportion(dist.fac, n_fac) if dist.fac is not None else None
     if var_degs is None:
@@ -170,14 +175,41 @@ def sample_graph(
         fac_degs = _repair_edge_total(fac_degs, int(var_degs.sum()))
     if fac_degs.max() > n_var:
         raise GraphConstructionError("a factor degree exceeds the variable count")
+    return var_degs, fac_degs
 
+
+def _sort_within_factors(
+    edge_fac: np.ndarray, indices: np.ndarray, n_var: int
+) -> np.ndarray:
+    """indices with each factor's variables in increasing order; edges are
+    grouped by factor, in factor order."""
+    base = edge_fac.astype(np.int64) * n_var
+    return np.sort(base + indices) - base
+
+
+def sample_graph(
+    dist: DegreeDistribution, n_var: int, n_fac: int, seed: int
+) -> SparseBipartiteGraph:
+    """Sample a simple bipartite graph realizing the degree distribution.
+
+    Deterministic for a fixed (dist, n_var, n_fac, seed).  Degrees are off
+    by at most one per node when the two sides' edge budgets disagree.
+    """
+    var_degs, fac_degs = _degrees(dist, n_var, n_fac)
+    rng = np.random.default_rng(seed)
     sockets = rng.permutation(np.repeat(np.arange(n_var), var_degs))
     ptr = np.concatenate([[0], np.cumsum(fac_degs)])
-    factors = [sockets[ptr[i] : ptr[i + 1]].copy() for i in range(n_fac)]
+    fac = np.repeat(np.arange(n_fac), fac_degs)
+    adj_sorted = _sort_within_factors(fac, sockets, n_var)
+    dup = (adj_sorted[1:] == adj_sorted[:-1]) & (fac[1:] == fac[:-1])
+    dup_facs = np.unique(fac[1:][dup])
 
     # Duplicate repair: swap an offending socket with a random socket of
     # another factor, accepting only swaps that create no new duplicates.
-    for i, adj in enumerate(factors):
+    # A factor without duplicates never gains one, so only the factors
+    # found above are visited, in the order a full scan would reach them.
+    for i in dup_facs:
+        adj = sockets[ptr[i] : ptr[i + 1]]
         tries = 0
         while len(np.unique(adj)) != len(adj):
             if tries >= DUPLICATE_RETRY_CAP:
@@ -189,18 +221,16 @@ def sample_graph(
             dup_val = vals[counts > 1][0]
             pos = int(np.flatnonzero(adj == dup_val)[0])
             j = int(rng.integers(n_fac))
-            if j == i or len(factors[j]) == 0:
+            if j == i or fac_degs[j] == 0:
                 continue
-            q = int(rng.integers(len(factors[j])))
-            other = factors[j]
+            q = int(rng.integers(fac_degs[j]))
+            other = sockets[ptr[j] : ptr[j + 1]]
             if other[q] == dup_val or other[q] in adj or dup_val in np.delete(other, q):
                 continue
             adj[pos], other[q] = other[q], adj[pos]
-    return SparseBipartiteGraph(
-        n_var=n_var,
-        n_fac=n_fac,
-        factor_adj=tuple(np.sort(a) for a in factors),
-    )
+    if len(dup_facs):
+        adj_sorted = _sort_within_factors(fac, sockets, n_var)
+    return SparseBipartiteGraph(n_var=n_var, indptr=ptr, indices=adj_sorted)
 
 
 @dataclass(frozen=True)
@@ -293,6 +323,19 @@ def default_ldpc_dist() -> DegreeDistribution:
     return DegreeDistribution(var=None, fac=dict(DEFAULT_LDPC_FAC_DIST))
 
 
+def _with_unit_factors(
+    unit_vars: np.ndarray, graph: SparseBipartiteGraph, n_var: int
+) -> SparseBipartiteGraph:
+    """Graph over n_var variables: one degree-1 factor on each entry of
+    unit_vars, followed by the factors of graph."""
+    r = len(unit_vars)
+    return SparseBipartiteGraph(
+        n_var=n_var,
+        indptr=np.concatenate([np.arange(r), graph.indptr + r]),
+        indices=np.concatenate([unit_vars, graph.indices]),
+    )
+
+
 def _systematic_ldgm(
     n: int,
     k: int,
@@ -306,13 +349,39 @@ def _systematic_ldgm(
     neighborhoods from the first mixed_pool information bits only.
     """
     mixed = sample_graph(ldgm_dist, n_var=mixed_pool, n_fac=n - k, seed=seed)
-    adj = tuple(
-        [np.array([j], dtype=np.int64) for j in range(k)]
-        + list(mixed.factor_adj)
-    )
-    return LdgmCode(
-        graph=SparseBipartiteGraph(n_var=k, n_fac=n, factor_adj=adj)
-    )
+    return LdgmCode(graph=_with_unit_factors(np.arange(k), mixed, k))
+
+
+def compound_sizes(
+    n: int,
+    ldgm_rate: float,
+    syndrome_rate: float,
+    ldgm_dist: DegreeDistribution,
+    ldpc_dist: DegreeDistribution,
+    doped_fraction: float = DOPED_CHECK_FRACTION,
+) -> tuple[int, int, int]:
+    """(k, m, n_doped) of the code build_compound builds from these
+    arguments; raises GraphConstructionError if it cannot build it."""
+    if not 0.0 < ldgm_rate <= 1.0:
+        raise GraphConstructionError(f"ldgm_rate must be in (0, 1], got {ldgm_rate}")
+    if not 0.0 < syndrome_rate < 1.0:
+        raise GraphConstructionError(
+            f"syndrome_rate must be in (0, 1), got {syndrome_rate}"
+        )
+    if not 0.0 <= doped_fraction < 1.0:
+        raise GraphConstructionError(
+            f"doped_fraction must be in [0, 1), got {doped_fraction}"
+        )
+    k = round(n * ldgm_rate)
+    m = round(n * syndrome_rate)
+    n_doped = int(round(doped_fraction * m))
+    if k < 1 or m < 1 or m >= n or k >= n or n_doped > k:
+        raise GraphConstructionError(
+            f"degenerate code sizes: n={n}, k={k}, m={m}, doped={n_doped}"
+        )
+    _degrees(ldgm_dist, k, n - k)
+    _degrees(ldpc_dist, k, m - n_doped)
+    return k, m, n_doped
 
 
 def build_compound(
@@ -335,37 +404,38 @@ def build_compound(
     this problem; checks placed on arbitrary codeword positions have no
     workable BP basin there.
     """
-    if not 0.0 < ldgm_rate <= 1.0:
-        raise GraphConstructionError(f"ldgm_rate must be in (0, 1], got {ldgm_rate}")
-    if not 0.0 < syndrome_rate < 1.0:
-        raise GraphConstructionError(
-            f"syndrome_rate must be in (0, 1), got {syndrome_rate}"
-        )
-    if not 0.0 <= doped_fraction < 1.0:
-        raise GraphConstructionError(
-            f"doped_fraction must be in [0, 1), got {doped_fraction}"
-        )
-    k = round(n * ldgm_rate)
-    m = round(n * syndrome_rate)
-    if k < 1 or m < 1 or m >= n or k >= n:
-        raise GraphConstructionError(f"degenerate code sizes: n={n}, k={k}, m={m}")
     ldgm_dist = ldgm_dist if ldgm_dist is not None else default_ldgm_dist()
     ldpc_dist = ldpc_dist if ldpc_dist is not None else default_ldpc_dist()
+    k, m, n_doped = compound_sizes(
+        n, ldgm_rate, syndrome_rate, ldgm_dist, ldpc_dist, doped_fraction
+    )
     sub = np.random.SeedSequence(seed).generate_state(3)
     ldgm = _systematic_ldgm(n, k, k, ldgm_dist, seed=int(sub[0]))
 
-    n_doped = int(round(doped_fraction * m))
     rng = np.random.default_rng(int(sub[1]))
     doped = rng.choice(k, size=n_doped, replace=False) if n_doped else np.empty(0, int)
     plain = sample_graph(ldpc_dist, n_var=k, n_fac=m - n_doped, seed=int(sub[2]))
-    ldpc_adj = tuple(
-        [np.array([int(j)], dtype=np.int64) for j in doped]
-        + list(plain.factor_adj)
-    )
-    ldpc = LdpcCode(
-        graph=SparseBipartiteGraph(n_var=n, n_fac=m, factor_adj=ldpc_adj)
-    )
+    ldpc = LdpcCode(graph=_with_unit_factors(doped, plain, n))
     return CompoundCode(ldgm=ldgm, ldpc=ldpc)
+
+
+def anchor_sizes(
+    n: int, ldgm_rate: float, gamma_fraction: float, ldgm_dist: DegreeDistribution
+) -> tuple[int, int]:
+    """(k, m) of the code build_anchor_compound builds from these
+    arguments; raises GraphConstructionError if it cannot build it."""
+    if not 0.0 < ldgm_rate <= 1.0:
+        raise GraphConstructionError(f"ldgm_rate must be in (0, 1], got {ldgm_rate}")
+    if not 0.0 <= gamma_fraction < ldgm_rate:
+        raise GraphConstructionError(
+            f"gamma_fraction must be in [0, ldgm_rate), got {gamma_fraction}"
+        )
+    k = round(n * ldgm_rate)
+    m = k - round(n * gamma_fraction)
+    if k < 1 or m < 1 or k >= n:
+        raise GraphConstructionError(f"degenerate code sizes: n={n}, k={k}, m={m}")
+    _degrees(ldgm_dist, m, n - k)
+    return k, m
 
 
 def build_anchor_compound(
@@ -389,18 +459,8 @@ def build_anchor_compound(
     That gamma/n rate saving below the lossless point is the joint
     scheme's structural advantage over successive decoding.
     """
-    if not 0.0 < ldgm_rate <= 1.0:
-        raise GraphConstructionError(f"ldgm_rate must be in (0, 1], got {ldgm_rate}")
-    if not 0.0 <= gamma_fraction < ldgm_rate:
-        raise GraphConstructionError(
-            f"gamma_fraction must be in [0, ldgm_rate), got {gamma_fraction}"
-        )
-    k = round(n * ldgm_rate)
-    gamma = round(n * gamma_fraction)
-    m = k - gamma
-    if k < 1 or m < 1 or k >= n:
-        raise GraphConstructionError(f"degenerate code sizes: n={n}, k={k}, m={m}")
     ldgm_dist = ldgm_dist if ldgm_dist is not None else default_ldgm_dist()
+    k, m = anchor_sizes(n, ldgm_rate, gamma_fraction, ldgm_dist)
     sub = np.random.SeedSequence(seed).generate_state(2)
     # Mixed outputs draw from the checked prefix only: a wrong suffix
     # guess then corrupts exactly one output symbol instead of fanning out.
@@ -408,18 +468,18 @@ def build_anchor_compound(
 
     rng = np.random.default_rng(int(sub[1]))
     lev_size = -(-m // max(levels, 1))
-    adjs = []
-    for i in range(m):
-        lev = i // lev_size
-        if lev == 0:
-            adjs.append(np.array([i], dtype=np.int64))
-        else:
-            lo = lev * lev_size
-            refs = rng.choice(lo, size=min(ref_degree - 1, lo), replace=False)
-            adjs.append(np.sort(np.concatenate(([i], refs))).astype(np.int64))
-    ldpc = LdpcCode(
-        graph=SparseBipartiteGraph(n_var=n, n_fac=m, factor_adj=tuple(adjs))
-    )
+    own = np.arange(m)
+    lo = own // lev_size * lev_size  # first check of each check's level
+    n_refs = np.minimum(ref_degree - 1, lo)
+    indptr = np.concatenate([[0], np.cumsum(n_refs + 1)])
+    edge_fac = np.repeat(own, n_refs + 1)
+    indices = edge_fac.copy()  # each check's last edge pins its own bit
+    for i in np.flatnonzero(lo):
+        indices[indptr[i] : indptr[i + 1] - 1] = rng.choice(
+            int(lo[i]), size=int(n_refs[i]), replace=False
+        )
+    indices = _sort_within_factors(edge_fac, indices, n)
+    ldpc = LdpcCode(graph=SparseBipartiteGraph(n_var=n, indptr=indptr, indices=indices))
     return CompoundCode(ldgm=ldgm, ldpc=ldpc)
 
 

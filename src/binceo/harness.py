@@ -40,8 +40,10 @@ from .evaluate import (
 from .graphs import (
     DegreeDistribution,
     GraphConstructionError,
+    anchor_sizes,
     build_anchor_compound,
     build_compound,
+    compound_sizes,
     default_ldgm_dist,
     default_ldpc_dist,
     design_rates,
@@ -102,6 +104,30 @@ class ExperimentConfig:
             raise ValueError("syndrome_margin must exceed -1")
         if not 0.0 <= self.anchor_gamma < 0.5:
             raise ValueError("anchor_gamma must be in [0, 0.5)")
+        for name in ("biasprop_sweeps", "sp_iters", "jsp_local", "jsp_global"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        self._validate_codes()
+
+    def _validate_codes(self) -> None:
+        """Each d_i must give code rates whose graphs the builders can
+        realize for every link the configured schemes build."""
+        g1, g2, s1, s2 = design_rates(self.p1, self.p2, self.d1, self.d2,
+                                      self.ldgm_margin, self.syndrome_margin)
+        ldgm, ldpc = self.ldgm_dist(), self.ldpc_dist()
+        checks = []
+        if self.scheme != "successive":
+            checks.append(("d1", anchor_sizes, (g1, self.anchor_gamma, ldgm)))
+        if self.scheme != "joint":
+            checks.append(("d1", compound_sizes, (g1, s1, ldgm, ldpc)))
+        checks.append(("d2", compound_sizes, (g2, s2, ldgm, ldpc)))
+        for key, sizes, args in checks:
+            try:
+                sizes(self.n, *args)
+            except GraphConstructionError as exc:
+                raise ValueError(
+                    f"{key}={getattr(self, key)} gives a link code that cannot be built: {exc}"
+                ) from None
 
     def ldgm_dist(self) -> DegreeDistribution:
         if self.ldgm_fac_dist is None:
@@ -188,9 +214,8 @@ def run_joint_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
     x, y1, y2 = _generate_source(cfg, trial)
     chain = cfg.chain()
     tc = TestChannelPair(cfg.d1, cfg.d2)
-    g1, g2, _, r2t = design_rates(cfg.p1, cfg.p2, cfg.d1, cfg.d2,
-                                  cfg.ldgm_margin, 0.0)
-    s2_rate = r2t * (1.0 + cfg.syndrome_margin)
+    g1, g2, _, s2_rate = design_rates(cfg.p1, cfg.p2, cfg.d1, cfg.d2,
+                                      cfg.ldgm_margin, cfg.syndrome_margin)
     cc1 = build_anchor_compound(
         cfg.n, g1, cfg.anchor_gamma, cfg.ldgm_dist(),
         seed=component_seed(cfg.base_seed, "anchor-code1", trial))
@@ -229,14 +254,12 @@ def run_successive_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
     x, y1, y2 = _generate_source(cfg, trial)
     chain = cfg.chain()
     tc = TestChannelPair(cfg.d1, cfg.d2)
-    g1, g2, r1t, r2t = design_rates(cfg.p1, cfg.p2, cfg.d1, cfg.d2,
-                                    cfg.ldgm_margin, 0.0)
-    s1_rate = r1t * (1.0 + cfg.syndrome_margin)
+    g1, g2, s1_rate, s2_rate = design_rates(cfg.p1, cfg.p2, cfg.d1, cfg.d2,
+                                            cfg.ldgm_margin, cfg.syndrome_margin)
     cc1 = build_compound(cfg.n, g1, s1_rate, cfg.ldgm_dist(), cfg.ldpc_dist(),
                          seed=component_seed(cfg.base_seed, "succ-code1", trial))
     # Link 2 conveys its information bits directly; reuse the joint
     # scheme's link-2 quantizer so matched trials share u2 exactly.
-    s2_rate = r2t * (1.0 + cfg.syndrome_margin)
     ldgm2 = build_compound(
         cfg.n, g2, s2_rate, cfg.ldgm_dist(), cfg.ldpc_dist(),
         seed=component_seed(cfg.base_seed, "code2", trial),

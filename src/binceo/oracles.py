@@ -61,6 +61,13 @@ def marginal_entropy(pmf: np.ndarray, keep_axes: tuple[int, ...]) -> float:
     return entropy_bits(marginal(pmf, keep_axes))
 
 
+def _dense(graph) -> np.ndarray:
+    """Dense 0/1 matrix H[f, v] = 1 iff factor f touches variable v."""
+    h = np.zeros((graph.n_fac, graph.n_var), dtype=np.uint8)
+    h[graph.edge_fac, graph.indices] = 1
+    return h
+
+
 def brute_force_quantize(code, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Exhaustive minimum-Hamming-distance quantization with an LDGM code.
 
@@ -79,11 +86,7 @@ def brute_force_quantize(code, y: np.ndarray) -> tuple[np.ndarray, float]:
         )
     words = np.arange(2**k, dtype=np.int64)
     info = ((words[:, None] >> np.arange(k)) & 1).astype(np.uint8)
-    # Dense generator: G[i, j] = 1 iff output i uses info bit j.
-    gen = np.zeros((n, k), dtype=np.uint8)
-    for i, adj in enumerate(code.graph.factor_adj):
-        gen[i, adj] = 1
-    codewords = (info @ gen.T) % 2
+    codewords = (info @ _dense(code.graph).T) % 2
     dists = np.count_nonzero(codewords != y[None, :], axis=1)
     best = int(np.argmin(dists))  # argmin returns the first (smallest) word
     return info[best], dists[best] / n
@@ -108,9 +111,7 @@ def exact_marginals(code, syndrome: np.ndarray, prior: np.ndarray) -> np.ndarray
         raise CapacityError(f"n={n} exceeds enumeration cap {MAX_EXACT_MARGINAL_BITS}")
     words = np.arange(2**n, dtype=np.int64)
     bits = ((words[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-    ok = np.ones(len(words), dtype=bool)
-    for c, adj in enumerate(code.graph.factor_adj):
-        ok &= bits[:, adj].sum(axis=1) % 2 == syndrome[c]
+    ok = np.all((bits @ _dense(code.graph).T) % 2 == syndrome, axis=1)
     if not np.any(ok):
         raise ValueError("no word is consistent with the syndrome")
     # Unnormalized log-weight with P(bit=0) ∝ 1, P(bit=1) ∝ exp(-LLR).

@@ -111,7 +111,9 @@ def _random_tree_code(rng) -> LdpcCode:
         adj = np.sort(np.concatenate(([anchor], perm[used : used + fresh])))
         adjs.append(adj.astype(np.int64))
         used += fresh
-    graph = SparseBipartiteGraph(n_var=n, n_fac=len(adjs), factor_adj=tuple(adjs))
+    graph = SparseBipartiteGraph(
+        n_var=n, indptr=np.cumsum([0] + [len(a) for a in adjs]), indices=np.concatenate(adjs)
+    )
     return LdpcCode(graph=graph)
 
 

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from binceo.binmath import binary_convolution, binary_entropy
+from binceo.decoders import combined_syndrome_code
 from binceo.graphs import (
     CompoundCode,
     DegreeDistribution,
@@ -11,9 +14,14 @@ from binceo.graphs import (
     SparseBipartiteGraph,
     build_anchor_compound,
     build_compound,
+    default_ldpc_dist,
     design_rates,
     sample_graph,
 )
+
+
+def factors(g: SparseBipartiteGraph) -> list[np.ndarray]:
+    return np.split(g.indices, g.indptr[1:-1])
 
 
 def test_degree_distribution_validation():
@@ -33,18 +41,17 @@ def test_sample_graph_deterministic():
     g1 = sample_graph(dist, n_var=60, n_fac=100, seed=5)
     g2 = sample_graph(dist, n_var=60, n_fac=100, seed=5)
     g3 = sample_graph(dist, n_var=60, n_fac=100, seed=6)
-    assert all(np.array_equal(a, b) for a, b in zip(g1.factor_adj, g2.factor_adj))
-    assert any(
-        not np.array_equal(a, b) for a, b in zip(g1.factor_adj, g3.factor_adj)
-    )
+    assert np.array_equal(g1.indptr, g2.indptr)
+    assert np.array_equal(g1.indices, g2.indices)
+    assert not np.array_equal(g1.indices, g3.indices)
 
 
 def test_sample_graph_simple_and_degree_matched():
     dist = DegreeDistribution(fac={3: 0.5, 4: 0.5})
     g = sample_graph(dist, n_var=60, n_fac=100, seed=7)
-    for adj in g.factor_adj:
+    for adj in factors(g):
         assert len(np.unique(adj)) == len(adj)  # no duplicate edges
-    degs = sorted(len(a) for a in g.factor_adj)
+    degs = sorted(np.diff(g.indptr))
     assert degs == [3] * 50 + [4] * 50
 
 
@@ -56,20 +63,20 @@ def test_sample_graph_rejects_degenerate():
 
 
 def test_factor_parity_matches_manual_xor():
-    g = SparseBipartiteGraph(
-        n_var=4, n_fac=2, factor_adj=(np.array([0, 1, 2]), np.array([1, 3]))
-    )
+    g = SparseBipartiteGraph(n_var=4, indptr=[0, 3, 5], indices=[0, 1, 2, 1, 3])
     bits = np.array([1, 1, 0, 1], dtype=np.uint8)
     np.testing.assert_array_equal(g.factor_parity(bits), [0, 0])
     bits = np.array([1, 0, 0, 1], dtype=np.uint8)
     np.testing.assert_array_equal(g.factor_parity(bits), [1, 1])
 
 
-def test_graph_text_roundtrip():
-    g = sample_graph(DegreeDistribution(fac={3: 1.0}), n_var=20, n_fac=12, seed=9)
-    back = SparseBipartiteGraph.from_text(g.to_text(), n_var=20)
-    assert back.n_fac == g.n_fac
-    assert all(np.array_equal(a, b) for a, b in zip(g.factor_adj, back.factor_adj))
+def test_graph_rejects_malformed_csr():
+    with pytest.raises(GraphConstructionError):
+        SparseBipartiteGraph(n_var=3, indptr=[0, 2], indices=[0, 1, 2])
+    with pytest.raises(GraphConstructionError):
+        SparseBipartiteGraph(n_var=3, indptr=[0, 2, 1], indices=[0])
+    with pytest.raises(GraphConstructionError):
+        SparseBipartiteGraph(n_var=2, indptr=[0, 1], indices=[2])
 
 
 def test_ldgm_encode_linear():
@@ -109,10 +116,9 @@ def test_build_compound_shapes_and_nesting():
     word = cc.ldgm.encode(info)
     np.testing.assert_array_equal(word[:k], info)
     # All LDPC checks live on the systematic positions.
-    for adj in cc.ldpc.graph.factor_adj:
-        assert adj.max() < k
+    assert cc.ldpc.graph.indices.max() < k
     # Doped degree-1 checks are present at the configured fraction.
-    n_doped = sum(1 for adj in cc.ldpc.graph.factor_adj if len(adj) == 1)
+    n_doped = int(np.sum(np.diff(cc.ldpc.graph.indptr) == 1))
     assert n_doped == round(0.10 * m)
 
 
@@ -143,7 +149,7 @@ def test_build_anchor_compound_structure():
     assert cc.ldgm.k == k
     assert cc.ldpc.m == m
     lev_size = -(-m // 80)
-    for i, adj in enumerate(cc.ldpc.graph.factor_adj):
+    for i, adj in enumerate(factors(cc.ldpc.graph)):
         assert i in adj  # check i pins information bit i
         lev = i // lev_size
         if lev == 0:
@@ -153,10 +159,8 @@ def test_build_anchor_compound_structure():
             others = adj[adj != i]
             assert np.all(others < lev * lev_size)
     # Suffix bits: no checks, and no membership in mixed outputs.
-    for adj in cc.ldpc.graph.factor_adj:
-        assert adj.max() < m
-    for adj in cc.ldgm.graph.factor_adj[k:]:
-        assert adj.max() < m
+    assert cc.ldpc.graph.indices.max() < m
+    assert cc.ldgm.graph.indices[cc.ldgm.graph.indptr[k] :].max() < m
 
 
 def test_build_anchor_compound_rejects_bad_gamma():
@@ -178,3 +182,46 @@ def test_design_rates_closed_form():
     g1m, _, s1m, _ = design_rates(p1, p2, d1, d2, 0.05, 0.22)
     assert g1m == pytest.approx(g1 * 1.05)
     assert s1m == pytest.approx(s1 * 1.22)
+
+
+# sha256 of (indptr, indices) as little-endian int64, per builder and seed.
+# They pin the sampled graphs, and with them the random stream each builder
+# draws from.
+GRAPH_DIGESTS = {
+    ("sample", 0): "96cb21d1414b20f03971dee7c22a7a6c7747daafb635bb9d74fea4a8b07dec94",
+    ("sample", 1): "6dcc9df552ac16d7c37829faf734b48aa0761f39610b404ad16a0dccdb96b8aa",
+    ("sample", 2): "bc8c66d70e92a4b4d4803a03faedb80a07358f226a310e13321ffa9c9acc4e6d",
+    ("compound", 0): "43a4576de12c6ab8cc636843db3a2fa96fa4fbd2cbb40255b6d92b41bd87c1e1",
+    ("compound", 1): "5b9f2fec5fc805bd238df78f58d6aa60b478d086e6704ca885118ebec425fdce",
+    ("compound", 2): "d65dd46c1f4b9ceffa091cfa978f03179f3c82b355ba5c88fea465c3d3019dca",
+    ("anchor", 0): "c950401a8fa661102d26c81cda61622ca613ad4cfa69d1fa5c55de7e2a5e4a39",
+    ("anchor", 1): "fdea357a113bb67511bbd53d8727667db806054a3e782d5d444d8912392baff4",
+    ("anchor", 2): "b0be1bc0cf45a54dde42085f1fa8c00445b2d03640cb249bc987254a94ce89d7",
+    # combined_syndrome_code of the compound and anchor codes above.
+    ("decoder-compound", 0): "47fe0722cc7d433fb5decad1eecb79159ec2f19d2e188b331e6810da262e84d8",
+    ("decoder-compound", 1): "8f703e5ec47c547cee0f8b104ebfa62485b14cc2dd2b95f0764707186c2a4c93",
+    ("decoder-compound", 2): "c4dd310095fa83cefa37fa75494cebd7c41f92b73a77668d42bf45b88e2a2858",
+    ("decoder-anchor", 0): "35bb2979647ee078ea65731a9c7d7c938f3415d753057aebd14b0c9c93543a04",
+    ("decoder-anchor", 1): "eac7fefcbc53e1af2e23a71ef85358a7161ab069d85f75b3eaf4ba4e592e93a9",
+    ("decoder-anchor", 2): "4fe6af95a23aa32a0b0d2d1daff9e7d2d5446d54c529d90654a4638cdb2573c9",
+}
+
+
+def _digest(*graphs: SparseBipartiteGraph) -> str:
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(g.indptr.astype("<i8").tobytes())
+        h.update(g.indices.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_graph_builders_golden_digests(seed):
+    g = sample_graph(default_ldpc_dist(), n_var=600, n_fac=500, seed=seed)
+    cc = build_compound(2000, ldgm_rate=0.56, syndrome_rate=0.5, seed=seed)
+    ac = build_anchor_compound(2000, ldgm_rate=0.558, gamma_fraction=0.025, seed=seed)
+    assert _digest(g) == GRAPH_DIGESTS["sample", seed]
+    assert _digest(cc.ldgm.graph, cc.ldpc.graph) == GRAPH_DIGESTS["compound", seed]
+    assert _digest(ac.ldgm.graph, ac.ldpc.graph) == GRAPH_DIGESTS["anchor", seed]
+    assert _digest(combined_syndrome_code(cc).graph) == GRAPH_DIGESTS["decoder-compound", seed]
+    assert _digest(combined_syndrome_code(ac).graph) == GRAPH_DIGESTS["decoder-anchor", seed]

@@ -133,3 +133,24 @@ def test_cli_simulate_to_file(tmp_path):
     ])
     assert rc == EXIT_OK
     assert out.read_text().startswith("# schema=binceo-run-v1")
+
+
+@pytest.mark.parametrize("flag", ["--biasprop-sweeps", "--sp-iters", "--jsp-local",
+                                  "--jsp-global"])
+def test_cli_simulate_rejects_zero_iterations(flag, capsys):
+    rc = main(["simulate", "--n", "2000", "--trials", "1", flag, "0"])
+    assert rc == EXIT_CONFIG
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, key", [
+    (["--d1", "0"], "d1"),
+    (["--d2", "0"], "d2"),
+    (["--d2", "0.5"], "d2"),
+    (["--d1", "0.01", "--d2", "0.01"], "d1"),
+    (["--scheme", "joint", "--d1", "0.1", "--d2", "0.01"], "d2"),
+])
+def test_cli_simulate_rejects_unrealizable_distortion(args, key, capsys):
+    rc = main(["simulate", "--n", "2000", "--trials", "1", *args])
+    assert rc == EXIT_CONFIG
+    assert f"error: {key}=" in capsys.readouterr().err

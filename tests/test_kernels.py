@@ -1,0 +1,103 @@
+"""Property tests of the graph and message-passing kernels against
+per-factor loops and dense GF(2) arithmetic."""
+
+import math
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from binceo._msgpass import LLR_CLAMP, TANH_CLIP, check_messages, leave_one_out_products
+from binceo.graphs import DegreeDistribution, SparseBipartiteGraph, _apportion, sample_graph
+
+
+@st.composite
+def adjacency(draw, max_degree=6):
+    """(n_var, per-factor variable lists) with degrees 0..max_degree in
+    any order, so degree buckets are both contiguous and scattered."""
+    n_var = draw(st.integers(max_degree, 12))
+    degrees = draw(st.lists(st.integers(0, max_degree), min_size=1, max_size=25))
+    adjs = [draw(st.lists(st.integers(0, n_var - 1), min_size=d, max_size=d, unique=True))
+            for d in degrees]
+    return n_var, adjs
+
+
+def csr_graph(n_var, adjs):
+    indptr = np.cumsum([0] + [len(a) for a in adjs])
+    indices = np.array([v for a in adjs for v in a], dtype=np.int64)
+    return SparseBipartiteGraph(n_var=n_var, indptr=indptr, indices=indices)
+
+
+# Edge values of a tanh-domain message: exact zeros, signs, and magnitudes
+# up to the clip.
+edge_values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0),
+                        st.sampled_from([TANH_CLIP, -TANH_CLIP, 1e-300]))
+
+
+def naive_products(t, adjs):
+    out, e = [], 0
+    for a in adjs:
+        row = t[e : e + len(a)]
+        out += [math.prod(np.delete(row, j)) for j in range(len(a))]
+        e += len(a)
+    return np.array(out)
+
+
+@given(adjacency(), st.data())
+def test_leave_one_out_matches_per_factor_loop(adj, data):
+    n_var, adjs = adj
+    g = csr_graph(n_var, adjs)
+    t = np.array(data.draw(st.lists(edge_values, min_size=g.n_edges, max_size=g.n_edges)))
+    got = leave_one_out_products(t, g.buckets)
+    np.testing.assert_allclose(got, naive_products(t, adjs), rtol=0, atol=1e-12)
+
+
+@given(adjacency(), st.data())
+def test_check_messages_matches_per_factor_loop(adj, data):
+    n_var, adjs = adj
+    g = csr_graph(n_var, adjs)
+    m_in = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-2 * LLR_CLAMP, 2 * LLR_CLAMP)),
+        min_size=g.n_edges, max_size=g.n_edges)))
+    scale = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.0, 1.0)),
+        min_size=g.n_fac, max_size=g.n_fac)))
+    got = check_messages(m_in, g.edge_fac, g.buckets, factor_scale=scale)
+    prod = naive_products(np.tanh(0.5 * m_in), adjs) * scale[g.edge_fac]
+    want = np.clip(2.0 * np.arctanh(np.clip(prod, -TANH_CLIP, TANH_CLIP)),
+                   -LLR_CLAMP, LLR_CLAMP)
+    # Compared in the tanh domain, where rounding of the product is not
+    # amplified by arctanh near +-1.
+    np.testing.assert_allclose(np.tanh(0.5 * got), np.tanh(0.5 * want), rtol=0, atol=1e-12)
+
+
+@given(adjacency(), st.data())
+def test_factor_parity_matches_dense_matmul(adj, data):
+    n_var, adjs = adj
+    g = csr_graph(n_var, adjs)
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_var, max_size=n_var)),
+                    dtype=np.uint8)
+    dense = np.zeros((len(adjs), n_var), dtype=np.int64)
+    for f, a in enumerate(adjs):
+        dense[f, a] = 1
+    np.testing.assert_array_equal(g.factor_parity(bits), (dense @ bits) % 2)
+
+
+@given(
+    st.dictionaries(st.integers(1, 6), st.integers(1, 5), min_size=1, max_size=4),
+    st.integers(20, 60),
+    st.integers(0, 2**32 - 1),
+)
+def test_sample_graph_degree_and_simplicity_invariants(weights, n_var, seed):
+    total = sum(weights.values())
+    dist = DegreeDistribution(fac={d: w / total for d, w in weights.items()})
+    n_fac = n_var  # every factor has degree >= 1, so edges >= n_var
+    g = sample_graph(dist, n_var=n_var, n_fac=n_fac, seed=seed)
+    fac_degrees = np.diff(g.indptr)
+    np.testing.assert_array_equal(fac_degrees, _apportion(dist.fac, n_fac))
+    var_degrees = np.bincount(g.indices, minlength=n_var)
+    assert var_degrees.max() - var_degrees.min() <= 1
+    assert var_degrees.min() >= 1
+    for f in range(n_fac):
+        adj = g.indices[g.indptr[f] : g.indptr[f + 1]]
+        assert np.all(np.diff(adj) > 0)  # sorted, no duplicate edges

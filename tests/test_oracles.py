@@ -83,7 +83,7 @@ def test_brute_force_quantize_capacity_cap():
 def test_exact_marginals_single_check_by_hand():
     # One check on both bits of n=2, syndrome 0: words 00 and 11 survive.
     graph_code = LdpcCode(
-        graph=SparseBipartiteGraph(n_var=2, n_fac=1, factor_adj=(np.array([0, 1]),))
+        graph=SparseBipartiteGraph(n_var=2, indptr=[0, 2], indices=[0, 1])
     )
     prior = np.array([0.7, -0.4])
     llrs = exact_marginals(graph_code, np.array([0]), prior)
@@ -93,9 +93,7 @@ def test_exact_marginals_single_check_by_hand():
 
 def test_exact_marginals_capacity_cap():
     code = LdpcCode(
-        graph=SparseBipartiteGraph(
-            n_var=21, n_fac=1, factor_adj=(np.arange(2, dtype=np.int64),)
-        )
+        graph=SparseBipartiteGraph(n_var=21, indptr=[0, 2], indices=[0, 1])
     )
     with pytest.raises(CapacityError):
         exact_marginals(code, np.zeros(1, dtype=np.uint8), np.zeros(21))
@@ -104,9 +102,7 @@ def test_exact_marginals_capacity_cap():
 def test_exact_marginals_inconsistent_syndrome():
     # A degree-1 repeated check cannot satisfy two different parities.
     code = LdpcCode(
-        graph=SparseBipartiteGraph(
-            n_var=2, n_fac=2, factor_adj=(np.array([0]), np.array([0]))
-        )
+        graph=SparseBipartiteGraph(n_var=2, indptr=[0, 1, 2], indices=[0, 0])
     )
     with pytest.raises(ValueError):
         exact_marginals(code, np.array([0, 1]), np.zeros(2))
