@@ -27,17 +27,6 @@ class QuantizationResult:
     converged: bool
 
 
-@dataclass
-class EncodedLinkJoint:
-    syndrome: np.ndarray
-
-
-@dataclass
-class EncodedLinksSuccessive:
-    syndrome1: np.ndarray
-    info_bits2: np.ndarray
-
-
 def bias_propagation_quantize(
     code: LdgmCode,
     y: np.ndarray,
@@ -124,14 +113,16 @@ def encode_joint(
     targets: TestChannelPair,
     seed: int = 0,
     biasprop_sweeps: int = 25,
-) -> tuple[EncodedLinkJoint, EncodedLinkJoint, QuantizationResult, QuantizationResult]:
-    """Quantize both observations, emit both LDPC syndromes (Fig-2 style)."""
+) -> tuple[np.ndarray, np.ndarray, QuantizationResult, QuantizationResult]:
+    """Quantize both observations, emit both LDPC syndromes (Fig-2 style).
+
+    Returns (syndrome1, syndrome2, q1, q2).
+    """
     s1, s2 = _quantizer_seeds(seed)
     q1 = bias_propagation_quantize(cc1.ldgm, y1, targets.d1, biasprop_sweeps, seed=s1)
     q2 = bias_propagation_quantize(cc2.ldgm, y2, targets.d2, biasprop_sweeps, seed=s2)
-    enc1 = EncodedLinkJoint(syndrome=syndrome_generate(cc1.ldpc, q1.quantized))
-    enc2 = EncodedLinkJoint(syndrome=syndrome_generate(cc2.ldpc, q2.quantized))
-    return enc1, enc2, q1, q2
+    return (syndrome_generate(cc1.ldpc, q1.quantized),
+            syndrome_generate(cc2.ldpc, q2.quantized), q1, q2)
 
 
 def encode_successive(
@@ -142,17 +133,13 @@ def encode_successive(
     targets: TestChannelPair,
     seed: int = 0,
     biasprop_sweeps: int = 25,
-) -> tuple[EncodedLinksSuccessive, QuantizationResult, QuantizationResult]:
+) -> tuple[np.ndarray, QuantizationResult, QuantizationResult]:
     """Link 1 emits a syndrome; link 2 emits its quantizer information bits.
 
-    The receiver reconstructs u2 exactly by re-encoding info_bits2, so the
-    link-2 rate is k2/n.
+    Returns (syndrome1, q1, q2).  Link 2 sends q2.info_bits; the receiver
+    reconstructs u2 exactly by re-encoding them, so the link-2 rate is k2/n.
     """
     s1, s2 = _quantizer_seeds(seed)
     q1 = bias_propagation_quantize(cc1.ldgm, y1, targets.d1, biasprop_sweeps, seed=s1)
     q2 = bias_propagation_quantize(ldgm2, y2, targets.d2, biasprop_sweeps, seed=s2)
-    enc = EncodedLinksSuccessive(
-        syndrome1=syndrome_generate(cc1.ldpc, q1.quantized),
-        info_bits2=q2.info_bits,
-    )
-    return enc, q1, q2
+    return syndrome_generate(cc1.ldpc, q1.quantized), q1, q2

@@ -9,7 +9,6 @@ clamped to +-30.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +30,6 @@ def sum_product_decode(
     syndrome: np.ndarray,
     prior: np.ndarray,
     max_iters: int = 100,
-    message_hook: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
     early_stop: bool = True,
 ) -> DecodeResult:
     """Flooding sum-product on the Tanner graph with target parities.
@@ -63,8 +61,6 @@ def sum_product_decode(
         # posterior holds prior plus the sums of the current check messages.
         m_vc = clamp_llr(posterior[edge_var] - m_cv)
         m_cv = check_messages(m_vc, graph.edge_fac, graph.buckets, factor_scale=sign)
-        if message_hook is not None:
-            message_hook(it, m_vc, m_cv)
         posterior = prior + variable_sums(m_cv, edge_var, code.n)
         u_hat = (posterior < 0).astype(np.uint8)
         iterations = it + 1
@@ -148,7 +144,6 @@ def joint_sum_product_decode(
     post2 = prior2.copy()
     used = 0
     satisfied = False
-    last_reset1 = last_reset2 = 0
     for it in range(total):
         tot1 = prior1 + cross1 + cv_sums1
         tot2 = prior2 + cross2 + cv_sums2
@@ -177,17 +172,6 @@ def joint_sum_product_decode(
             if ok1 and ok2:
                 satisfied = True
                 break
-            # One-sided success: restart the stuck decoder's check messages
-            # so it is not trapped in a fixed point reached while the other
-            # side's beliefs were still unreliable.
-            if ok1 and not ok2 and used - last_reset2 >= 3 * local_iters:
-                m_cv2 = np.zeros(g2.n_edges)
-                cv_sums2 = np.zeros(code2.n)
-                last_reset2 = used
-            elif ok2 and not ok1 and used - last_reset1 >= 3 * local_iters:
-                m_cv1 = np.zeros(g1.n_edges)
-                cv_sums1 = np.zeros(code1.n)
-                last_reset1 = used
     hat1 = (post1 < 0).astype(np.uint8)
     hat2 = (post2 < 0).astype(np.uint8)
     ok1 = satisfied or bool(np.array_equal(code1.syndrome(hat1), s1))

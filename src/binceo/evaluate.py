@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,47 +74,6 @@ class RunReport:
             self.seeds,
         )
         return ",".join(vals)
-
-    @classmethod
-    def from_csv_row(cls, row: str) -> "RunReport":
-        parts = row.split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(parts)}")
-        theo = RegionPoint(
-            r1=float("nan"),
-            r2=float("nan"),
-            sum_rate=float(parts[7]),
-            distortion=float(parts[8]),
-        )
-        return cls(
-            scheme=parts[0],
-            trial=int(parts[1]),
-            n=int(parts[2]),
-            empirical_r1=float(parts[3]),
-            empirical_r2=float(parts[4]),
-            empirical_sum_rate=float(parts[5]),
-            empirical_log_loss=float(parts[6]),
-            theoretical=theo,
-            sum_rate_gap=float(parts[9]),
-            distortion_gap=float(parts[10]),
-            ber_u1=float(parts[11]),
-            ber_u2=float(parts[12]),
-            seeds=parts[13],
-        )
-
-    def text_block(self) -> str:
-        lines = [
-            f"scheme={self.scheme} trial={self.trial} n={self.n}",
-            f"  rates: R1={self.empirical_r1:.4f} R2={self.empirical_r2:.4f} "
-            f"sum={self.empirical_sum_rate:.4f} (bound {self.theoretical.sum_rate:.4f})",
-            f"  log-loss: {self.empirical_log_loss:.4f} "
-            f"(bound {self.theoretical.distortion:.4f})",
-            f"  gaps: rate {self.sum_rate_gap:+.4f}  distortion {self.distortion_gap:+.4f}",
-            f"  BER: u1 {self.ber_u1:.2e}  u2 {self.ber_u2:.2e}",
-        ]
-        if self.below_bound_flag:
-            lines.append("  FLAG: empirical log-loss below the theoretical bound")
-        return "\n".join(lines)
 
 
 def empirical_rates_joint(m1: int, m2: int, n: int) -> tuple[float, float]:

@@ -24,37 +24,22 @@ class GraphConstructionError(ValueError):
 
 @dataclass(frozen=True)
 class DegreeDistribution:
-    """Node-perspective degree distributions for the two sides of a graph.
+    """Node-perspective factor degree distribution {degree: fraction}.
 
-    Each side is a mapping {degree: fraction}.  A side left as None is
-    filled with as-uniform-as-possible degrees matching the other side's
-    edge budget.
+    The variable side is always filled with as-uniform-as-possible degrees
+    matching the factor side's edge budget.
     """
 
-    var: dict[int, float] | None = None
-    fac: dict[int, float] | None = None
+    fac: dict[int, float]
 
     def __post_init__(self) -> None:
-        for name, side in (("var", self.var), ("fac", self.fac)):
-            if side is None:
-                continue
-            if not side:
-                raise GraphConstructionError(f"{name} side is empty")
-            if any(d < 1 or d != int(d) for d in side):
-                raise GraphConstructionError(f"{name} degrees must be integers >= 1")
-            total = sum(side.values())
-            if abs(total - 1.0) > FRACTION_TOL:
-                raise GraphConstructionError(
-                    f"{name} fractions sum to {total}, expected 1"
-                )
-        if self.var is None and self.fac is None:
-            raise GraphConstructionError("at least one side must be specified")
-
-    @classmethod
-    def regular(cls, var_deg: int | None, fac_deg: int | None) -> "DegreeDistribution":
-        var = {var_deg: 1.0} if var_deg is not None else None
-        fac = {fac_deg: 1.0} if fac_deg is not None else None
-        return cls(var=var, fac=fac)
+        if not self.fac:
+            raise GraphConstructionError("degree distribution is empty")
+        if any(d < 1 or d != int(d) for d in self.fac):
+            raise GraphConstructionError("factor degrees must be integers >= 1")
+        total = sum(self.fac.values())
+        if abs(total - 1.0) > FRACTION_TOL:
+            raise GraphConstructionError(f"fractions sum to {total}, expected 1")
 
 
 def _apportion(dist: dict[int, float], count: int) -> np.ndarray:
@@ -74,31 +59,6 @@ def _balanced(total_edges: int, count: int) -> np.ndarray:
     degrees[: total_edges - base * count] += 1
     if base == 0:
         raise GraphConstructionError("fewer edges than nodes on the balanced side")
-    return degrees
-
-
-def _repair_edge_total(degrees: np.ndarray, target: int) -> np.ndarray:
-    """Adjust node degrees by at most +-1 each to hit the edge total."""
-    degrees = degrees.copy()
-    diff = target - degrees.sum()
-    if diff == 0:
-        return degrees
-    if abs(diff) > len(degrees):
-        raise GraphConstructionError(
-            f"degree budgets differ by {abs(diff)} edges; +-1 repair cannot close it"
-        )
-    step = 1 if diff > 0 else -1
-    # Walk nodes from the end so low-index nodes keep their nominal degree.
-    idx = len(degrees) - 1
-    while diff != 0 and idx >= 0:
-        if step < 0 and degrees[idx] <= 1:
-            idx -= 1
-            continue
-        degrees[idx] += step
-        diff -= step
-        idx -= 1
-    if diff != 0:
-        raise GraphConstructionError("repair failed: not enough adjustable nodes")
     return degrees
 
 
@@ -165,14 +125,8 @@ def _degrees(
     """Per-node (variable, factor) degrees that sample_graph realizes."""
     if n_var < 1 or n_fac < 1:
         raise GraphConstructionError("n_var and n_fac must be positive")
-    var_degs = _apportion(dist.var, n_var) if dist.var is not None else None
-    fac_degs = _apportion(dist.fac, n_fac) if dist.fac is not None else None
-    if var_degs is None:
-        var_degs = _balanced(int(fac_degs.sum()), n_var)
-    elif fac_degs is None:
-        fac_degs = _balanced(int(var_degs.sum()), n_fac)
-    elif var_degs.sum() != fac_degs.sum():
-        fac_degs = _repair_edge_total(fac_degs, int(var_degs.sum()))
+    fac_degs = _apportion(dist.fac, n_fac)
+    var_degs = _balanced(int(fac_degs.sum()), n_var)
     if fac_degs.max() > n_var:
         raise GraphConstructionError("a factor degree exceeds the variable count")
     return var_degs, fac_degs
@@ -192,8 +146,7 @@ def sample_graph(
 ) -> SparseBipartiteGraph:
     """Sample a simple bipartite graph realizing the degree distribution.
 
-    Deterministic for a fixed (dist, n_var, n_fac, seed).  Degrees are off
-    by at most one per node when the two sides' edge budgets disagree.
+    Deterministic for a fixed (dist, n_var, n_fac, seed).
     """
     var_degs, fac_degs = _degrees(dist, n_var, n_fac)
     rng = np.random.default_rng(seed)
@@ -309,18 +262,13 @@ DEFAULT_LDGM_FAC_DIST = {4: 1.0}
 DEFAULT_LDPC_FAC_DIST = {2: 0.6, 3: 0.2, 6: 0.2}
 DOPED_CHECK_FRACTION = 0.10
 
-# Anchor (triangular) construction defaults: number of peeling levels and
-# the factor degree of the non-seed checks.
-ANCHOR_LEVELS = 80
-ANCHOR_REF_DEGREE = 4
-
 
 def default_ldgm_dist() -> DegreeDistribution:
-    return DegreeDistribution(var=None, fac=dict(DEFAULT_LDGM_FAC_DIST))
+    return DegreeDistribution(fac=dict(DEFAULT_LDGM_FAC_DIST))
 
 
 def default_ldpc_dist() -> DegreeDistribution:
-    return DegreeDistribution(var=None, fac=dict(DEFAULT_LDPC_FAC_DIST))
+    return DegreeDistribution(fac=dict(DEFAULT_LDPC_FAC_DIST))
 
 
 def _with_unit_factors(
@@ -444,43 +392,26 @@ def build_anchor_compound(
     gamma_fraction: float,
     ldgm_dist: DegreeDistribution | None = None,
     seed: int = 0,
-    levels: int = ANCHOR_LEVELS,
-    ref_degree: int = ANCHOR_REF_DEGREE,
 ) -> CompoundCode:
     """Compound code for the joint scheme's anchoring link.
 
-    The LDPC part is a triangular system over the systematic positions:
-    check i constrains information bit i plus references into strictly
-    earlier peeling levels, so flooding BP resolves the first k - gamma
-    bits exactly, one level per iteration, with no side information.  The
-    last gamma = round(gamma_fraction * n) information bits carry no
-    checks at all and appear only in their own systematic output; the
-    receiver recovers them solely through the cross-link correlation.
-    That gamma/n rate saving below the lossless point is the joint
-    scheme's structural advantage over successive decoding.
+    The LDPC part is the identity on the checked prefix: check i is the
+    single edge (i, i) for i < m = k - gamma, so the syndrome sends the
+    first k - gamma information bits as they are.  The last
+    gamma = round(gamma_fraction * n) information bits carry no checks at
+    all and appear only in their own systematic output; the receiver
+    recovers them solely through the cross-link correlation.  That gamma/n
+    rate saving below the lossless point is the joint scheme's structural
+    advantage over successive decoding.
     """
     ldgm_dist = ldgm_dist if ldgm_dist is not None else default_ldgm_dist()
     k, m = anchor_sizes(n, ldgm_rate, gamma_fraction, ldgm_dist)
-    sub = np.random.SeedSequence(seed).generate_state(2)
+    sub = np.random.SeedSequence(seed).generate_state(1)
     # Mixed outputs draw from the checked prefix only: a wrong suffix
     # guess then corrupts exactly one output symbol instead of fanning out.
     ldgm = _systematic_ldgm(n, k, m, ldgm_dist, seed=int(sub[0]))
-
-    rng = np.random.default_rng(int(sub[1]))
-    lev_size = -(-m // max(levels, 1))
-    own = np.arange(m)
-    lo = own // lev_size * lev_size  # first check of each check's level
-    n_refs = np.minimum(ref_degree - 1, lo)
-    indptr = np.concatenate([[0], np.cumsum(n_refs + 1)])
-    edge_fac = np.repeat(own, n_refs + 1)
-    indices = edge_fac.copy()  # each check's last edge pins its own bit
-    for i in np.flatnonzero(lo):
-        indices[indptr[i] : indptr[i + 1] - 1] = rng.choice(
-            int(lo[i]), size=int(n_refs[i]), replace=False
-        )
-    indices = _sort_within_factors(edge_fac, indices, n)
-    ldpc = LdpcCode(graph=SparseBipartiteGraph(n_var=n, indptr=indptr, indices=indices))
-    return CompoundCode(ldgm=ldgm, ldpc=ldpc)
+    checks = SparseBipartiteGraph(n_var=n, indptr=np.arange(m + 1), indices=np.arange(m))
+    return CompoundCode(ldgm=ldgm, ldpc=LdpcCode(graph=checks))
 
 
 def design_rates(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 import zlib
 from dataclasses import dataclass, field, fields, replace
 
@@ -20,6 +21,7 @@ from .binmath import ChainParams
 from .bounds import InfeasibleRateError, TestChannelPair, bsc_bounds, mi_region_oracle
 from .codec import encode_joint, encode_successive
 from .decoders import (
+    DecodeResult,
     combined_prior,
     combined_syndrome,
     combined_syndrome_code,
@@ -78,8 +80,9 @@ class ExperimentConfig:
     # h_b(p*d) - h_b(d_i)) for the links that lean on side information:
     # successive link 1 and joint link 2.
     syndrome_margin: float = 0.22
-    # Joint link 1 is an anchor: k - round(anchor_gamma * n) triangular
-    # checks; the remaining information bits ride on the correlation.
+    # Joint link 1 is an anchor: it sends its first k - round(anchor_gamma * n)
+    # information bits as degree-1 checks; the remaining gamma ride on the
+    # correlation.
     anchor_gamma: float = 0.025
     ldgm_fac_dist: dict[int, float] | None = None
     ldpc_fac_dist: dict[int, float] | None = None
@@ -132,12 +135,12 @@ class ExperimentConfig:
     def ldgm_dist(self) -> DegreeDistribution:
         if self.ldgm_fac_dist is None:
             return default_ldgm_dist()
-        return DegreeDistribution(var=None, fac=dict(self.ldgm_fac_dist))
+        return DegreeDistribution(fac=dict(self.ldgm_fac_dist))
 
     def ldpc_dist(self) -> DegreeDistribution:
         if self.ldpc_fac_dist is None:
             return default_ldpc_dist()
-        return DegreeDistribution(var=None, fac=dict(self.ldpc_fac_dist))
+        return DegreeDistribution(fac=dict(self.ldpc_fac_dist))
 
     def chain(self) -> ChainParams:
         return ChainParams(d1=self.d1, p1=self.p1, p2=self.p2, d2=self.d2)
@@ -174,20 +177,16 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def config_from_sources(file_values: dict[str, str], args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    casts = {f.name: f.type for f in fields(ExperimentConfig)}
+    cfg = defaults = ExperimentConfig()
+    names = {f.name for f in fields(ExperimentConfig)}
     for key, value in file_values.items():
-        if key not in casts:
+        if key not in names:
             raise ValueError(f"unknown config key {key!r}")
-        if key in ("ldgm_fac_dist", "ldpc_fac_dist"):
-            cfg = replace(cfg, **{key: parse_degree_dist(value)})
-        elif key in ("scheme", "output"):
-            cfg = replace(cfg, **{key: value})
-        elif key in ("n", "trials", "base_seed", "biasprop_sweeps", "sp_iters",
-                     "jsp_local", "jsp_global"):
-            cfg = replace(cfg, **{key: int(value)})
-        else:
-            cfg = replace(cfg, **{key: float(value)})
+        # Each key parses as its default's type; the None defaults are the
+        # degree distributions.
+        default = getattr(defaults, key)
+        cast = parse_degree_dist if default is None else type(default)
+        cfg = replace(cfg, **{key: cast(value)})
     for f in fields(ExperimentConfig):
         cli_val = getattr(args, f.name, None)
         if cli_val is not None:
@@ -223,7 +222,7 @@ def run_joint_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
     # quantize with identical codes where the schemes overlap.
     cc2 = build_compound(cfg.n, g2, s2_rate, cfg.ldgm_dist(), cfg.ldpc_dist(),
                          seed=component_seed(cfg.base_seed, "code2", trial))
-    enc1, enc2, q1, q2 = encode_joint(
+    syn1, syn2, q1, q2 = encode_joint(
         cc1, cc2, y1, y2, tc,
         seed=component_seed(cfg.base_seed, "quant", trial),
         biasprop_sweeps=cfg.biasprop_sweeps,
@@ -232,8 +231,8 @@ def run_joint_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
     comb2 = combined_syndrome_code(cc2)
     res1, res2 = joint_sum_product_decode(
         comb1, comb2,
-        combined_syndrome(cc1, enc1.syndrome),
-        combined_syndrome(cc2, enc2.syndrome),
+        combined_syndrome(cc1, syn1),
+        combined_syndrome(cc2, syn2),
         q=chain.u1_to_u2,
         local_iters=cfg.jsp_local,
         global_iters=cfg.jsp_global,
@@ -243,11 +242,13 @@ def run_joint_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
     u2_hat = res2.u_hat[: cfg.n]
     recons = reconstruct_soft(u1_hat, u2_hat, chain)
     rates = empirical_rates_joint(cc1.ldpc.m, cc2.ldpc.m, cfg.n)
-    return report_run(
+    report = report_run(
         "joint", trial, x, recons, rates, tc, cfg.p1, cfg.p2,
         u1_hat, q1.quantized, u2_hat, q2.quantized,
         seeds=f"base={cfg.base_seed};trial={trial}",
     )
+    _warn_failures(report, {1: res1, 2: res2})
+    return report
 
 
 def run_successive_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
@@ -264,34 +265,58 @@ def run_successive_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
         cfg.n, g2, s2_rate, cfg.ldgm_dist(), cfg.ldpc_dist(),
         seed=component_seed(cfg.base_seed, "code2", trial),
     ).ldgm
-    enc, q1, q2 = encode_successive(
+    syn1, q1, q2 = encode_successive(
         cc1, ldgm2, y1, y2, tc,
         seed=component_seed(cfg.base_seed, "quant", trial),
         biasprop_sweeps=cfg.biasprop_sweeps,
     )
-    u2 = ldgm2.encode(enc.info_bits2)  # bit-exact reconstruction of u2
+    u2 = ldgm2.encode(q2.info_bits)  # bit-exact reconstruction of u2
     comb1 = combined_syndrome_code(cc1)
     prior = combined_prior(cc1, side_info_prior(u2, chain.u1_to_u2))
     res = sum_product_decode(
-        comb1, combined_syndrome(cc1, enc.syndrome1), prior, max_iters=cfg.sp_iters
+        comb1, combined_syndrome(cc1, syn1), prior, max_iters=cfg.sp_iters
     )
     u1_hat = res.u_hat[: cfg.n]
     recons = reconstruct_soft_successive(u1_hat, u2, chain)
     rates = empirical_rates_successive(cc1.ldpc.m, ldgm2.k, cfg.n)
-    return report_run(
+    report = report_run(
         "successive", trial, x, recons, rates, tc, cfg.p1, cfg.p2,
         u1_hat, q1.quantized, u2, q2.quantized,
         seeds=f"base={cfg.base_seed};trial={trial}",
     )
+    _warn_failures(report, {1: res})
+    return report
+
+
+def _warn_failures(report: RunReport, decoded: dict[int, DecodeResult]) -> None:
+    """Warn about each decoded link whose syndrome is unsatisfied and about
+    a log-loss below the bound; the trial's row is written as usual."""
+    where = f"{report.scheme} trial {report.trial} ({report.seeds})"
+    for link, res in decoded.items():
+        if not res.syndrome_satisfied:
+            warnings.warn(
+                f"{where}: link {link} decode left its syndrome unsatisfied after "
+                f"{res.iterations_used} iterations", RuntimeWarning, stacklevel=3)
+    if report.below_bound_flag:
+        warnings.warn(
+            f"{where}: log-loss {report.empirical_log_loss!r} is below the bound "
+            f"{report.theoretical.distortion!r}", RuntimeWarning, stacklevel=3)
+
+
+def _scheme_reports(cfg: ExperimentConfig):
+    """Yield (scheme, trial reports) for each configured scheme in CSV order."""
+    schemes = ("joint", "successive") if cfg.scheme == "both" else (cfg.scheme,)
+    for scheme in schemes:
+        # Looked up at call time, so a wrapper installed on the module
+        # attribute (a tracer, a profiler) sees every trial.
+        runner = run_joint_trial if scheme == "joint" else run_successive_trial
+        yield scheme, [runner(cfg, t) for t in range(cfg.trials)]
 
 
 def simulate(cfg: ExperimentConfig) -> str:
     """Run the configured trials and return the full CSV text."""
     lines = [csv_header()]
-    schemes = ("joint", "successive") if cfg.scheme == "both" else (cfg.scheme,)
-    for scheme in schemes:
-        runner = run_joint_trial if scheme == "joint" else run_successive_trial
-        reports = [runner(cfg, t) for t in range(cfg.trials)]
+    for scheme, reports in _scheme_reports(cfg):
         lines.extend(r.csv_row() for r in reports)
         lines.append(summary_row(scheme, reports))
     return "\n".join(lines) + "\n"
@@ -339,10 +364,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     grid = [float(r) for r in args.rates.split(",")] if args.rates else []
     lines = ["# schema=binceo-sweep-v1", "series,sum_rate,distortion,d1,d2"]
-    curve = bounds_mod.sweep_bound_curve(args.p1, args.p2, grid)
-    for rate, dist in curve:
+    for rate in grid:
         res = bounds_mod.optimize_test_channels(args.p1, args.p2, rate)
-        lines.append(f"bound,{rate!r},{dist!r},{res.pair.d1!r},{res.pair.d2!r}")
+        lines.append(
+            f"bound,{rate!r},{res.distortion!r},{res.pair.d1!r},{res.pair.d2!r}")
     if args.reference_cases:
         for d1, d2 in REFERENCE_TEST_CHANNEL_CASES:
             pt = bsc_bounds(args.p1, args.p2, TestChannelPair(d1, d2))
@@ -350,9 +375,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.empirical:
         file_values = load_config_file(args.config) if args.config else {}
         cfg = config_from_sources(file_values, args)
-        for scheme in ("joint", "successive") if cfg.scheme == "both" else (cfg.scheme,):
-            runner = run_joint_trial if scheme == "joint" else run_successive_trial
-            reports = [runner(cfg, t) for t in range(cfg.trials)]
+        for scheme, reports in _scheme_reports(cfg):
             mean_rate = float(np.mean([r.empirical_sum_rate for r in reports]))
             mean_loss = float(np.mean([r.empirical_log_loss for r in reports]))
             lines.append(

@@ -85,10 +85,10 @@ def test_encode_joint_pipeline(compound_pair):
     y1 = _observation(cc1.n, 35)
     y2 = _observation(cc2.n, 36)
     tc = TestChannelPair(0.1, 0.1)
-    enc1, enc2, q1, q2 = encode_joint(cc1, cc2, y1, y2, tc, seed=40)
-    np.testing.assert_array_equal(enc1.syndrome, cc1.ldpc.syndrome(q1.quantized))
-    np.testing.assert_array_equal(enc2.syndrome, cc2.ldpc.syndrome(q2.quantized))
-    assert enc1.syndrome.shape == (cc1.ldpc.m,)
+    syn1, syn2, q1, q2 = encode_joint(cc1, cc2, y1, y2, tc, seed=40)
+    np.testing.assert_array_equal(syn1, cc1.ldpc.syndrome(q1.quantized))
+    np.testing.assert_array_equal(syn2, cc2.ldpc.syndrome(q2.quantized))
+    assert syn1.shape == (cc1.ldpc.m,)
 
 
 def test_matched_seed_u2_shared_between_schemes(compound_pair):
@@ -101,7 +101,8 @@ def test_matched_seed_u2_shared_between_schemes(compound_pair):
     y2 = _observation(cc2.n, 38)
     tc = TestChannelPair(0.1, 0.1)
     _, _, _, qj2 = encode_joint(cc1_joint, cc2, y1, y2, tc, seed=41)
-    enc, _, qs2 = encode_successive(cc1_succ, cc2.ldgm, y1, y2, tc, seed=41)
+    syn1, qs1, qs2 = encode_successive(cc1_succ, cc2.ldgm, y1, y2, tc, seed=41)
+    np.testing.assert_array_equal(syn1, cc1_succ.ldpc.syndrome(qs1.quantized))
     np.testing.assert_array_equal(qj2.quantized, qs2.quantized)
     # The receiver can rebuild u2 exactly from the transmitted info bits.
-    np.testing.assert_array_equal(cc2.ldgm.encode(enc.info_bits2), qs2.quantized)
+    np.testing.assert_array_equal(cc2.ldgm.encode(qs2.info_bits), qs2.quantized)

@@ -1,9 +1,11 @@
 import argparse
+import hashlib
+import warnings
 
-import numpy as np
 import pytest
 
-from binceo.evaluate import CSV_COLUMNS, RunReport
+from binceo.bounds import optimize_test_channels
+from binceo.evaluate import CSV_COLUMNS
 from binceo.harness import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -14,6 +16,7 @@ from binceo.harness import (
     load_config_file,
     main,
     parse_degree_dist,
+    run_joint_trial,
     run_successive_trial,
     simulate,
 )
@@ -51,6 +54,15 @@ def test_config_from_sources_precedence():
     cfg = config_from_sources({"n": "2000", "trials": "3"}, ns)
     assert cfg.n == 4000  # CLI overrides file
     assert cfg.trials == 3  # file overrides default
+
+
+def test_config_file_values_take_their_field_types(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("sp_iters = 7\nsyndrome_margin = 0.3\nldpc_fac_dist = 2:0.5,3:0.5\n")
+    cfg = config_from_sources(load_config_file(str(path)), argparse.Namespace())
+    assert cfg.sp_iters == 7 and isinstance(cfg.sp_iters, int)
+    assert cfg.syndrome_margin == 0.3
+    assert cfg.ldpc_fac_dist == {2: 0.5, 3: 0.5}
 
 
 def test_config_from_sources_unknown_key():
@@ -102,6 +114,39 @@ def test_cli_sweep_reference_cases(capsys):
     assert out.count("case,") == 3
 
 
+def test_cli_sweep_empirical_points(capsys):
+    rc = main(["sweep", "--rates", "1.0", "--empirical", "--n", "2000", "--trials", "1",
+               "--seed", "11"])
+    assert rc == EXIT_OK
+    rows = [r.split(",") for r in capsys.readouterr().out.strip().splitlines()[2:]]
+    assert [r[0] for r in rows] == ["bound", "empirical-joint", "empirical-successive"]
+    opt = optimize_test_channels(0.15, 0.15, 1.0)
+    assert [float(v) for v in rows[0][1:]] == [1.0, opt.distortion, opt.pair.d1, opt.pair.d2]
+    for row in rows[1:]:
+        assert float(row[1]) > 0 and float(row[2]) > 0
+        assert [float(v) for v in row[3:]] == [0.1, 0.1]
+
+
+# sha256 of simulate's CSV for a fixed config.  A change that is meant to
+# leave results alone must leave this digest alone.
+SIMULATE_SEED11_SHA256 = "62b32511a8c86cfdbf06886fbac608dd710f3e435475931524db6778ec999d0c"
+
+
+def test_simulate_csv_digest_is_pinned_and_run_is_silent():
+    cfg = ExperimentConfig(n=2000, trials=1, scheme="both", base_seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = simulate(cfg)
+    assert hashlib.sha256(text.encode()).hexdigest() == SIMULATE_SEED11_SHA256
+
+
+def test_failed_decode_warns():
+    cfg = ExperimentConfig(p1=0.05, p2=0.05, n=2000, trials=1, scheme="joint",
+                           base_seed=11)
+    with pytest.warns(RuntimeWarning, match=r"joint trial 0 \(base=11;trial=0\): link 2 "):
+        run_joint_trial(cfg, 0)
+
+
 def test_simulate_csv_structure():
     cfg = ExperimentConfig(n=2000, trials=2, scheme="successive", base_seed=3)
     text = simulate(cfg)
@@ -110,9 +155,9 @@ def test_simulate_csv_structure():
     assert lines[1] == ",".join(CSV_COLUMNS)
     # 2 trial rows + 1 summary row.
     assert len(lines) == 5
-    rep = RunReport.from_csv_row(lines[2])
-    assert rep.scheme == "successive"
-    assert rep.n == 2000
+    row = dict(zip(CSV_COLUMNS, lines[2].split(","), strict=True))
+    assert row["scheme"] == "successive"
+    assert int(row["n"]) == 2000
 
 
 def test_run_successive_trial_reports_rates():
