@@ -8,6 +8,10 @@ its exclusive prefix product times its exclusive suffix product along its
 row (the standard tanh-rule layout, Richardson & Urbanke, Modern Coding
 Theory, 2008).  Exact zeros (fully uninformative legs) therefore need no
 log, exp or division, and a degree-1 factor gets the empty product 1.
+
+The factor terms that are never left out (syndrome signs, quantizer
+channel tanh values) arrive as one scale per edge, gathered by the caller
+once per decode or quantize call, so an update gathers nothing per factor.
 """
 
 from __future__ import annotations
@@ -19,8 +23,14 @@ LLR_CLAMP = 30.0
 TANH_CLIP = 1.0 - 1e-16
 
 
-def clamp_llr(values: np.ndarray, limit: float = LLR_CLAMP) -> np.ndarray:
-    return np.clip(values, -limit, limit)
+def extrinsic_messages(
+    total: np.ndarray, edge_var: np.ndarray, m_in: np.ndarray, limit: float = LLR_CLAMP
+) -> np.ndarray:
+    """Per-edge message total[v] - m_in[e] out of each variable, clamped to
+    +-limit; m_in holds the messages that came in along the same edges."""
+    out = total[edge_var]
+    out -= m_in
+    return np.clip(out, -limit, limit, out=out)
 
 
 def leave_one_out_products(
@@ -29,38 +39,44 @@ def leave_one_out_products(
     """Per-edge product of t over the other edges of the same factor."""
     out = np.empty_like(t)
     for d, edges in buckets:
+        blk = t[edges].reshape(-1, d)
+        # A slice bucket's products are written in place in out; an index
+        # bucket's go through a block of their own and one scatter.
+        contiguous = isinstance(edges, slice)
+        res = out[edges].reshape(-1, d) if contiguous else np.empty_like(blk)
         # Column by column: numpy's cumprod along a row this short costs
         # about three times as much.
-        blk = t[edges].reshape(-1, d)
-        res = np.ones_like(blk)
+        res[:, 0] = 1.0
         for j in range(1, d):  # res[:, j] = prod(blk[:, :j])
             np.multiply(res[:, j - 1], blk[:, j - 1], out=res[:, j])
         suffix = blk[:, d - 1].copy()  # prod(blk[:, j + 1:])
         for j in range(d - 2, -1, -1):
             res[:, j] *= suffix
             suffix *= blk[:, j]
-        out[edges] = res.ravel()
+        if not contiguous:
+            out[edges] = res.ravel()
     return out
 
 
 def check_messages(
     m_in: np.ndarray,
-    edge_fac: np.ndarray,
+    edge_scale: np.ndarray,
     buckets: tuple[tuple[int, slice | np.ndarray], ...],
-    factor_scale: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Parity-check message update 2*atanh(scale_f * prod tanh(m/2)).
+    """Parity-check message update 2*atanh(scale_e * prod tanh(m/2)).
 
-    factor_scale carries per-factor terms that are never left out: the
-    syndrome sign (1 - 2s) for parity checks, or tanh of the channel LLR
-    for quantizer factors.
+    edge_scale[e] is the factor term of edge e's factor that is never left
+    out: the syndrome sign (1 - 2s) for parity checks, or tanh of the
+    channel LLR for quantizer factors.
     """
-    t = np.tanh(0.5 * m_in)
+    t = np.multiply(m_in, 0.5)
+    np.tanh(t, out=t)
     prod = leave_one_out_products(t, buckets)
-    if factor_scale is not None:
-        prod *= factor_scale[edge_fac]
+    prod *= edge_scale
     np.clip(prod, -TANH_CLIP, TANH_CLIP, out=prod)
-    return clamp_llr(2.0 * np.arctanh(prod))
+    np.arctanh(prod, out=prod)
+    prod *= 2.0
+    return np.clip(prod, -LLR_CLAMP, LLR_CLAMP, out=prod)
 
 
 def variable_sums(

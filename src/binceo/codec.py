@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._msgpass import check_messages, clamp_llr, variable_sums
+from ._msgpass import check_messages, extrinsic_messages, variable_sums
 from .bounds import TestChannelPair
 from .graphs import CompoundCode, LdgmCode, LdpcCode
 
@@ -39,9 +39,10 @@ def bias_propagation_quantize(
     y is treated as the codeword seen through a BSC(target_d).  Each sweep
     runs one flooding round on the quantizer graph and then hard-fixes the
     most biased undecided information bits; the batch size is chosen so all
-    bits are fixed within the sweep budget.  Ties and dead biases (below
-    1e-9) fall back to seeded coin flips, which also clears the converged
-    flag.
+    bits are fixed within the sweep budget.  Equal biases go to the lower
+    index first.  A chosen bit with a dead bias (below 1e-9) is set by a
+    seeded coin flip, drawn in selection order, which also clears the
+    converged flag.
     """
     y = np.asarray(y)
     if y.shape != (code.n,):
@@ -56,6 +57,7 @@ def bias_propagation_quantize(
     k = code.k
     graph = code.graph
     edge_var = graph.indices
+    edge_tanh = channel_tanh[graph.edge_fac]
     m_fv = np.zeros(graph.n_edges)
     fv_sums = np.zeros(k)
     fixed = np.full(k, -1, dtype=np.int8)
@@ -67,15 +69,13 @@ def bias_propagation_quantize(
         if len(unfixed) == 0:
             break
         var_tot = fix_llr + fv_sums
-        m_vf = clamp_llr(var_tot[edge_var] - m_fv, FIXED_LLR)
-        m_fv = check_messages(m_vf, graph.edge_fac, graph.buckets,
-                              factor_scale=channel_tanh)
+        m_vf = extrinsic_messages(var_tot, edge_var, m_fv, FIXED_LLR)
+        m_fv = check_messages(m_vf, edge_tanh, graph.buckets)
         fv_sums = variable_sums(m_fv, edge_var, k)
         bias = fix_llr + fv_sums
 
         batch = -(-len(unfixed) // (max_iters - sweep))  # ceil division
-        order = np.lexsort((unfixed, -np.abs(bias[unfixed])))
-        chosen = unfixed[order[:batch]]
+        chosen = _most_biased(unfixed, np.abs(bias[unfixed]), batch)
         dead = np.abs(bias[chosen]) < DECIMATION_BIAS_FLOOR
         values = (bias[chosen] < 0).astype(np.int8)
         if np.any(dead):
@@ -93,6 +93,23 @@ def bias_propagation_quantize(
         empirical_distortion=distortion,
         converged=converged,
     )
+
+
+def _most_biased(unfixed: np.ndarray, mag: np.ndarray, batch: int) -> np.ndarray:
+    """The batch entries of unfixed (ascending) with the largest mag, most
+    biased first and ties to the lower index.
+
+    Equal to unfixed[np.lexsort((unfixed, -mag))[:batch]], but sorts only
+    the chosen entries: a partition finds the batch-th largest magnitude,
+    every entry above it is taken, then the lowest-indexed entries equal
+    to it.
+    """
+    kth = len(mag) - batch
+    cut = np.partition(mag, kth)[kth]
+    above = np.flatnonzero(mag > cut)
+    tied = np.flatnonzero(mag == cut)[: batch - len(above)]
+    pick = np.concatenate([above, tied])
+    return unfixed[pick[np.lexsort((pick, -mag[pick]))]]
 
 
 def syndrome_generate(code: LdpcCode, u: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._msgpass import LLR_CLAMP, check_messages, clamp_llr, variable_sums
+from ._msgpass import LLR_CLAMP, check_messages, extrinsic_messages, variable_sums
 from .binmath import ChainParams, chain_posterior_table
 from .graphs import CompoundCode, LdpcCode, SparseBipartiteGraph
 
@@ -52,16 +52,17 @@ def sum_product_decode(
 
     graph = code.graph
     edge_var = graph.indices
-    sign = 1.0 - 2.0 * syndrome.astype(float)
+    # Check f's parity target as a sign (1 - 2s_f), one per edge.
+    edge_sign = (1.0 - 2.0 * syndrome.astype(float))[graph.edge_fac]
     m_cv = np.zeros(graph.n_edges)
     posterior = prior.copy()
     u_hat = (posterior < 0).astype(np.uint8)
     iterations = 0
     for it in range(max_iters):
         # posterior holds prior plus the sums of the current check messages.
-        m_vc = clamp_llr(posterior[edge_var] - m_cv)
-        m_cv = check_messages(m_vc, graph.edge_fac, graph.buckets, factor_scale=sign)
-        posterior = prior + variable_sums(m_cv, edge_var, code.n)
+        m_vc = extrinsic_messages(posterior, edge_var, m_cv)
+        m_cv = check_messages(m_vc, edge_sign, graph.buckets)
+        np.add(prior, variable_sums(m_cv, edge_var, code.n), out=posterior)
         u_hat = (posterior < 0).astype(np.uint8)
         iterations = it + 1
         if early_stop and np.array_equal(code.syndrome(u_hat), syndrome):
@@ -86,9 +87,23 @@ def side_info_prior(u2: np.ndarray, q: float) -> np.ndarray:
     return (1.0 - 2.0 * u2.astype(float)) * magnitude
 
 
-def _cross_transfer(extrinsic: np.ndarray, q: float) -> np.ndarray:
-    """Soften beliefs through the pairwise BSC(q) correlation channel."""
-    return clamp_llr(2.0 * np.arctanh(np.tanh(0.5 * extrinsic) * (1.0 - 2.0 * q)))
+def _cross_transfer(extrinsic: np.ndarray, q: float, out: np.ndarray) -> None:
+    """Soften beliefs through the pairwise BSC(q) correlation channel,
+    writing 2*atanh(tanh(extrinsic/2) * (1 - 2q)), clamped, into out."""
+    np.multiply(extrinsic, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 1.0 - 2.0 * q
+    np.arctanh(out, out=out)
+    out *= 2.0
+    np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out)
+
+
+def _belief(
+    prior: np.ndarray, cross: np.ndarray, cv_sums: np.ndarray, out: np.ndarray
+) -> None:
+    """Per-variable total LLR (prior + cross) + cv_sums, written into out."""
+    np.add(prior, cross, out=out)
+    out += cv_sums
 
 
 def joint_sum_product_decode(
@@ -130,35 +145,39 @@ def joint_sum_product_decode(
 
     g1, g2 = code1.graph, code2.graph
     ev1, ev2 = g1.indices, g2.indices
-    sign1 = 1.0 - 2.0 * s1.astype(float)
-    sign2 = 1.0 - 2.0 * s2.astype(float)
+    edge_sign1 = (1.0 - 2.0 * s1.astype(float))[g1.edge_fac]
+    edge_sign2 = (1.0 - 2.0 * s2.astype(float))[g2.edge_fac]
     m_cv1 = np.zeros(g1.n_edges)
     m_cv2 = np.zeros(g2.n_edges)
     # Check-message sums per variable, refreshed once per iteration.
     cv_sums1 = np.zeros(code1.n)
     cv_sums2 = np.zeros(code2.n)
-    cross1 = np.zeros(code1.n)  # correlation-factor message into decoder 1
+    # Correlation-factor messages into each decoder; zero past nc.
+    cross1 = np.zeros(code1.n)
     cross2 = np.zeros(code2.n)
+    # Per-variable work buffers, rewritten in place every iteration.
+    tot1 = np.empty(code1.n)
+    tot2 = np.empty(code2.n)
+    extr1 = np.empty(nc)
+    extr2 = np.empty(nc)
     total = local_iters * global_iters
     post1 = prior1.copy()
     post2 = prior2.copy()
     used = 0
     satisfied = False
     for it in range(total):
-        tot1 = prior1 + cross1 + cv_sums1
-        tot2 = prior2 + cross2 + cv_sums2
-        extr1 = tot1[:nc] - cross1[:nc]
-        extr2 = tot2[:nc] - cross2[:nc]
-        cross1 = np.zeros(code1.n)
-        cross2 = np.zeros(code2.n)
-        cross1[:nc] = _cross_transfer(extr2, q)
-        cross2[:nc] = _cross_transfer(extr1, q)
-        tot1 = prior1 + cross1 + cv_sums1
-        tot2 = prior2 + cross2 + cv_sums2
-        m_vc1 = clamp_llr(tot1[ev1] - m_cv1)
-        m_vc2 = clamp_llr(tot2[ev2] - m_cv2)
-        m_cv1 = check_messages(m_vc1, g1.edge_fac, g1.buckets, factor_scale=sign1)
-        m_cv2 = check_messages(m_vc2, g2.edge_fac, g2.buckets, factor_scale=sign2)
+        _belief(prior1, cross1, cv_sums1, out=tot1)
+        _belief(prior2, cross2, cv_sums2, out=tot2)
+        np.subtract(tot1[:nc], cross1[:nc], out=extr1)
+        np.subtract(tot2[:nc], cross2[:nc], out=extr2)
+        _cross_transfer(extr2, q, out=cross1[:nc])
+        _cross_transfer(extr1, q, out=cross2[:nc])
+        _belief(prior1, cross1, cv_sums1, out=tot1)
+        _belief(prior2, cross2, cv_sums2, out=tot2)
+        m_vc1 = extrinsic_messages(tot1, ev1, m_cv1)
+        m_vc2 = extrinsic_messages(tot2, ev2, m_cv2)
+        m_cv1 = check_messages(m_vc1, edge_sign1, g1.buckets)
+        m_cv2 = check_messages(m_vc2, edge_sign2, g2.buckets)
         cv_sums1 = variable_sums(m_cv1, ev1, code1.n)
         cv_sums2 = variable_sums(m_cv2, ev2, code2.n)
         used = it + 1

@@ -8,6 +8,7 @@ import numpy as np
 
 from .binmath import ChainParams, average_log_loss
 from .bounds import RegionPoint, TestChannelPair, bsc_bounds
+from .decoders import DecodeResult
 
 CSV_SCHEMA = "binceo-run-v1"
 
@@ -48,6 +49,11 @@ class RunReport:
     ber_u1: float
     ber_u2: float
     seeds: str
+    # Decoder outcome of each decoded link, keyed by link number (successive
+    # link 2 sends its information bits and is not decoded).  Not part of the
+    # v1 CSV row.
+    syndrome_satisfied: dict[int, bool]
+    iterations_used: dict[int, int]
 
     @property
     def below_bound_flag(self) -> bool:
@@ -98,13 +104,15 @@ def report_run(
     u2_hat: np.ndarray,
     u2_true: np.ndarray,
     seeds: str = "",
+    decoded: dict[int, DecodeResult] | None = None,
 ) -> RunReport:
     """Assemble a RunReport for one completed trial.
 
     BERs compare decoded words against the true quantized words; the
     theoretical reference point is the closed-form bound at the design
-    test channels.
+    test channels.  decoded maps each decoded link to its DecodeResult.
     """
+    decoded = decoded or {}
     n = len(x)
     loss = average_log_loss(recons, x)
     theo = bsc_bounds(p1, p2, tc)
@@ -123,6 +131,8 @@ def report_run(
         ber_u1=float(np.mean(np.asarray(u1_hat) != np.asarray(u1_true))),
         ber_u2=float(np.mean(np.asarray(u2_hat) != np.asarray(u2_true))),
         seeds=seeds,
+        syndrome_satisfied={k: r.syndrome_satisfied for k, r in decoded.items()},
+        iterations_used={k: r.iterations_used for k, r in decoded.items()},
     )
 
 

@@ -21,7 +21,6 @@ from .binmath import ChainParams
 from .bounds import InfeasibleRateError, TestChannelPair, bsc_bounds, mi_region_oracle
 from .codec import encode_joint, encode_successive
 from .decoders import (
-    DecodeResult,
     combined_prior,
     combined_syndrome,
     combined_syndrome_code,
@@ -110,6 +109,13 @@ class ExperimentConfig:
         for name in ("biasprop_sweeps", "sp_iters", "jsp_local", "jsp_global"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("ldgm_fac_dist", "ldpc_fac_dist"):
+            fac = getattr(self, name)
+            if fac is not None:
+                try:
+                    DegreeDistribution(fac=dict(fac))
+                except GraphConstructionError as exc:
+                    raise ValueError(f"{name}={fac}: {exc}") from None
         self._validate_codes()
 
     def _validate_codes(self) -> None:
@@ -156,8 +162,12 @@ def parse_degree_dist(text: str) -> dict[int, float]:
     """Parse '1:0.1,5:0.4,8:0.5' into {1: 0.1, 5: 0.4, 8: 0.5}."""
     out: dict[int, float] = {}
     for item in text.split(","):
-        deg, frac = item.split(":")
-        out[int(deg)] = float(frac)
+        try:
+            deg, frac = item.split(":")
+            out[int(deg)] = float(frac)
+        except ValueError:
+            raise ValueError(
+                f"expected comma-separated degree:fraction pairs, got {text!r}") from None
     return out
 
 
@@ -186,7 +196,10 @@ def config_from_sources(file_values: dict[str, str], args: argparse.Namespace) -
         # degree distributions.
         default = getattr(defaults, key)
         cast = parse_degree_dist if default is None else type(default)
-        cfg = replace(cfg, **{key: cast(value)})
+        try:
+            cfg = replace(cfg, **{key: cast(value)})
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     for f in fields(ExperimentConfig):
         cli_val = getattr(args, f.name, None)
         if cli_val is not None:
@@ -245,9 +258,9 @@ def run_joint_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
     report = report_run(
         "joint", trial, x, recons, rates, tc, cfg.p1, cfg.p2,
         u1_hat, q1.quantized, u2_hat, q2.quantized,
-        seeds=f"base={cfg.base_seed};trial={trial}",
+        seeds=f"base={cfg.base_seed};trial={trial}", decoded={1: res1, 2: res2},
     )
-    _warn_failures(report, {1: res1, 2: res2})
+    _warn_failures(report)
     return report
 
 
@@ -282,21 +295,21 @@ def run_successive_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
     report = report_run(
         "successive", trial, x, recons, rates, tc, cfg.p1, cfg.p2,
         u1_hat, q1.quantized, u2, q2.quantized,
-        seeds=f"base={cfg.base_seed};trial={trial}",
+        seeds=f"base={cfg.base_seed};trial={trial}", decoded={1: res},
     )
-    _warn_failures(report, {1: res})
+    _warn_failures(report)
     return report
 
 
-def _warn_failures(report: RunReport, decoded: dict[int, DecodeResult]) -> None:
+def _warn_failures(report: RunReport) -> None:
     """Warn about each decoded link whose syndrome is unsatisfied and about
     a log-loss below the bound; the trial's row is written as usual."""
     where = f"{report.scheme} trial {report.trial} ({report.seeds})"
-    for link, res in decoded.items():
-        if not res.syndrome_satisfied:
+    for link, ok in report.syndrome_satisfied.items():
+        if not ok:
             warnings.warn(
                 f"{where}: link {link} decode left its syndrome unsatisfied after "
-                f"{res.iterations_used} iterations", RuntimeWarning, stacklevel=3)
+                f"{report.iterations_used[link]} iterations", RuntimeWarning, stacklevel=3)
     if report.below_bound_flag:
         warnings.warn(
             f"{where}: log-loss {report.empirical_log_loss!r} is below the bound "

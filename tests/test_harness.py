@@ -128,8 +128,11 @@ def test_cli_sweep_empirical_points(capsys):
 
 
 # sha256 of simulate's CSV for a fixed config.  A change that is meant to
-# leave results alone must leave this digest alone.
+# leave results alone must leave these digests alone.
 SIMULATE_SEED11_SHA256 = "62b32511a8c86cfdbf06886fbac608dd710f3e435475931524db6778ec999d0c"
+# n = 10^4 takes the quantizer's partition path (k is about 5.6k, batches of
+# hundreds) and both decoder loops through many iterations.
+SIMULATE_N1E4_SEED7_SHA256 = "161f86ae6e240664ab77e40d488dcc66ba653dc38fcd8351e137cf5f98b5c0e3"
 
 
 def test_simulate_csv_digest_is_pinned_and_run_is_silent():
@@ -140,11 +143,19 @@ def test_simulate_csv_digest_is_pinned_and_run_is_silent():
     assert hashlib.sha256(text.encode()).hexdigest() == SIMULATE_SEED11_SHA256
 
 
+def test_simulate_csv_digest_is_pinned_at_n1e4():
+    cfg = ExperimentConfig(n=10_000, trials=1, scheme="both", base_seed=7)
+    text = simulate(cfg)
+    assert hashlib.sha256(text.encode()).hexdigest() == SIMULATE_N1E4_SEED7_SHA256
+
+
 def test_failed_decode_warns():
     cfg = ExperimentConfig(p1=0.05, p2=0.05, n=2000, trials=1, scheme="joint",
                            base_seed=11)
     with pytest.warns(RuntimeWarning, match=r"joint trial 0 \(base=11;trial=0\): link 2 "):
-        run_joint_trial(cfg, 0)
+        rep = run_joint_trial(cfg, 0)
+    assert rep.syndrome_satisfied == {1: True, 2: False}
+    assert rep.iterations_used == {1: 600, 2: 600}
 
 
 def test_simulate_csv_structure():
@@ -168,6 +179,9 @@ def test_run_successive_trial_reports_rates():
         round(cfg.n * (1.0 - 0.46899559358928133) * 1.05) / cfg.n, abs=1e-12
     )
     assert rep.empirical_sum_rate == rep.empirical_r1 + rep.empirical_r2
+    # Only link 1 is decoded; link 2's bits arrive as sent.
+    assert rep.syndrome_satisfied == {1: True}
+    assert 1 <= rep.iterations_used[1] <= cfg.sp_iters
 
 
 def test_cli_simulate_to_file(tmp_path):
@@ -199,3 +213,19 @@ def test_cli_simulate_rejects_unrealizable_distortion(args, key, capsys):
     rc = main(["simulate", "--n", "2000", "--trials", "1", *args])
     assert rc == EXIT_CONFIG
     assert f"error: {key}=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, cfg_text, message", [
+    (["--ldpc-fac-dist", "2:0.5,3:0.6"], None,
+     "error: ldpc_fac_dist={2: 0.5, 3: 0.6}: fractions sum to"),
+    ([], "n = 1e4\n", "error: config key 'n': "),
+    ([], "ldpc_fac_dist = 2:0.5;3:0.5\n", "error: config key 'ldpc_fac_dist': "),
+])
+def test_cli_simulate_bad_values_name_their_key(args, cfg_text, message, tmp_path, capsys):
+    if cfg_text is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(cfg_text)
+        args = [*args, "--config", str(path)]
+    rc = main(["simulate", "--n", "2000", "--trials", "1", *args])
+    assert rc == EXIT_CONFIG
+    assert message in capsys.readouterr().err

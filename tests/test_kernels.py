@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binceo._msgpass import LLR_CLAMP, TANH_CLIP, check_messages, leave_one_out_products
+from binceo.codec import DECIMATION_BIAS_FLOOR, _most_biased
 from binceo.graphs import DegreeDistribution, SparseBipartiteGraph, _apportion, sample_graph
 
 
@@ -62,13 +63,29 @@ def test_check_messages_matches_per_factor_loop(adj, data):
     scale = np.array(data.draw(st.lists(
         st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.0, 1.0)),
         min_size=g.n_fac, max_size=g.n_fac)))
-    got = check_messages(m_in, g.edge_fac, g.buckets, factor_scale=scale)
+    got = check_messages(m_in, scale[g.edge_fac], g.buckets)
     prod = naive_products(np.tanh(0.5 * m_in), adjs) * scale[g.edge_fac]
     want = np.clip(2.0 * np.arctanh(np.clip(prod, -TANH_CLIP, TANH_CLIP)),
                    -LLR_CLAMP, LLR_CLAMP)
     # Compared in the tanh domain, where rounding of the product is not
     # amplified by arctanh near +-1.
     np.testing.assert_allclose(np.tanh(0.5 * got), np.tanh(0.5 * want), rtol=0, atol=1e-12)
+
+
+# Bias magnitudes from a small pool, so that ties (including dead biases
+# at or below the floor) fall on both sides of the batch cut.
+bias_magnitudes = st.sampled_from(
+    [0.0, DECIMATION_BIAS_FLOOR / 2, DECIMATION_BIAS_FLOOR, 0.3, 1.0, 1.0 + 1e-15, 50.0])
+
+
+@given(st.lists(bias_magnitudes, min_size=1, max_size=40), st.data())
+def test_most_biased_matches_full_lexsort(mags, data):
+    mag = np.array(mags)
+    unfixed = np.array(sorted(data.draw(st.lists(
+        st.integers(0, 200), min_size=len(mag), max_size=len(mag), unique=True))))
+    batch = data.draw(st.integers(1, len(mag)))
+    want = unfixed[np.lexsort((unfixed, -mag))[:batch]]
+    np.testing.assert_array_equal(_most_biased(unfixed, mag, batch), want)
 
 
 @given(adjacency(), st.data())
