@@ -21,7 +21,6 @@ from .bounds import (
     mi_region_oracle,
     optimize_test_channels,
     point_to_point_rate,
-    sweep_bound_curve,
 )
 from .codec import (
     bias_propagation_quantize,

@@ -34,10 +34,13 @@ def extrinsic_messages(
 
 
 def leave_one_out_products(
-    t: np.ndarray, buckets: tuple[tuple[int, slice | np.ndarray], ...]
+    t: np.ndarray,
+    buckets: tuple[tuple[int, slice | np.ndarray], ...],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-edge product of t over the other edges of the same factor."""
-    out = np.empty_like(t)
+    """Per-edge product of t over the other edges of the same factor,
+    written into out (a new array by default; never t itself)."""
+    out = np.empty_like(t) if out is None else out
     for d, edges in buckets:
         blk = t[edges].reshape(-1, d)
         # A slice bucket's products are written in place in out; an index
@@ -62,16 +65,19 @@ def check_messages(
     m_in: np.ndarray,
     edge_scale: np.ndarray,
     buckets: tuple[tuple[int, slice | np.ndarray], ...],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Parity-check message update 2*atanh(scale_e * prod tanh(m/2)).
 
     edge_scale[e] is the factor term of edge e's factor that is never left
     out: the syndrome sign (1 - 2s) for parity checks, or tanh of the
-    channel LLR for quantizer factors.
+    channel LLR for quantizer factors.  Given out, the messages are
+    written there and m_in is spent as the tanh buffer, so a decoder loop
+    that reuses both allocates no per-edge array.
     """
-    t = np.multiply(m_in, 0.5)
+    t = np.multiply(m_in, 0.5, out=None if out is None else m_in)
     np.tanh(t, out=t)
-    prod = leave_one_out_products(t, buckets)
+    prod = leave_one_out_products(t, buckets, out)
     prod *= edge_scale
     np.clip(prod, -TANH_CLIP, TANH_CLIP, out=prod)
     np.arctanh(prod, out=prod)

@@ -103,30 +103,10 @@ def mi_region_oracle(p1: float, p2: float, tc: TestChannelPair) -> RegionPoint:
     return RegionPoint(r1=r1, r2=r2, sum_rate=sum_rate, distortion=distortion)
 
 
-def _sum_rate(p: float, d1: float, d2: float) -> float:
-    d = binary_convolution(d1, d2)
-    return (
-        1.0
-        + binary_entropy(binary_convolution(p, d))
-        - binary_entropy(d1)
-        - binary_entropy(d2)
-    )
-
-
-def _distortion(p1: float, p2: float, d1: float, d2: float) -> float:
-    p = binary_convolution(p1, p2)
-    d = binary_convolution(d1, d2)
-    return (
-        binary_entropy(binary_convolution(p1, d1))
-        + binary_entropy(binary_convolution(p2, d2))
-        - binary_entropy(binary_convolution(p, d))
-    )
-
-
-def _d2_on_constraint(p: float, d1: float, target: float) -> float | None:
+def _d2_on_constraint(p1: float, p2: float, d1: float, target: float) -> float | None:
     """Solve sum_rate(d1, d2) = target for d2 in [0, 0.5], or None."""
-    lo = _sum_rate(p, d1, 0.5)
-    hi = _sum_rate(p, d1, 0.0)
+    lo = bsc_bounds(p1, p2, TestChannelPair(d1, 0.5)).sum_rate
+    hi = bsc_bounds(p1, p2, TestChannelPair(d1, 0.0)).sum_rate
     if target > hi or target < lo:
         return None
     if target == hi:
@@ -135,7 +115,8 @@ def _d2_on_constraint(p: float, d1: float, target: float) -> float | None:
         return 0.5
     return float(
         sp_optimize.brentq(
-            lambda d2: _sum_rate(p, d1, d2) - target, 0.0, 0.5, xtol=REFINE_XTOL
+            lambda d2: bsc_bounds(p1, p2, TestChannelPair(d1, d2)).sum_rate - target,
+            0.0, 0.5, xtol=REFINE_XTOL,
         )
     )
 
@@ -149,23 +130,20 @@ def optimize_test_channels(
     the constraint manifold, records every local minimum, refines each by
     bounded golden-section search, and returns the best.
     """
-    _check_prob(p1, "p1", upper=0.5)
-    _check_prob(p2, "p2", upper=0.5)
     target = float(target_sum_rate)
     if not 0.0 < target <= 2.0:
         raise ValueError(f"target sum-rate must be in (0, 2], got {target!r}")
-    p = binary_convolution(p1, p2)
-    max_rate = _sum_rate(p, 0.0, 0.0)
+    max_rate = bsc_bounds(p1, p2, TestChannelPair(0.0, 0.0)).sum_rate
     if target > max_rate + 1e-12:
         raise InfeasibleRateError(
             f"sum-rate {target} exceeds the maximum {max_rate:.6f} at d1=d2=0"
         )
 
     def constrained_distortion(d1: float) -> float:
-        d2 = _d2_on_constraint(p, d1, target)
+        d2 = _d2_on_constraint(p1, p2, d1, target)
         if d2 is None:
             return INFEASIBLE_PENALTY
-        return _distortion(p1, p2, d1, d2)
+        return bsc_bounds(p1, p2, TestChannelPair(d1, d2)).distortion
 
     grid = np.arange(0.0, 0.5 + grid_step / 2, grid_step)
     vals = np.array([constrained_distortion(d1) for d1 in grid])
@@ -192,15 +170,12 @@ def optimize_test_channels(
             options={"xatol": REFINE_XTOL},
         )
         d1 = float(res.x)
-        d2 = _d2_on_constraint(p, d1, target)
+        d2 = _d2_on_constraint(p1, p2, d1, target)
         if d2 is None:
             continue
-        achieved = _sum_rate(p, d1, d2)
-        cand = OptimumResult(
-            pair=TestChannelPair(d1=d1, d2=d2),
-            distortion=_distortion(p1, p2, d1, d2),
-            achieved_sum_rate=achieved,
-        )
+        pair = TestChannelPair(d1, d2)
+        point = bsc_bounds(p1, p2, pair)
+        cand = OptimumResult(pair, point.distortion, point.sum_rate)
         if best is None or cand.distortion < best.distortion:
             best = cand
     assert best is not None
@@ -209,14 +184,3 @@ def optimize_test_channels(
             f"constraint violated: achieved {best.achieved_sum_rate} vs {target}"
         )
     return best
-
-
-def sweep_bound_curve(
-    p1: float, p2: float, rate_grid
-) -> list[tuple[float, float]]:
-    """Minimum distortion per sum-rate grid point (non-increasing in rate)."""
-    out = []
-    for rate in rate_grid:
-        res = optimize_test_channels(p1, p2, rate)
-        out.append((float(rate), res.distortion))
-    return out

@@ -50,25 +50,48 @@ def sum_product_decode(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
-    graph = code.graph
-    edge_var = graph.indices
-    # Check f's parity target as a sign (1 - 2s_f), one per edge.
-    edge_sign = (1.0 - 2.0 * syndrome.astype(float))[graph.edge_fac]
-    m_cv = np.zeros(graph.n_edges)
+    # Check f's parity target as a sign (1 - 2s_f).
+    return _sum_product([(code.graph, 1.0 - 2.0 * syndrome.astype(float))], prior,
+                        max_iters, 1 if early_stop else max_iters, [(code, syndrome)])[0]
+
+
+def _sum_product(
+    layers: list[tuple[SparseBipartiteGraph, np.ndarray]], prior: np.ndarray, budget: int,
+    every: int, links: list[tuple[LdpcCode, np.ndarray]],
+) -> list[DecodeResult]:
+    """Sum-product from per-variable prior LLRs on the factor graph made of
+    layers, (graph, fac_scale) pairs over the same variables.
+
+    Every iteration updates the layers in turn: all factor messages of a
+    layer from the variables' extrinsic beliefs (fac_scale[f] is the term
+    of factor f that is never left out), then every posterior, so a later
+    layer sees the earlier ones' new messages; with one layer this is
+    flooding.  links lists (code, syndrome) pairs whose variables fill the
+    graph's, in order; every `every` iterations and after the last, each
+    link's hard decision is tested against its syndrome, and the loop
+    stops once all of them pass.
+    """
+    edge_scales = [fac_scale[graph.edge_fac] for graph, fac_scale in layers]
+    m_cv = [np.zeros(graph.n_edges) for graph, _ in layers]
+    sums = [np.zeros(len(prior)) for _ in layers]
     posterior = prior.copy()
-    u_hat = (posterior < 0).astype(np.uint8)
-    iterations = 0
-    for it in range(max_iters):
-        # posterior holds prior plus the sums of the current check messages.
-        m_vc = extrinsic_messages(posterior, edge_var, m_cv)
-        m_cv = check_messages(m_vc, edge_sign, graph.buckets)
-        np.add(prior, variable_sums(m_cv, edge_var, code.n), out=posterior)
-        u_hat = (posterior < 0).astype(np.uint8)
-        iterations = it + 1
-        if early_stop and np.array_equal(code.syndrome(u_hat), syndrome):
-            return DecodeResult(u_hat, True, iterations, posterior)
-    satisfied = bool(np.array_equal(code.syndrome(u_hat), syndrome))
-    return DecodeResult(u_hat, satisfied, iterations, posterior)
+    for it in range(1, budget + 1):
+        for layer, (graph, _) in enumerate(layers):
+            # posterior holds prior plus the sums of the current factor messages.
+            m_vc = extrinsic_messages(posterior, graph.indices, m_cv[layer])
+            check_messages(m_vc, edge_scales[layer], graph.buckets, out=m_cv[layer])
+            sums[layer] = variable_sums(m_cv[layer], graph.indices, graph.n_var)
+            np.add(prior, sums[0], out=posterior)
+            for layer_sums in sums[1:]:
+                posterior += layer_sums
+        if it % every == 0 or it == budget:
+            posts = np.split(posterior, np.cumsum([code.n for code, _ in links[:-1]]))
+            hats = [(post < 0).astype(np.uint8) for post in posts]
+            oks = [np.array_equal(code.syndrome(hat), syn)
+                   for (code, syn), hat in zip(links, hats)]
+            if all(oks):
+                break
+    return [DecodeResult(hat, ok, it, post) for hat, ok, post in zip(hats, oks, posts)]
 
 
 def side_info_prior(u2: np.ndarray, q: float) -> np.ndarray:
@@ -87,23 +110,24 @@ def side_info_prior(u2: np.ndarray, q: float) -> np.ndarray:
     return (1.0 - 2.0 * u2.astype(float)) * magnitude
 
 
-def _cross_transfer(extrinsic: np.ndarray, q: float, out: np.ndarray) -> None:
-    """Soften beliefs through the pairwise BSC(q) correlation channel,
-    writing 2*atanh(tanh(extrinsic/2) * (1 - 2q)), clamped, into out."""
-    np.multiply(extrinsic, 0.5, out=out)
-    np.tanh(out, out=out)
-    out *= 1.0 - 2.0 * q
-    np.arctanh(out, out=out)
-    out *= 2.0
-    np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out)
-
-
-def _belief(
-    prior: np.ndarray, cross: np.ndarray, cv_sums: np.ndarray, out: np.ndarray
-) -> None:
-    """Per-variable total LLR (prior + cross) + cv_sums, written into out."""
-    np.add(prior, cross, out=out)
-    out += cv_sums
+def _union_graph(
+    g1: SparseBipartiteGraph, g2: SparseBipartiteGraph, fac_scale: np.ndarray
+) -> tuple[SparseBipartiteGraph, np.ndarray]:
+    """Both links' graphs as one: g1's factors, then g2's with its variables
+    shifted by g1.n_var, with fac_scale holding one scale per factor in that
+    order.  The factors are stored grouped by degree (stable), so each
+    kernel bucket is a slice; returns the graph and its factor scales.
+    """
+    indptr = np.concatenate([g1.indptr, g1.n_edges + g2.indptr[1:]])
+    indices = np.concatenate([g1.indices, g1.n_var + g2.indices])
+    degrees = np.diff(indptr)
+    order = np.argsort(degrees, kind="stable")
+    grouped = np.concatenate([[0], np.cumsum(degrees[order])])
+    # Edge e of grouped factor j is edge e - grouped[j] + indptr[order[j]].
+    shift = np.repeat(indptr[:-1][order] - grouped[:-1], degrees[order])
+    graph = SparseBipartiteGraph(n_var=g1.n_var + g2.n_var, indptr=grouped,
+                                 indices=indices[np.arange(len(indices)) + shift])
+    return graph, fac_scale[order]
 
 
 def joint_sum_product_decode(
@@ -118,87 +142,42 @@ def joint_sum_product_decode(
     prior2: np.ndarray | None = None,
     n_coupled: int | None = None,
 ) -> tuple[DecodeResult, DecodeResult]:
-    """Flooding sum-product on the union factor graph of both links.
+    """Sum-product on the union factor graph of both links.
 
     The two Tanner graphs are joined by one correlation factor per
-    coupled symbol pair, modelling the BSC(q) between the quantized
-    sequences; its messages are refreshed every iteration from the other
-    side's extrinsic belief.  Message state persists across the whole run
-    (a total budget of local_iters * global_iters flooding iterations);
-    the hard decisions are tested against both syndromes every
-    local_iters iterations and the decoder stops at the first joint
-    success.  iterations_used reports flooding iterations.
+    coupled symbol pair (i, i), i < n_coupled, modelling the BSC(q)
+    between the quantized sequences.  That factor is a degree-2 parity
+    check with scale 1 - 2q: its message is 2*atanh((1 - 2q) tanh(m/2)).
+    Every iteration updates the coupling checks first and then, from the
+    refreshed beliefs, all link checks at once.  The decoder runs a total
+    budget of local_iters * global_iters iterations; the hard decisions
+    are tested against both syndromes every local_iters iterations and
+    the decoder stops at the first joint success.
     """
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"crossover must be in [0, 0.5], got {q!r}")
+    if local_iters < 1 or global_iters < 1:
+        raise ValueError("local_iters and global_iters must be >= 1")
     prior1 = np.zeros(code1.n) if prior1 is None else np.asarray(prior1, dtype=float)
     prior2 = np.zeros(code2.n) if prior2 is None else np.asarray(prior2, dtype=float)
     if prior1.shape != (code1.n,) or prior2.shape != (code2.n,):
         raise ValueError("prior lengths do not match the codes")
     nc = min(code1.n, code2.n) if n_coupled is None else n_coupled
-    if nc > min(code1.n, code2.n):
-        raise ValueError(f"n_coupled={nc} exceeds a code's block length")
-    s1 = np.asarray(s1)
-    s2 = np.asarray(s2)
+    if not 0 <= nc <= min(code1.n, code2.n):
+        raise ValueError(f"n_coupled={nc} must be in [0, {min(code1.n, code2.n)}]")
+    s1, s2 = np.asarray(s1), np.asarray(s2)
     if s1.shape != (code1.m,) or s2.shape != (code2.m,):
         raise ValueError("syndrome lengths do not match the codes")
 
-    g1, g2 = code1.graph, code2.graph
-    ev1, ev2 = g1.indices, g2.indices
-    edge_sign1 = (1.0 - 2.0 * s1.astype(float))[g1.edge_fac]
-    edge_sign2 = (1.0 - 2.0 * s2.astype(float))[g2.edge_fac]
-    m_cv1 = np.zeros(g1.n_edges)
-    m_cv2 = np.zeros(g2.n_edges)
-    # Check-message sums per variable, refreshed once per iteration.
-    cv_sums1 = np.zeros(code1.n)
-    cv_sums2 = np.zeros(code2.n)
-    # Correlation-factor messages into each decoder; zero past nc.
-    cross1 = np.zeros(code1.n)
-    cross2 = np.zeros(code2.n)
-    # Per-variable work buffers, rewritten in place every iteration.
-    tot1 = np.empty(code1.n)
-    tot2 = np.empty(code2.n)
-    extr1 = np.empty(nc)
-    extr2 = np.empty(nc)
-    total = local_iters * global_iters
-    post1 = prior1.copy()
-    post2 = prior2.copy()
-    used = 0
-    satisfied = False
-    for it in range(total):
-        _belief(prior1, cross1, cv_sums1, out=tot1)
-        _belief(prior2, cross2, cv_sums2, out=tot2)
-        np.subtract(tot1[:nc], cross1[:nc], out=extr1)
-        np.subtract(tot2[:nc], cross2[:nc], out=extr2)
-        _cross_transfer(extr2, q, out=cross1[:nc])
-        _cross_transfer(extr1, q, out=cross2[:nc])
-        _belief(prior1, cross1, cv_sums1, out=tot1)
-        _belief(prior2, cross2, cv_sums2, out=tot2)
-        m_vc1 = extrinsic_messages(tot1, ev1, m_cv1)
-        m_vc2 = extrinsic_messages(tot2, ev2, m_cv2)
-        m_cv1 = check_messages(m_vc1, edge_sign1, g1.buckets)
-        m_cv2 = check_messages(m_vc2, edge_sign2, g2.buckets)
-        cv_sums1 = variable_sums(m_cv1, ev1, code1.n)
-        cv_sums2 = variable_sums(m_cv2, ev2, code2.n)
-        used = it + 1
-        if used % local_iters == 0 or used == total:
-            post1 = prior1 + cross1 + cv_sums1
-            post2 = prior2 + cross2 + cv_sums2
-            hat1 = (post1 < 0).astype(np.uint8)
-            hat2 = (post2 < 0).astype(np.uint8)
-            ok1 = bool(np.array_equal(code1.syndrome(hat1), s1))
-            ok2 = bool(np.array_equal(code2.syndrome(hat2), s2))
-            if ok1 and ok2:
-                satisfied = True
-                break
-    hat1 = (post1 < 0).astype(np.uint8)
-    hat2 = (post2 < 0).astype(np.uint8)
-    ok1 = satisfied or bool(np.array_equal(code1.syndrome(hat1), s1))
-    ok2 = satisfied or bool(np.array_equal(code2.syndrome(hat2), s2))
-    return (
-        DecodeResult(hat1, ok1, used, post1),
-        DecodeResult(hat2, ok2, used, post2),
-    )
+    # Coupling check i is (i, code1.n + i) with scale 1 - 2q; link checks
+    # carry their syndrome sign 1 - 2s.
+    pairs = np.arange(nc)
+    coupling = SparseBipartiteGraph(n_var=code1.n + code2.n, indptr=2 * np.arange(nc + 1),
+                                    indices=np.column_stack([pairs, code1.n + pairs]).ravel())
+    links = _union_graph(code1.graph, code2.graph, 1.0 - 2.0 * np.concatenate([s1, s2]))
+    return tuple(_sum_product([(coupling, np.full(nc, 1.0 - 2.0 * q)), links],
+                              np.concatenate([prior1, prior2]), local_iters * global_iters,
+                              local_iters, [(code1, s1), (code2, s2)]))
 
 
 def combined_syndrome_code(cc: CompoundCode) -> LdpcCode:

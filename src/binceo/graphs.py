@@ -9,6 +9,7 @@ edges within a factor are repaired by socket swaps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,16 +68,14 @@ class SparseBipartiteGraph:
     """CSR adjacency: factor f touches variables indices[indptr[f]:indptr[f + 1]].
 
     Edges are numbered in that order.  Construction also derives edge_fac
-    (edge -> factor) and the check kernel's degree buckets: one (d, edges)
-    pair per factor degree d > 0, where edges selects those factors' edges
-    in factor order, as a slice when the factors are consecutive.
+    (edge -> factor); the check kernel's degree buckets are derived on
+    first use.
     """
 
     n_var: int
     indptr: np.ndarray
     indices: np.ndarray
     edge_fac: np.ndarray = field(init=False, repr=False)
-    buckets: tuple[tuple[int, slice | np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -86,18 +85,25 @@ class SparseBipartiteGraph:
             raise GraphConstructionError("indptr must rise from 0 to len(indices)")
         if np.any((indices < 0) | (indices >= self.n_var)):
             raise GraphConstructionError(f"variable index outside [0, {self.n_var})")
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "edge_fac", np.repeat(np.arange(len(degrees)), degrees))
+
+    @cached_property
+    def buckets(self) -> tuple[tuple[int, slice | np.ndarray], ...]:
+        """One (d, edges) pair per factor degree d > 0, where edges selects
+        those factors' edges in factor order, as a slice when the factors
+        are consecutive (always, when factors are grouped by degree)."""
+        degrees = np.diff(self.indptr)
         buckets = []
         for d in np.unique(degrees[degrees > 0]):
             facs = np.flatnonzero(degrees == d)
             if facs[-1] - facs[0] + 1 == len(facs):
-                edges = slice(int(indptr[facs[0]]), int(indptr[facs[-1] + 1]))
+                edges = slice(int(self.indptr[facs[0]]), int(self.indptr[facs[-1] + 1]))
             else:
-                edges = (indptr[facs, None] + np.arange(d)).ravel()
+                edges = (self.indptr[facs, None] + np.arange(d)).ravel()
             buckets.append((int(d), edges))
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "edge_fac", np.repeat(np.arange(len(degrees)), degrees))
-        object.__setattr__(self, "buckets", tuple(buckets))
+        return tuple(buckets)
 
     @property
     def n_fac(self) -> int:

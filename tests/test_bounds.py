@@ -7,7 +7,6 @@ from binceo.bounds import (
     mi_region_oracle,
     optimize_test_channels,
     point_to_point_rate,
-    sweep_bound_curve,
 )
 
 
@@ -65,9 +64,3 @@ def test_optimize_rejects_bad_target():
         optimize_test_channels(0.15, 0.15, 0.0)
     with pytest.raises(ValueError):
         optimize_test_channels(0.15, 0.15, 2.5)
-
-
-def test_sweep_bound_curve_monotone():
-    curve = sweep_bound_curve(0.15, 0.15, [0.6, 0.8, 1.0, 1.2])
-    dists = [d for _, d in curve]
-    assert all(a >= b - 1e-9 for a, b in zip(dists, dists[1:]))

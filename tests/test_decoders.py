@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from binceo._msgpass import LLR_CLAMP
 from binceo.binmath import ChainParams, chain_posterior_table
@@ -15,7 +17,8 @@ from binceo.decoders import (
     side_info_prior,
     sum_product_decode,
 )
-from binceo.graphs import build_compound
+from binceo.graphs import LdpcCode, SparseBipartiteGraph, build_compound
+from binceo.oracles import exact_marginals
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +89,10 @@ def test_joint_decode_validation(nested_code):
         joint_sum_product_decode(comb, comb, s[:-1], s, q=0.3)
     with pytest.raises(ValueError):
         joint_sum_product_decode(comb, comb, s, s, q=0.3, n_coupled=comb.n + 1)
+    with pytest.raises(ValueError, match="n_coupled=-1"):
+        joint_sum_product_decode(comb, comb, s, s, q=0.3, n_coupled=-1)
+    with pytest.raises(ValueError, match="local_iters"):
+        joint_sum_product_decode(comb, comb, s, s, q=0.3, local_iters=0)
 
 
 def test_joint_decode_cross_bootstraps_second_link(nested_code, quantized):
@@ -109,6 +116,89 @@ def test_joint_decode_cross_bootstraps_second_link(nested_code, quantized):
     assert res1.syndrome_satisfied and res2.syndrome_satisfied
     np.testing.assert_array_equal(res1.u_hat[: nested_code.n], u1)
     np.testing.assert_array_equal(res2.u_hat[: nested_code.n], u2)
+
+
+def _tree_code(rng, n: int) -> LdpcCode:
+    """A random cycle-free syndrome code on n variables: every check joins
+    one variable already in the tree with one or two fresh ones."""
+    perm = rng.permutation(n)
+    adjs, used = [], 1
+    while used < n:
+        fresh = min(int(rng.integers(1, 3)), n - used)
+        adjs.append(np.sort([perm[int(rng.integers(used))], *perm[used : used + fresh]]))
+        used += fresh
+    indptr = np.cumsum([0] + [len(a) for a in adjs])
+    return LdpcCode(SparseBipartiteGraph(n_var=n, indptr=indptr, indices=np.concatenate(adjs)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), q=st.floats(0.0, 0.5, exclude_min=True))
+def test_joint_decode_exact_on_coupled_trees(seed, q):
+    # Two trees joined at the pair (u1_0, u2_0) form one tree, so the joint
+    # decoder's posteriors are exact.  The reference is the hard-check code
+    # on (u1, u2, z) whose extra check u1_0 + u2_0 + z = 0 carries the
+    # BSC(q) coupling through z's prior log((1 - q) / q).
+    rng = np.random.default_rng(seed)
+    code1 = _tree_code(rng, int(rng.integers(3, 10)))
+    code2 = _tree_code(rng, int(rng.integers(3, 10)))
+    n1, n2 = code1.n, code2.n
+    words = [rng.integers(0, 2, c.n, dtype=np.uint8) for c in (code1, code2)]
+    s1, s2 = code1.syndrome(words[0]), code2.syndrome(words[1])
+    prior1, prior2 = rng.normal(0.0, 1.2, n1), rng.normal(0.0, 1.2, n2)
+    res1, res2 = joint_sum_product_decode(code1, code2, s1, s2, q, local_iters=40,
+                                          global_iters=1, prior1=prior1, prior2=prior2,
+                                          n_coupled=1)
+    g1, g2 = code1.graph, code2.graph
+    union = LdpcCode(SparseBipartiteGraph(
+        n_var=n1 + n2 + 1,
+        indptr=np.concatenate([g1.indptr, g1.n_edges + g2.indptr[1:],
+                               [g1.n_edges + g2.n_edges + 3]]),
+        indices=np.concatenate([g1.indices, n1 + g2.indices, [0, n1, n1 + n2]])))
+    exact = exact_marginals(union, np.concatenate([s1, s2, [0]]),
+                            np.concatenate([prior1, prior2, [np.log1p(-q) - np.log(q)]]))
+    np.testing.assert_allclose(res1.posterior, exact[:n1], atol=1e-9)
+    np.testing.assert_allclose(res2.posterior, exact[n1 : n1 + n2], atol=1e-9)
+
+
+def _random_code(rng, n: int, m: int) -> LdpcCode:
+    """m checks on 2-4 distinct variables each, drawn at random (cycles allowed)."""
+    adjs = [np.sort(rng.choice(n, int(rng.integers(2, 5)), replace=False)) for _ in range(m)]
+    indptr = np.cumsum([0] + [len(a) for a in adjs])
+    return LdpcCode(SparseBipartiteGraph(n_var=n, indptr=indptr, indices=np.concatenate(adjs)))
+
+
+def test_joint_decode_updates_coupling_before_link_checks():
+    # The joint schedule written out per factor on two loopy codes: every
+    # iteration sends each coupling message from the other link's extrinsic
+    # belief, and then every link-check message from beliefs that already
+    # hold this iteration's coupling messages.  Flooding both at once gives
+    # other posteriors after the first iteration.
+    rng = np.random.default_rng(61)
+    codes = [_random_code(rng, 12, 8), _random_code(rng, 10, 7)]
+    syns = [c.syndrome(rng.integers(0, 2, c.n, dtype=np.uint8)) for c in codes]
+    priors = [rng.normal(0.0, 1.5, c.n) for c in codes]
+    q, nc, iters = 0.1, 8, 6
+    cross = [np.zeros(c.n) for c in codes]
+    msgs = [np.zeros(c.graph.n_edges) for c in codes]  # check to variable, per edge
+
+    def belief(k):
+        return priors[k] + cross[k] + np.bincount(codes[k].graph.indices, msgs[k], codes[k].n)
+
+    for _ in range(iters):
+        ext = [np.clip(belief(k) - cross[k], -LLR_CLAMP, LLR_CLAMP) for k in (0, 1)]
+        for k in (0, 1):
+            cross[k][:nc] = 2 * np.arctanh((1 - 2 * q) * np.tanh(ext[1 - k][:nc] / 2))
+        for k, (code, syn) in enumerate(zip(codes, syns)):
+            g, tot, new = code.graph, belief(k), np.empty_like(msgs[k])
+            for f in range(g.n_fac):
+                e = np.arange(g.indptr[f], g.indptr[f + 1])
+                t = np.tanh(np.clip(tot[g.indices[e]] - msgs[k][e], -LLR_CLAMP, LLR_CLAMP) / 2)
+                for j, ej in enumerate(e):
+                    new[ej] = 2 * np.arctanh((1 - 2 * int(syn[f])) * np.prod(np.delete(t, j)))
+            msgs[k] = np.clip(new, -LLR_CLAMP, LLR_CLAMP)
+    res = joint_sum_product_decode(*codes, *syns, q, local_iters=iters, global_iters=1,
+                                   prior1=priors[0], prior2=priors[1], n_coupled=nc)
+    for k in (0, 1):
+        np.testing.assert_allclose(res[k].posterior, belief(k), atol=1e-9)
 
 
 def test_combined_syndrome_code_structure(nested_code):

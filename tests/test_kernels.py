@@ -70,6 +70,10 @@ def test_check_messages_matches_per_factor_loop(adj, data):
     # Compared in the tanh domain, where rounding of the product is not
     # amplified by arctanh near +-1.
     np.testing.assert_allclose(np.tanh(0.5 * got), np.tanh(0.5 * want), rtol=0, atol=1e-12)
+    # Written into a given buffer, the messages are the same bits.
+    out = np.empty_like(m_in)
+    check_messages(m_in.copy(), scale[g.edge_fac], g.buckets, out=out)
+    np.testing.assert_array_equal(out, got)
 
 
 # Bias magnitudes from a small pool, so that ties (including dead biases
