@@ -70,7 +70,7 @@ def bias_propagation_quantize(
             break
         var_tot = fix_llr + fv_sums
         m_vf = extrinsic_messages(var_tot, edge_var, m_fv, FIXED_LLR)
-        m_fv = check_messages(m_vf, edge_tanh, graph.buckets)
+        check_messages(m_vf, edge_tanh, graph.buckets, out=m_fv)
         fv_sums = variable_sums(m_fv, edge_var, k)
         bias = fix_llr + fv_sums
 

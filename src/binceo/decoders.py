@@ -31,33 +31,42 @@ def sum_product_decode(
     prior: np.ndarray,
     max_iters: int = 100,
     early_stop: bool = True,
+    leaf_scale: np.ndarray | None = None,
 ) -> DecodeResult:
     """Flooding sum-product on the Tanner graph with target parities.
 
     Check i enforces parity equal to syndrome bit i (its message sign is
-    multiplied by (-1)^{s_i}).  With early_stop the decoder returns as
-    soon as the hard decision satisfies the full syndrome; pass
-    early_stop=False to always run max_iters rounds (e.g. when the fully
-    converged posteriors themselves are wanted).  Non-convergence is
-    reported through the flag, not an error.
+    multiplied by (-1)^{s_i}).  The code's last len(leaf_scale) factors, if
+    any, are those of absorbed leaves (combined_prior) and take leaf_scale
+    as their scale; the syndrome covers the checks before them, and only
+    those are tested.  With early_stop the decoder returns as soon as the
+    hard decision satisfies the syndrome; early_stop=False always runs
+    max_iters rounds.  Non-convergence is reported through the flag, not
+    an error.
     """
     syndrome = np.asarray(syndrome)
     prior = np.asarray(prior, dtype=float)
-    if syndrome.shape != (code.m,):
-        raise ValueError(f"syndrome length {syndrome.shape} does not match m={code.m}")
+    leaf_scale = np.zeros(0) if leaf_scale is None else np.asarray(leaf_scale, dtype=float)
+    m = code.m - len(leaf_scale)
+    if syndrome.shape != (m,):
+        raise ValueError(f"syndrome length {syndrome.shape} does not match m={m}")
     if prior.shape != (code.n,):
         raise ValueError(f"prior length {prior.shape} does not match n={code.n}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
-    # Check f's parity target as a sign (1 - 2s_f).
-    return _sum_product([(code.graph, 1.0 - 2.0 * syndrome.astype(float))], prior,
-                        max_iters, 1 if early_stop else max_iters, [(code, syndrome)])[0]
+    # Check f's parity target as a sign (1 - 2s_f), then the leaf scales.
+    g = code.graph
+    checks = SparseBipartiteGraph(n_var=g.n_var, indptr=g.indptr[: m + 1],
+                                  indices=g.indices[: g.indptr[m]])
+    fac_scale = np.concatenate([1.0 - 2.0 * syndrome.astype(float), leaf_scale])
+    return _sum_product([(g, fac_scale)], prior, max_iters,
+                        1 if early_stop else max_iters, [(checks, syndrome)])[0]
 
 
 def _sum_product(
     layers: list[tuple[SparseBipartiteGraph, np.ndarray]], prior: np.ndarray, budget: int,
-    every: int, links: list[tuple[LdpcCode, np.ndarray]],
+    every: int, links: list[tuple[SparseBipartiteGraph, np.ndarray]],
 ) -> list[DecodeResult]:
     """Sum-product from per-variable prior LLRs on the factor graph made of
     layers, (graph, fac_scale) pairs over the same variables.
@@ -66,7 +75,7 @@ def _sum_product(
     layer from the variables' extrinsic beliefs (fac_scale[f] is the term
     of factor f that is never left out), then every posterior, so a later
     layer sees the earlier ones' new messages; with one layer this is
-    flooding.  links lists (code, syndrome) pairs whose variables fill the
+    flooding.  links lists (checks, syndrome) pairs whose variables fill the
     graph's, in order; every `every` iterations and after the last, each
     link's hard decision is tested against its syndrome, and the loop
     stops once all of them pass.
@@ -85,10 +94,10 @@ def _sum_product(
             for layer_sums in sums[1:]:
                 posterior += layer_sums
         if it % every == 0 or it == budget:
-            posts = np.split(posterior, np.cumsum([code.n for code, _ in links[:-1]]))
+            posts = np.split(posterior, np.cumsum([g.n_var for g, _ in links[:-1]]))
             hats = [(post < 0).astype(np.uint8) for post in posts]
-            oks = [np.array_equal(code.syndrome(hat), syn)
-                   for (code, syn), hat in zip(links, hats)]
+            oks = [np.array_equal(checks.factor_parity(hat), syn)
+                   for (checks, syn), hat in zip(links, hats)]
             if all(oks):
                 break
     return [DecodeResult(hat, ok, it, post) for hat, ok, post in zip(hats, oks, posts)]
@@ -177,41 +186,47 @@ def joint_sum_product_decode(
     links = _union_graph(code1.graph, code2.graph, 1.0 - 2.0 * np.concatenate([s1, s2]))
     return tuple(_sum_product([(coupling, np.full(nc, 1.0 - 2.0 * q)), links],
                               np.concatenate([prior1, prior2]), local_iters * global_iters,
-                              local_iters, [(code1, s1), (code2, s2)]))
+                              local_iters, [(code1.graph, s1), (code2.graph, s2)]))
 
 
-def combined_syndrome_code(cc: CompoundCode) -> LdpcCode:
+def combined_syndrome_code(cc: CompoundCode, absorb_leaves: bool = False) -> LdpcCode:
     """Decoder-side graph exposing the quantizer structure to the decoder.
 
-    Variables are the n codeword bits followed by the k information bits.
-    Checks are the LDPC checks (unchanged) followed by one parity factor
-    per codeword bit tying it to its generating information bits; those
-    extra factors carry syndrome 0 by construction.
+    Variables are the n codeword bits, the first k being the (systematic)
+    information bits.  Factors are the LDPC checks followed by one parity
+    factor per mixed output j >= k on j's information bits and, last, j;
+    these n - k factors have syndrome 0.  absorb_leaves drops the mixed
+    outputs, leaving k variables (the LDPC checks must lie on them): to the
+    successive decoder each is a leaf, and its factor takes its prior as
+    scale (combined_prior).
     """
-    n = cc.n
+    n, k = cc.n, cc.ldgm.k
     ldpc, ldgm = cc.ldpc.graph, cc.ldgm.graph
-    # Factor i of the LDGM part is (i, its information bits shifted by n);
-    # own[e] marks the edges that carry the codeword bit.
-    indptr = ldgm.indptr + np.arange(n + 1)
-    own = np.zeros(indptr[-1], dtype=bool)
-    own[indptr[:-1]] = True
-    ldgm_indices = np.empty(indptr[-1], dtype=np.int64)
-    ldgm_indices[own] = np.arange(n)
-    ldgm_indices[~own] = ldgm.indices + n
-    graph = SparseBipartiteGraph(
-        n_var=n + ldgm.n_var,
+    if not (np.array_equal(ldgm.indptr[: k + 1], np.arange(k + 1))
+            and np.array_equal(ldgm.indices[:k], np.arange(k))):
+        raise ValueError("the LDGM's first k outputs must copy its information bits")
+    indptr, indices = ldgm.indptr[k:] - k, ldgm.indices[k:]
+    if not absorb_leaves:
+        indices = np.insert(indices, indptr[1:], np.arange(k, n))
+        indptr = indptr + np.arange(n - k + 1)
+    return LdpcCode(SparseBipartiteGraph(
+        n_var=k if absorb_leaves else n,
         indptr=np.concatenate([ldpc.indptr, indptr[1:] + ldpc.n_edges]),
-        indices=np.concatenate([ldpc.indices, ldgm_indices]),
-    )
-    return LdpcCode(graph=graph)
+        indices=np.concatenate([ldpc.indices, indices])))
 
 
 def combined_syndrome(cc: CompoundCode, s: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.asarray(s, dtype=np.uint8), np.zeros(cc.n, dtype=np.uint8)])
+    """The LDPC syndrome padded with the mixed factors' n - k zeros."""
+    return np.concatenate([np.asarray(s, dtype=np.uint8), np.zeros(cc.n - cc.ldgm.k, np.uint8)])
 
 
-def combined_prior(cc: CompoundCode, u_prior: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.asarray(u_prior, dtype=float), np.zeros(cc.ldgm.k)])
+def combined_prior(cc: CompoundCode, u_prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codeword-bit LLRs split for absorbed leaves: the information bits'
+    LLRs, and each mixed output's tanh(clamped LLR / 2), the message a
+    leaf always sends, as its factor's scale."""
+    u_prior = np.asarray(u_prior, dtype=float)
+    leaves = np.clip(u_prior[cc.ldgm.k :], -LLR_CLAMP, LLR_CLAMP)
+    return u_prior[: cc.ldgm.k], np.tanh(0.5 * leaves)
 
 
 def reconstruct_soft(

@@ -249,15 +249,12 @@ def run_joint_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
         q=chain.u1_to_u2,
         local_iters=cfg.jsp_local,
         global_iters=cfg.jsp_global,
-        n_coupled=cfg.n,
     )
-    u1_hat = res1.u_hat[: cfg.n]
-    u2_hat = res2.u_hat[: cfg.n]
-    recons = reconstruct_soft(u1_hat, u2_hat, chain)
+    recons = reconstruct_soft(res1.u_hat, res2.u_hat, chain)
     rates = empirical_rates_joint(cc1.ldpc.m, cc2.ldpc.m, cfg.n)
     report = report_run(
         "joint", trial, x, recons, rates, tc, cfg.p1, cfg.p2,
-        u1_hat, q1.quantized, u2_hat, q2.quantized,
+        res1.u_hat, q1.quantized, res2.u_hat, q2.quantized,
         seeds=f"base={cfg.base_seed};trial={trial}", decoded={1: res1, 2: res2},
     )
     _warn_failures(report)
@@ -284,12 +281,13 @@ def run_successive_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
         biasprop_sweeps=cfg.biasprop_sweeps,
     )
     u2 = ldgm2.encode(q2.info_bits)  # bit-exact reconstruction of u2
-    comb1 = combined_syndrome_code(cc1)
-    prior = combined_prior(cc1, side_info_prior(u2, chain.u1_to_u2))
-    res = sum_product_decode(
-        comb1, combined_syndrome(cc1, syn1), prior, max_iters=cfg.sp_iters
-    )
-    u1_hat = res.u_hat[: cfg.n]
+    # Link 1's mixed outputs are leaves here: decode the information bits
+    # with the leaves absorbed, then re-encode u1.
+    comb1 = combined_syndrome_code(cc1, absorb_leaves=True)
+    info_prior, leaf_scale = combined_prior(cc1, side_info_prior(u2, chain.u1_to_u2))
+    res = sum_product_decode(comb1, syn1, info_prior, max_iters=cfg.sp_iters,
+                             leaf_scale=leaf_scale)
+    u1_hat = cc1.ldgm.encode(res.u_hat)
     recons = reconstruct_soft_successive(u1_hat, u2, chain)
     rates = empirical_rates_successive(cc1.ldpc.m, ldgm2.k, cfg.n)
     report = report_run(

@@ -17,7 +17,7 @@ from binceo.decoders import (
     side_info_prior,
     sum_product_decode,
 )
-from binceo.graphs import LdpcCode, SparseBipartiteGraph, build_compound
+from binceo.graphs import CompoundCode, LdgmCode, LdpcCode, SparseBipartiteGraph, build_compound
 from binceo.oracles import exact_marginals
 
 
@@ -65,10 +65,10 @@ def test_sum_product_decode_with_side_information(nested_code, quantized):
     u_side = u ^ (rng.random(len(u)) < 0.1).astype(np.uint8)
     comb = combined_syndrome_code(nested_code)
     s = combined_syndrome(nested_code, nested_code.ldpc.syndrome(u))
-    prior = combined_prior(nested_code, side_info_prior(u_side, 0.1))
+    prior = side_info_prior(u_side, 0.1)
     res = sum_product_decode(comb, s, prior, max_iters=100)
     assert res.syndrome_satisfied
-    np.testing.assert_array_equal(res.u_hat[: nested_code.n], u)
+    np.testing.assert_array_equal(res.u_hat, u)
     assert res.iterations_used <= 100
 
 
@@ -109,13 +109,13 @@ def test_joint_decode_cross_bootstraps_second_link(nested_code, quantized):
     comb = combined_syndrome_code(nested_code)
     s1 = combined_syndrome(nested_code, nested_code.ldpc.syndrome(u1))
     s2 = combined_syndrome(nested_code, nested_code.ldpc.syndrome(u2))
-    prior1 = combined_prior(nested_code, side_info_prior(side, 0.05))
+    prior1 = side_info_prior(side, 0.05)
     res1, res2 = joint_sum_product_decode(
         comb, comb, s1, s2, q=q, prior1=prior1, n_coupled=nested_code.n
     )
     assert res1.syndrome_satisfied and res2.syndrome_satisfied
-    np.testing.assert_array_equal(res1.u_hat[: nested_code.n], u1)
-    np.testing.assert_array_equal(res2.u_hat[: nested_code.n], u2)
+    np.testing.assert_array_equal(res1.u_hat, u1)
+    np.testing.assert_array_equal(res2.u_hat, u2)
 
 
 def _tree_code(rng, n: int) -> LdpcCode:
@@ -204,15 +204,87 @@ def test_joint_decode_updates_coupling_before_link_checks():
 def test_combined_syndrome_code_structure(nested_code):
     comb = combined_syndrome_code(nested_code)
     n, k, m = nested_code.n, nested_code.ldgm.k, nested_code.ldpc.m
-    assert comb.n == n + k
-    assert comb.m == m + n
-    # A consistent (codeword, info) pair satisfies every combined check.
+    assert comb.n == n
+    assert comb.m == m + n - k
+    # A codeword, whose first k bits are its information bits, satisfies
+    # the LDPC syndrome padded with the mixed factors' zeros.
     rng = np.random.default_rng(56)
     b = rng.integers(0, 2, k, dtype=np.uint8)
     u = nested_code.ldgm.encode(b)
-    word = np.concatenate([u, b])
+    np.testing.assert_array_equal(u[:k], b)
     s = combined_syndrome(nested_code, nested_code.ldpc.syndrome(u))
-    np.testing.assert_array_equal(comb.syndrome(word), s)
+    assert s.shape == (m + n - k,)
+    np.testing.assert_array_equal(comb.syndrome(u), s)
+    # With the leaves absorbed the graph is on b alone, and each mixed
+    # factor's parity is its output bit.
+    absorbed = combined_syndrome_code(nested_code, absorb_leaves=True)
+    assert (absorbed.n, absorbed.m) == (k, m + n - k)
+    np.testing.assert_array_equal(absorbed.syndrome(b), np.concatenate([s[:m], u[k:]]))
+
+
+def _compound(k: int, checks: list, mixed: list) -> CompoundCode:
+    """Compound code whose LDGM copies its k information bits into outputs
+    0..k-1 and computes one mixed output per entry of mixed, with LDPC
+    checks on the information bits."""
+    def graph(n_var, adjs):
+        indptr = np.cumsum([0] + [len(a) for a in adjs])
+        return SparseBipartiteGraph(n_var=n_var, indptr=indptr,
+                                    indices=np.concatenate(adjs).astype(np.int64))
+
+    ldgm = LdgmCode(graph(k, [[i] for i in range(k)] + mixed))
+    return CompoundCode(ldgm=ldgm, ldpc=LdpcCode(graph(ldgm.n, checks)))
+
+
+def _leaf_decoders(cc, syn, prior, iters):
+    """Posteriors after iters iterations of the leaf-absorbed decoder and
+    of the decoder on all n variables."""
+    info_prior, leaf_scale = combined_prior(cc, prior)
+    absorbed = sum_product_decode(combined_syndrome_code(cc, absorb_leaves=True), syn,
+                                  info_prior, iters, early_stop=False, leaf_scale=leaf_scale)
+    full = sum_product_decode(combined_syndrome_code(cc), combined_syndrome(cc, syn), prior,
+                              iters, early_stop=False)
+    return absorbed, full
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 40))
+def test_leaf_absorption_matches_full_graph(seed, n):
+    # A mixed output seen only through its prior and its one factor always
+    # sends that factor its prior, so absorbing it into the factor's scale
+    # changes no message on the information bits, iteration by iteration.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(n // 3, 2 * n // 3 + 1))
+    mixed = [rng.choice(k, int(rng.integers(1, min(k, 4) + 1)), replace=False)
+             for _ in range(n - k)]
+    checks = [rng.choice(k, int(rng.integers(1, min(k, 4) + 1)), replace=False)
+              for _ in range(int(rng.integers(1, k + 1)))]
+    cc = _compound(k, checks, mixed)
+    syn = cc.ldpc.syndrome(cc.ldgm.encode(rng.integers(0, 2, k, dtype=np.uint8)))
+    prior = rng.normal(0.0, 1.5, n)
+    for iters in range(1, 13):
+        absorbed, full = _leaf_decoders(cc, syn, prior, iters)
+        np.testing.assert_allclose(absorbed.posterior, full.posterior[:k], atol=1e-9)
+        np.testing.assert_array_equal(absorbed.u_hat, full.u_hat[:k])
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_leaf_absorption_exact_on_trees(seed):
+    # Tree-shaped factors over the information bits, some of them LDPC
+    # checks and the rest mixed outputs with their leaf: the n-variable
+    # graph is a tree, so both decoders give the exact marginals.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 10))
+    tree = _tree_code(rng, k).graph
+    adjs = np.split(tree.indices, tree.indptr[1:-1])
+    is_check = rng.random(len(adjs)) < 0.5
+    is_check[0] = True
+    cc = _compound(k, [a for a, c in zip(adjs, is_check) if c],
+                   [a for a, c in zip(adjs, is_check) if not c])
+    syn = cc.ldpc.syndrome(cc.ldgm.encode(rng.integers(0, 2, k, dtype=np.uint8)))
+    prior = rng.normal(0.0, 1.2, cc.n)
+    absorbed, full = _leaf_decoders(cc, syn, prior, 40)
+    exact = exact_marginals(combined_syndrome_code(cc), combined_syndrome(cc, syn), prior)
+    np.testing.assert_allclose(full.posterior, exact, atol=1e-9)
+    np.testing.assert_allclose(absorbed.posterior, exact[:k], atol=1e-9)
 
 
 def test_reconstruct_soft_matches_table():

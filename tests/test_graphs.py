@@ -191,12 +191,12 @@ GRAPH_DIGESTS = {
     ("anchor", 1): "0c6bdcf7dad23bf3faefbc4b5a003201d48ad8b5fabfcde6a69737ad7055eb7f",
     ("anchor", 2): "f0ffb1370ccbd1d38ae53d50ea95fd9e52384c6dfd1fb24aa8ceb2c174432020",
     # combined_syndrome_code of the compound and anchor codes above.
-    ("decoder-compound", 0): "47fe0722cc7d433fb5decad1eecb79159ec2f19d2e188b331e6810da262e84d8",
-    ("decoder-compound", 1): "8f703e5ec47c547cee0f8b104ebfa62485b14cc2dd2b95f0764707186c2a4c93",
-    ("decoder-compound", 2): "c4dd310095fa83cefa37fa75494cebd7c41f92b73a77668d42bf45b88e2a2858",
-    ("decoder-anchor", 0): "98499bce01f1f4a1041fb1ed2eeea99800531692202683ff27f692c4555e29e4",
-    ("decoder-anchor", 1): "6a121cd7b5381c8bdf8ed7ff509d8653a7965334dace56901e92cfa02d64eeba",
-    ("decoder-anchor", 2): "211321aa4f75ddf4f60de9f63dde24d78a71e77a3cf61975a79d114998411eec",
+    ("decoder-compound", 0): "9867df9e70700f529d465ea8117b9c6cd64468db9b14f9b47f0f910322dc5faf",
+    ("decoder-compound", 1): "caf5f6cfc073547d375babc72e8cd649bcb469ff7e2a138783997944f0457caa",
+    ("decoder-compound", 2): "f08e49af396cbf4a3b63d685cae63a5c91b64a32cb44df49b294719bbfe28707",
+    ("decoder-anchor", 0): "3c5b8ecb48fba4dca12cdb6ef2cc9a82739ad531db5c833219513c979ecb9d4f",
+    ("decoder-anchor", 1): "926e9fae3fb5c09e366173facd6afef350a15095709764530ea9fb63dc063793",
+    ("decoder-anchor", 2): "522bebcf7360c6dd1e955cd28ad8c8d46076f8ef4cd098ece19560a040c77f68",
 }
 
 
