@@ -18,17 +18,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graphs import SparseBipartiteGraph
+
 LLR_CLAMP = 30.0
 # Keeps atanh finite; corresponds to |message| ~ 37, above the LLR clamp.
 TANH_CLIP = 1.0 - 1e-16
 
 
 def extrinsic_messages(
-    total: np.ndarray, edge_var: np.ndarray, m_in: np.ndarray, limit: float = LLR_CLAMP
+    total: np.ndarray, edge_var: np.ndarray, m_in: np.ndarray, limit: float = LLR_CLAMP,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-edge message total[v] - m_in[e] out of each variable, clamped to
-    +-limit; m_in holds the messages that came in along the same edges."""
-    out = total[edge_var]
+    +-limit; m_in holds the messages that came in along the same edges.
+    Written into out when given (a new array by default)."""
+    # The indices are in range, so "wrap" never wraps; unlike the default
+    # "raise", it fills out without an intermediate buffer.
+    out = np.take(total, edge_var, out=out, mode="wrap")
     out -= m_in
     return np.clip(out, -limit, limit, out=out)
 
@@ -90,3 +96,21 @@ def variable_sums(
 ) -> np.ndarray:
     """Per-variable sum of incoming check messages."""
     return np.bincount(edge_var, weights=m_in, minlength=n_var)
+
+
+def hoist_unit_factors(
+    graph: SparseBipartiteGraph, edge_scale: np.ndarray, messages: np.ndarray
+) -> tuple[int, tuple]:
+    """Write the messages of graph's p leading degree-1 factors (one edge
+    each) into messages[:p]; return p and graph.buckets over the edges
+    after them, renumbered from 0.  A degree-1 factor's leave-one-out
+    product is 1, so its message depends on its scale alone and a loop can
+    set it once and run the kernels on the other edges only."""
+    not_unit = np.flatnonzero(np.diff(graph.indptr) != 1)
+    p = int(not_unit[0]) if len(not_unit) else graph.n_fac
+    check_messages(np.zeros(p), edge_scale[:p], ((1, slice(0, p)),), out=messages[:p])
+    # A slice bucket lies wholly before p or after it; only a degree-1 index
+    # bucket can hold edges on both sides.
+    return p, tuple(
+        (d, slice(e.start - p, e.stop - p) if isinstance(e, slice) else e[e >= p] - p)
+        for d, e in graph.buckets if not isinstance(e, slice) or e.start >= p)

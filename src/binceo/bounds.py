@@ -8,13 +8,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from . import oracles
 from .binmath import _check_prob, binary_convolution, binary_entropy
 
 # Optimizer knobs: coarse grid over d1, root-finding for the sum-rate
 # constraint in d2, golden-section refinement around every local minimum.
+# The optimizer alone imports scipy, inside its functions: bounds and
+# simulation load numpy only.
 GRID_STEP = 0.005
 CONSTRAINT_TOL = 1e-6
 REFINE_XTOL = 1e-9
@@ -113,8 +114,9 @@ def _d2_on_constraint(p1: float, p2: float, d1: float, target: float) -> float |
         return 0.0
     if target == lo:
         return 0.5
+    from scipy.optimize import brentq
     return float(
-        sp_optimize.brentq(
+        brentq(
             lambda d2: bsc_bounds(p1, p2, TestChannelPair(d1, d2)).sum_rate - target,
             0.0, 0.5, xtol=REFINE_XTOL,
         )
@@ -159,11 +161,12 @@ def optimize_test_channels(
         if vals[i] <= left and vals[i] <= right:
             candidates.append(i)
 
+    from scipy.optimize import minimize_scalar
     best: OptimumResult | None = None
     for i in candidates:
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, len(grid) - 1)]
-        res = sp_optimize.minimize_scalar(
+        res = minimize_scalar(
             constrained_distortion,
             bounds=(lo, hi),
             method="bounded",

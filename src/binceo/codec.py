@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._msgpass import check_messages, extrinsic_messages, variable_sums
+from ._msgpass import check_messages, extrinsic_messages, hoist_unit_factors, variable_sums
 from .bounds import TestChannelPair
 from .graphs import CompoundCode, LdgmCode, LdpcCode
 
@@ -59,6 +59,9 @@ def bias_propagation_quantize(
     edge_var = graph.indices
     edge_tanh = channel_tanh[graph.edge_fac]
     m_fv = np.zeros(graph.n_edges)
+    # The systematic outputs lead; their messages never change.
+    p, buckets = hoist_unit_factors(graph, edge_tanh, m_fv)
+    m_vf = np.empty(graph.n_edges - p)
     fv_sums = np.zeros(k)
     fixed = np.full(k, -1, dtype=np.int8)
     fix_llr = np.zeros(k)
@@ -69,8 +72,8 @@ def bias_propagation_quantize(
         if len(unfixed) == 0:
             break
         var_tot = fix_llr + fv_sums
-        m_vf = extrinsic_messages(var_tot, edge_var, m_fv, FIXED_LLR)
-        check_messages(m_vf, edge_tanh, graph.buckets, out=m_fv)
+        extrinsic_messages(var_tot, edge_var[p:], m_fv[p:], FIXED_LLR, out=m_vf)
+        check_messages(m_vf, edge_tanh[p:], buckets, out=m_fv[p:])
         fv_sums = variable_sums(m_fv, edge_var, k)
         bias = fix_llr + fv_sums
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._msgpass import LLR_CLAMP, check_messages, extrinsic_messages, variable_sums
+from ._msgpass import (LLR_CLAMP, check_messages, extrinsic_messages, hoist_unit_factors,
+                       variable_sums)
 from .binmath import ChainParams, chain_posterior_table
 from .graphs import CompoundCode, LdpcCode, SparseBipartiteGraph
 
@@ -80,15 +81,21 @@ def _sum_product(
     link's hard decision is tested against its syndrome, and the loop
     stops once all of them pass.
     """
-    edge_scales = [fac_scale[graph.edge_fac] for graph, fac_scale in layers]
     m_cv = [np.zeros(graph.n_edges) for graph, _ in layers]
+    live = []  # per layer, the edges after its leading degree-1 factors
+    for (graph, fac_scale), msgs in zip(layers, m_cv):
+        edge_scale = fac_scale[graph.edge_fac]
+        p, buckets = hoist_unit_factors(graph, edge_scale, msgs)
+        live.append((graph.indices[p:], edge_scale[p:], buckets, msgs[p:],
+                     np.empty(graph.n_edges - p)))
     sums = [np.zeros(len(prior)) for _ in layers]
     posterior = prior.copy()
     for it in range(1, budget + 1):
         for layer, (graph, _) in enumerate(layers):
+            edge_var, edge_scale, buckets, m_live, m_vc = live[layer]
             # posterior holds prior plus the sums of the current factor messages.
-            m_vc = extrinsic_messages(posterior, graph.indices, m_cv[layer])
-            check_messages(m_vc, edge_scales[layer], graph.buckets, out=m_cv[layer])
+            extrinsic_messages(posterior, edge_var, m_live, out=m_vc)
+            check_messages(m_vc, edge_scale, buckets, out=m_live)
             sums[layer] = variable_sums(m_cv[layer], graph.indices, graph.n_var)
             np.add(prior, sums[0], out=posterior)
             for layer_sums in sums[1:]:

@@ -373,7 +373,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = [float(r) for r in args.rates.split(",")] if args.rates else []
+    try:
+        grid = [float(r) for r in args.rates.split(",")] if args.rates else []
+    except ValueError:
+        raise ValueError(
+            f"--rates: expected comma-separated numbers, got {args.rates!r}") from None
     lines = ["# schema=binceo-sweep-v1", "series,sum_rate,distortion,d1,d2"]
     for rate in grid:
         res = bounds_mod.optimize_test_channels(args.p1, args.p2, rate)

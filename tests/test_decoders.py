@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binceo._msgpass import LLR_CLAMP
+from binceo._msgpass import LLR_CLAMP, check_messages, extrinsic_messages, variable_sums
 from binceo.binmath import ChainParams, chain_posterior_table
 from binceo.bounds import TestChannelPair
 from binceo.codec import bias_propagation_quantize
 from binceo.decoders import (
+    _sum_product,
     combined_prior,
     combined_syndrome,
     combined_syndrome_code,
@@ -199,6 +200,48 @@ def test_joint_decode_updates_coupling_before_link_checks():
                                    prior1=priors[0], prior2=priors[1], n_coupled=nc)
     for k in (0, 1):
         np.testing.assert_allclose(res[k].posterior, belief(k), atol=1e-9)
+
+
+def _reference_sum_product(layers, prior, iters):
+    """The layered loop of _sum_product with every factor's messages,
+    degree-1 factors included, recomputed in every iteration."""
+    m_cv = [np.zeros(g.n_edges) for g, _ in layers]
+    sums = [np.zeros(len(prior)) for _ in layers]
+    posterior = prior.copy()
+    for _ in range(iters):
+        for layer, (g, fac_scale) in enumerate(layers):
+            m_vc = extrinsic_messages(posterior, g.indices, m_cv[layer])
+            m_cv[layer] = check_messages(m_vc, fac_scale[g.edge_fac], g.buckets)
+            sums[layer] = variable_sums(m_cv[layer], g.indices, g.n_var)
+            posterior = prior + sums[0]
+            for layer_sums in sums[1:]:
+                posterior += layer_sums
+    return posterior
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_layers=st.integers(1, 2), iters=st.integers(1, 8))
+def test_sum_product_sets_unit_factor_messages_once_bit_for_bit(seed, n_layers, iters):
+    # Each layer leads with 0..n degree-1 factors, then has factors of
+    # degree 0-4 in any order (more degree-1 ones among them); scales are
+    # signs or fractions.  Setting the leading factors' messages once must
+    # give the posteriors of recomputing them every iteration, bit for bit.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 12))
+    layers = []
+    for _ in range(n_layers):
+        lead = int(rng.integers(0, n + 1))
+        degrees = [1] * lead + list(rng.integers(0, 5, rng.integers(1, 9)))
+        adjs = [rng.choice(n, d, replace=False) for d in degrees]
+        g = SparseBipartiteGraph(n_var=n, indptr=np.cumsum([0] + degrees),
+                                 indices=np.concatenate(adjs))
+        scale = np.where(rng.random(g.n_fac) < 0.5, rng.choice([-1.0, 1.0], g.n_fac),
+                         rng.uniform(-1.0, 1.0, g.n_fac))
+        layers.append((g, scale))
+    prior = rng.normal(0.0, 2.0, n)
+    g0 = layers[0][0]
+    (res,) = _sum_product(layers, prior, iters, iters, [(g0, np.zeros(g0.n_fac, np.uint8))])
+    assert res.iterations_used == iters
+    assert np.array_equal(res.posterior, _reference_sum_product(layers, prior, iters))
 
 
 def test_combined_syndrome_code_structure(nested_code):

@@ -1,9 +1,14 @@
 import argparse
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import binceo
 from binceo.bounds import optimize_test_channels
 from binceo.evaluate import CSV_COLUMNS
 from binceo.harness import (
@@ -160,7 +165,9 @@ def test_failed_decode_warns():
 
 def test_simulate_csv_structure():
     cfg = ExperimentConfig(n=2000, trials=2, scheme="successive", base_seed=3)
-    text = simulate(cfg)
+    with pytest.warns(RuntimeWarning,
+                      match=r"successive trial 1 \(base=3;trial=1\): link 1 "):
+        text = simulate(cfg)
     lines = text.strip().splitlines()
     assert lines[0] == "# schema=binceo-run-v1"
     assert lines[1] == ",".join(CSV_COLUMNS)
@@ -229,3 +236,29 @@ def test_cli_simulate_bad_values_name_their_key(args, cfg_text, message, tmp_pat
     rc = main(["simulate", "--n", "2000", "--trials", "1", *args])
     assert rc == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+def test_cli_sweep_bad_rates_name_the_flag(capsys):
+    rc = main(["sweep", "--rates", "0.6,x"])
+    assert rc == EXIT_CONFIG
+    assert "error: --rates: expected comma-separated numbers, got '0.6,x'" in (
+        capsys.readouterr().err)
+
+
+def test_simulate_and_bounds_do_not_import_scipy():
+    # Only the bound optimizer needs scipy; the simulate and bounds paths
+    # must not pay for importing it.
+    script = "\n".join([
+        "import sys",
+        "import binceo, binceo.harness",
+        "from binceo.harness import ExperimentConfig, main, simulate",
+        "simulate(ExperimentConfig(n=2000, scheme='both'))",
+        "main(['bounds', '--d1', '0.1', '--d2', '0.1'])",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(binceo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True, timeout=300)
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -7,7 +7,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binceo._msgpass import LLR_CLAMP, TANH_CLIP, check_messages, leave_one_out_products
+from binceo._msgpass import (LLR_CLAMP, TANH_CLIP, check_messages, hoist_unit_factors,
+                             leave_one_out_products)
 from binceo.codec import DECIMATION_BIAS_FLOOR, _most_biased
 from binceo.graphs import DegreeDistribution, SparseBipartiteGraph, _apportion, sample_graph
 
@@ -74,6 +75,43 @@ def test_check_messages_matches_per_factor_loop(adj, data):
     out = np.empty_like(m_in)
     check_messages(m_in.copy(), scale[g.edge_fac], g.buckets, out=out)
     np.testing.assert_array_equal(out, got)
+
+
+llr_values = st.one_of(st.just(0.0), st.floats(-2 * LLR_CLAMP, 2 * LLR_CLAMP))
+
+
+@given(st.integers(1, 20), st.data())
+def test_degree1_check_messages_do_not_depend_on_m_in(n, data):
+    scale = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.0, 1.0)), min_size=n, max_size=n)))
+    m_a, m_b = (np.array(data.draw(st.lists(llr_values, min_size=n, max_size=n)))
+                for _ in range(2))
+    bucket = ((1, slice(0, n)),)
+    got = check_messages(m_a, scale, bucket)
+    np.testing.assert_array_equal(check_messages(m_b, scale, bucket), got)
+
+
+@given(adjacency(), st.data())
+def test_hoist_unit_factors_buckets_are_those_of_the_graph_after_it(adj, data):
+    n_var, adjs = adj
+    lead = data.draw(st.lists(st.integers(0, n_var - 1).map(lambda v: [v]), max_size=6))
+    facs = lead + adjs
+    g = csr_graph(n_var, facs)
+    scale = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=g.n_edges,
+                                        max_size=g.n_edges)))
+    messages = np.full(g.n_edges, np.nan)
+    p, live = hoist_unit_factors(g, scale, messages)
+    # Their messages are written; the other edges' are left alone.
+    want = check_messages(np.zeros(p), scale[:p], ((1, slice(0, p)),))
+    np.testing.assert_array_equal(messages[:p], want)
+    assert np.isnan(messages[p:]).all()
+    # adjs may itself start with degree-1 factors; the prefix takes them too.
+    assert [len(a) for a in facs[:p]] == [1] * p and p >= len(lead)
+    assert p == len(facs) or len(facs[p]) != 1
+    rest = csr_graph(n_var, facs[p:])
+    edges = np.arange(rest.n_edges)
+    assert ({d: edges[e].tolist() for d, e in live}
+            == {d: edges[e].tolist() for d, e in rest.buckets})
 
 
 # Bias magnitudes from a small pool, so that ties (including dead biases
