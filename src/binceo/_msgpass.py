@@ -2,12 +2,13 @@
 
 Messages are natural-log LLRs with positive sign favoring bit 0.  Check
 updates run in the tanh half-angle domain.  The leave-one-out product of
-each factor is taken per degree bucket (see SparseBipartiteGraph.buckets):
-a bucket's edges form an (n_fac_d, d) block, and each edge's product is
-its exclusive prefix product times its exclusive suffix product along its
-row (the standard tanh-rule layout, Richardson & Urbanke, Modern Coding
-Theory, 2008).  Exact zeros (fully uninformative legs) therefore need no
-log, exp or division, and a degree-1 factor gets the empty product 1.
+each factor is taken per bucket (SparseBipartiteGraph.buckets), a run of
+factors of equal degree d whose edges, one slice, form an (n_run, d)
+block; each edge's product is its exclusive prefix product times its
+exclusive suffix product along its row (the standard tanh-rule layout,
+Richardson & Urbanke, Modern Coding Theory, 2008).  Exact zeros (fully
+uninformative legs) therefore need no log, exp or division, and a degree-1
+factor gets the empty product 1.
 
 The factor terms that are never left out (syndrome signs, quantizer
 channel tanh values) arrive as one scale per edge, gathered by the caller
@@ -41,7 +42,7 @@ def extrinsic_messages(
 
 def leave_one_out_products(
     t: np.ndarray,
-    buckets: tuple[tuple[int, slice | np.ndarray], ...],
+    buckets: tuple[tuple[int, slice], ...],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-edge product of t over the other edges of the same factor,
@@ -49,10 +50,7 @@ def leave_one_out_products(
     out = np.empty_like(t) if out is None else out
     for d, edges in buckets:
         blk = t[edges].reshape(-1, d)
-        # A slice bucket's products are written in place in out; an index
-        # bucket's go through a block of their own and one scatter.
-        contiguous = isinstance(edges, slice)
-        res = out[edges].reshape(-1, d) if contiguous else np.empty_like(blk)
+        res = out[edges].reshape(-1, d)  # a view: written in place in out
         # Column by column: numpy's cumprod along a row this short costs
         # about three times as much.
         res[:, 0] = 1.0
@@ -62,15 +60,13 @@ def leave_one_out_products(
         for j in range(d - 2, -1, -1):
             res[:, j] *= suffix
             suffix *= blk[:, j]
-        if not contiguous:
-            out[edges] = res.ravel()
     return out
 
 
 def check_messages(
     m_in: np.ndarray,
     edge_scale: np.ndarray,
-    buckets: tuple[tuple[int, slice | np.ndarray], ...],
+    buckets: tuple[tuple[int, slice], ...],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Parity-check message update 2*atanh(scale_e * prod tanh(m/2)).
@@ -109,8 +105,6 @@ def hoist_unit_factors(
     not_unit = np.flatnonzero(np.diff(graph.indptr) != 1)
     p = int(not_unit[0]) if len(not_unit) else graph.n_fac
     check_messages(np.zeros(p), edge_scale[:p], ((1, slice(0, p)),), out=messages[:p])
-    # A slice bucket lies wholly before p or after it; only a degree-1 index
-    # bucket can hold edges on both sides.
-    return p, tuple(
-        (d, slice(e.start - p, e.stop - p) if isinstance(e, slice) else e[e >= p] - p)
-        for d, e in graph.buckets if not isinstance(e, slice) or e.start >= p)
+    # The prefix is the first bucket, if any; every other one starts after it.
+    return p, tuple((d, slice(e.start - p, e.stop - p))
+                    for d, e in graph.buckets if e.start >= p)

@@ -126,26 +126,6 @@ def side_info_prior(u2: np.ndarray, q: float) -> np.ndarray:
     return (1.0 - 2.0 * u2.astype(float)) * magnitude
 
 
-def _union_graph(
-    g1: SparseBipartiteGraph, g2: SparseBipartiteGraph, fac_scale: np.ndarray
-) -> tuple[SparseBipartiteGraph, np.ndarray]:
-    """Both links' graphs as one: g1's factors, then g2's with its variables
-    shifted by g1.n_var, with fac_scale holding one scale per factor in that
-    order.  The factors are stored grouped by degree (stable), so each
-    kernel bucket is a slice; returns the graph and its factor scales.
-    """
-    indptr = np.concatenate([g1.indptr, g1.n_edges + g2.indptr[1:]])
-    indices = np.concatenate([g1.indices, g1.n_var + g2.indices])
-    degrees = np.diff(indptr)
-    order = np.argsort(degrees, kind="stable")
-    grouped = np.concatenate([[0], np.cumsum(degrees[order])])
-    # Edge e of grouped factor j is edge e - grouped[j] + indptr[order[j]].
-    shift = np.repeat(indptr[:-1][order] - grouped[:-1], degrees[order])
-    graph = SparseBipartiteGraph(n_var=g1.n_var + g2.n_var, indptr=grouped,
-                                 indices=indices[np.arange(len(indices)) + shift])
-    return graph, fac_scale[order]
-
-
 def joint_sum_product_decode(
     code1: LdpcCode,
     code2: LdpcCode,
@@ -185,15 +165,20 @@ def joint_sum_product_decode(
     if s1.shape != (code1.m,) or s2.shape != (code2.m,):
         raise ValueError("syndrome lengths do not match the codes")
 
-    # Coupling check i is (i, code1.n + i) with scale 1 - 2q; link checks
-    # carry their syndrome sign 1 - 2s.
+    # Coupling check i is (i, code1.n + i) with scale 1 - 2q.  The link
+    # layer holds link 1's checks, then link 2's on variables shifted by
+    # code1.n; each carries its syndrome sign 1 - 2s.
+    g1, g2 = code1.graph, code2.graph
     pairs = np.arange(nc)
     coupling = SparseBipartiteGraph(n_var=code1.n + code2.n, indptr=2 * np.arange(nc + 1),
                                     indices=np.column_stack([pairs, code1.n + pairs]).ravel())
-    links = _union_graph(code1.graph, code2.graph, 1.0 - 2.0 * np.concatenate([s1, s2]))
-    return tuple(_sum_product([(coupling, np.full(nc, 1.0 - 2.0 * q)), links],
+    links = SparseBipartiteGraph(n_var=code1.n + code2.n,
+                                 indptr=np.concatenate([g1.indptr, g1.n_edges + g2.indptr[1:]]),
+                                 indices=np.concatenate([g1.indices, code1.n + g2.indices]))
+    link_scale = 1.0 - 2.0 * np.concatenate([s1, s2])
+    return tuple(_sum_product([(coupling, np.full(nc, 1.0 - 2.0 * q)), (links, link_scale)],
                               np.concatenate([prior1, prior2]), local_iters * global_iters,
-                              local_iters, [(code1.graph, s1), (code2.graph, s2)]))
+                              local_iters, [(g1, s1), (g2, s2)]))
 
 
 def combined_syndrome_code(cc: CompoundCode, absorb_leaves: bool = False) -> LdpcCode:

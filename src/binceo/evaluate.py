@@ -141,24 +141,14 @@ def csv_header() -> str:
 
 
 def summary_row(scheme: str, reports: list[RunReport]) -> str:
-    """Mean/std summary over the trial rows of one scheme."""
-    losses = np.array([r.empirical_log_loss for r in reports])
-    sums = np.array([r.empirical_sum_rate for r in reports])
+    """Mean/std summary over the trial rows of one scheme, as trial -1."""
+    mean = {k: float(np.mean([getattr(r, k) for r in reports])) for k in (
+        "empirical_r1", "empirical_r2", "empirical_sum_rate", "empirical_log_loss",
+        "ber_u1", "ber_u2")}
     theo = reports[0].theoretical
-    vals = (
-        f"{scheme}-summary",
-        "-1",
-        str(reports[0].n),
-        repr(float(np.mean([r.empirical_r1 for r in reports]))),
-        repr(float(np.mean([r.empirical_r2 for r in reports]))),
-        repr(float(sums.mean())),
-        repr(float(losses.mean())),
-        repr(theo.sum_rate),
-        repr(theo.distortion),
-        repr(float(sums.mean() - theo.sum_rate)),
-        repr(float(losses.mean() - theo.distortion)),
-        repr(float(np.mean([r.ber_u1 for r in reports]))),
-        repr(float(np.mean([r.ber_u2 for r in reports]))),
-        f"std_loss={losses.std():.6g}",
-    )
-    return ",".join(vals)
+    return RunReport(
+        scheme=f"{scheme}-summary", trial=-1, n=reports[0].n, theoretical=theo, **mean,
+        sum_rate_gap=mean["empirical_sum_rate"] - theo.sum_rate,
+        distortion_gap=mean["empirical_log_loss"] - theo.distortion,
+        seeds=f"std_loss={np.std([r.empirical_log_loss for r in reports]):.6g}",
+        syndrome_satisfied={}, iterations_used={}).csv_row()

@@ -68,8 +68,7 @@ class SparseBipartiteGraph:
     """CSR adjacency: factor f touches variables indices[indptr[f]:indptr[f + 1]].
 
     Edges are numbered in that order.  Construction also derives edge_fac
-    (edge -> factor); the check kernel's degree buckets are derived on
-    first use.
+    (edge -> factor); the check kernel's buckets are derived on first use.
     """
 
     n_var: int
@@ -90,20 +89,15 @@ class SparseBipartiteGraph:
         object.__setattr__(self, "edge_fac", np.repeat(np.arange(len(degrees)), degrees))
 
     @cached_property
-    def buckets(self) -> tuple[tuple[int, slice | np.ndarray], ...]:
-        """One (d, edges) pair per factor degree d > 0, where edges selects
-        those factors' edges in factor order, as a slice when the factors
-        are consecutive (always, when factors are grouped by degree)."""
+    def buckets(self) -> tuple[tuple[int, slice], ...]:
+        """One (d, edges) pair per maximal run of consecutive factors of
+        equal degree d > 0, in factor order; edges is the slice of the
+        run's edges.  A factor's messages depend on its own edges only, so
+        how a degree's factors split into runs changes no bit."""
         degrees = np.diff(self.indptr)
-        buckets = []
-        for d in np.unique(degrees[degrees > 0]):
-            facs = np.flatnonzero(degrees == d)
-            if facs[-1] - facs[0] + 1 == len(facs):
-                edges = slice(int(self.indptr[facs[0]]), int(self.indptr[facs[-1] + 1]))
-            else:
-                edges = (self.indptr[facs, None] + np.arange(d)).ravel()
-            buckets.append((int(d), edges))
-        return tuple(buckets)
+        starts = np.flatnonzero(np.diff(degrees, prepend=-1)).tolist()
+        return tuple((int(degrees[a]), slice(int(self.indptr[a]), int(self.indptr[b])))
+                     for a, b in zip(starts, starts[1:] + [len(degrees)]) if degrees[a] > 0)
 
     @property
     def n_fac(self) -> int:

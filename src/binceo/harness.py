@@ -186,7 +186,8 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def config_from_sources(file_values: dict[str, str], args: argparse.Namespace) -> ExperimentConfig:
+def _file_config(file_values: dict[str, str]) -> ExperimentConfig:
+    """The defaults overridden by a config file's values; not validated."""
     cfg = defaults = ExperimentConfig()
     names = {f.name for f in fields(ExperimentConfig)}
     for key, value in file_values.items():
@@ -200,6 +201,11 @@ def config_from_sources(file_values: dict[str, str], args: argparse.Namespace) -
             cfg = replace(cfg, **{key: cast(value)})
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
+    return cfg
+
+
+def config_from_sources(file_values: dict[str, str], args: argparse.Namespace) -> ExperimentConfig:
+    cfg = _file_config(file_values)
     for f in fields(ExperimentConfig):
         cli_val = getattr(args, f.name, None)
         if cli_val is not None:
@@ -378,17 +384,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError(
             f"--rates: expected comma-separated numbers, got {args.rates!r}") from None
+    file_values = load_config_file(args.config) if args.config else {}
+    # --p1/--p2 if given, else the file's, else the defaults (as in cfg below).
+    file_cfg = _file_config(file_values)
+    p1, p2 = (file_cfg.p1 if args.p1 is None else args.p1,
+              file_cfg.p2 if args.p2 is None else args.p2)
     lines = ["# schema=binceo-sweep-v1", "series,sum_rate,distortion,d1,d2"]
     for rate in grid:
-        res = bounds_mod.optimize_test_channels(args.p1, args.p2, rate)
+        res = bounds_mod.optimize_test_channels(p1, p2, rate)
         lines.append(
             f"bound,{rate!r},{res.distortion!r},{res.pair.d1!r},{res.pair.d2!r}")
     if args.reference_cases:
         for d1, d2 in REFERENCE_TEST_CHANNEL_CASES:
-            pt = bsc_bounds(args.p1, args.p2, TestChannelPair(d1, d2))
+            pt = bsc_bounds(p1, p2, TestChannelPair(d1, d2))
             lines.append(f"case,{pt.sum_rate!r},{pt.distortion!r},{d1!r},{d2!r}")
     if args.empirical:
-        file_values = load_config_file(args.config) if args.config else {}
         cfg = config_from_sources(file_values, args)
         for scheme, reports in _scheme_reports(cfg):
             mean_rate = float(np.mean([r.empirical_sum_rate for r in reports]))
@@ -451,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="bound curve CSV, optional empirical points")
-    _add_channel_args(p)
+    _add_channel_args(p, default=None)
     p.add_argument("--rates", help="comma-separated sum-rate grid")
     p.add_argument("--reference-cases", action="store_true",
                    help="annotate the reference test-channel cases")

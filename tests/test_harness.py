@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import binceo
-from binceo.bounds import optimize_test_channels
+from binceo.bounds import TestChannelPair, bsc_bounds, optimize_test_channels
 from binceo.evaluate import CSV_COLUMNS
 from binceo.harness import (
     EXIT_CONFIG,
@@ -130,6 +130,32 @@ def test_cli_sweep_empirical_points(capsys):
     for row in rows[1:]:
         assert float(row[1]) > 0 and float(row[2]) > 0
         assert [float(v) for v in row[3:]] == [0.1, 0.1]
+
+
+def test_cli_sweep_takes_p1_p2_from_config_unless_flags_give_them(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("p1 = 0.05\np2 = 0.05\nn = 2000\nscheme = joint\nbase_seed = 11\n")
+    # Link 2 fails its syndrome at p = 0.05, in the sweep and in simulate.
+    with pytest.warns(RuntimeWarning):
+        rc = main(["sweep", "--rates", "1.0", "--reference-cases", "--empirical",
+                   "--config", str(path)])
+    assert rc == EXIT_OK
+    rows = [r.split(",") for r in capsys.readouterr().out.strip().splitlines()[2:]]
+    assert [r[0] for r in rows] == ["bound", "case", "case", "case", "empirical-joint"]
+    opt = optimize_test_channels(0.05, 0.05, 1.0)
+    assert [float(v) for v in rows[0][1:]] == [1.0, opt.distortion, opt.pair.d1, opt.pair.d2]
+    case = bsc_bounds(0.05, 0.05, TestChannelPair(0.01, 0.01))
+    assert [float(v) for v in rows[1][1:3]] == [case.sum_rate, case.distortion]
+    cfg = ExperimentConfig(p1=0.05, p2=0.05, n=2000, scheme="joint", base_seed=11)
+    with pytest.warns(RuntimeWarning):
+        summary = simulate(cfg).splitlines()[-1].split(",")
+    assert rows[4][1:3] == summary[5:7]  # sum-rate and log-loss
+    # Flags still override the file.
+    rc = main(["sweep", "--rates", "1.0", "--config", str(path), "--p1", "0.15",
+               "--p2", "0.15"])
+    assert rc == EXIT_OK
+    bound = capsys.readouterr().out.strip().splitlines()[2].split(",")
+    assert float(bound[2]) == optimize_test_channels(0.15, 0.15, 1.0).distortion
 
 
 # sha256 of simulate's CSV for a fixed config.  A change that is meant to

@@ -16,7 +16,8 @@ from binceo.graphs import DegreeDistribution, SparseBipartiteGraph, _apportion, 
 @st.composite
 def adjacency(draw, max_degree=6):
     """(n_var, per-factor variable lists) with degrees 0..max_degree in
-    any order, so degree buckets are both contiguous and scattered."""
+    any order, so a degree can recur in several runs, with or without a
+    degree-0 factor between them."""
     n_var = draw(st.integers(max_degree, 12))
     degrees = draw(st.lists(st.integers(0, max_degree), min_size=1, max_size=25))
     adjs = [draw(st.lists(st.integers(0, n_var - 1), min_size=d, max_size=d, unique=True))
@@ -110,8 +111,28 @@ def test_hoist_unit_factors_buckets_are_those_of_the_graph_after_it(adj, data):
     assert p == len(facs) or len(facs[p]) != 1
     rest = csr_graph(n_var, facs[p:])
     edges = np.arange(rest.n_edges)
-    assert ({d: edges[e].tolist() for d, e in live}
-            == {d: edges[e].tolist() for d, e in rest.buckets})
+    assert ([(d, edges[e].tolist()) for d, e in live]
+            == [(d, edges[e].tolist()) for d, e in rest.buckets])
+
+
+@given(adjacency())
+def test_buckets_are_ordered_runs_of_equal_degree_covering_every_edge(adj):
+    n_var, adjs = adj
+    g = csr_graph(n_var, adjs)
+    degrees = [len(a) for a in adjs]
+    # The slices tile the edges in order, each once.
+    assert all(isinstance(e, slice) and e.step is None for _, e in g.buckets)
+    covered = [i for _, e in g.buckets for i in range(e.start, e.stop)]
+    assert covered == list(range(g.n_edges))
+    # Every factor from a bucket's first to its last has degree d.
+    for d, e in g.buckets:
+        first, last = g.edge_fac[e.start], g.edge_fac[e.stop - 1]
+        assert d > 0 and degrees[first : last + 1] == [d] * (last + 1 - first)
+    # Neighbouring buckets are distinct runs: a degree-0 factor lies
+    # between them, or their degrees differ.
+    for (d_a, e_a), (d_b, e_b) in zip(g.buckets, g.buckets[1:]):
+        between = degrees[g.edge_fac[e_a.stop - 1] + 1 : g.edge_fac[e_b.start]]
+        assert 0 in between or d_a != d_b
 
 
 # Bias magnitudes from a small pool, so that ties (including dead biases

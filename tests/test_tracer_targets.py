@@ -1,20 +1,31 @@
 """The benchmark's tracer (perfbench/layers.py) wraps binceo functions at the
 names their callers look up.  A refactor that renames or drops one of them
-breaks every traced benchmark run; this test catches it in seconds."""
+breaks every traced benchmark run, and one that stops calling it leaves the
+layer's metrics at zero; these tests catch both in seconds."""
 
 import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
+from binceo.harness import ExperimentConfig, simulate
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_every_traced_name_resolves(monkeypatch):
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's layers and tracing modules, freshly imported."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     # layers.py imports its siblings as top-level modules.
     for name in ("layers", "reference", "tracing"):
         monkeypatch.delitem(sys.modules, name, raising=False)
-    layers = importlib.import_module("layers")
+    return importlib.import_module("layers"), importlib.import_module("tracing")
+
+
+def test_every_traced_name_resolves(perfbench):
+    layers, _ = perfbench
     targets = layers.LIGHT_TARGETS + layers.TRACE_TARGETS
     assert targets
     missing = []
@@ -25,3 +36,13 @@ def test_every_traced_name_resolves(monkeypatch):
         if not callable(owner):
             missing.append(f"{target.module}.{target.attr}")
     assert not missing, f"names the tracer wraps no longer resolve: {missing}"
+
+
+def test_every_traced_name_is_called_by_simulate(perfbench):
+    layers, tracing = perfbench
+    recorder = tracing.Recorder()
+    with recorder.installed(layers.TRACE_TARGETS):
+        simulate(ExperimentConfig(n=2000, scheme="both", base_seed=11))
+    recorded = {span.name for span in recorder.spans}
+    silent = sorted({t.name for t in layers.TRACE_TARGETS} - recorded)
+    assert not silent, f"traced names that simulate no longer calls: {silent}"
