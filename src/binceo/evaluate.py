@@ -63,23 +63,11 @@ class RunReport:
         )
 
     def csv_row(self) -> str:
-        vals = (
-            self.scheme,
-            str(self.trial),
-            str(self.n),
-            repr(self.empirical_r1),
-            repr(self.empirical_r2),
-            repr(self.empirical_sum_rate),
-            repr(self.empirical_log_loss),
-            repr(self.theoretical.sum_rate),
-            repr(self.theoretical.distortion),
-            repr(self.sum_rate_gap),
-            repr(self.distortion_gap),
-            repr(self.ber_u1),
-            repr(self.ber_u2),
-            self.seeds,
-        )
-        return ",".join(vals)
+        # Every non-string value is a Python int or float, so repr is lossless.
+        vals = {**vars(self), "bound_sum_rate": self.theoretical.sum_rate,
+                "bound_distortion": self.theoretical.distortion}
+        return ",".join(vals[c] if isinstance(vals[c], str) else repr(vals[c])
+                        for c in CSV_COLUMNS)
 
 
 def empirical_rates_joint(m1: int, m2: int, n: int) -> tuple[float, float]:

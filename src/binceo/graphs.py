@@ -258,17 +258,9 @@ class CompoundCode:
 # checks seeds that percolation.  A doped check's syndrome bit reveals
 # one information bit outright and is paid for in the transmitted rate
 # m/n like any other check.
-DEFAULT_LDGM_FAC_DIST = {4: 1.0}
-DEFAULT_LDPC_FAC_DIST = {2: 0.6, 3: 0.2, 6: 0.2}
+DEFAULT_LDGM = DegreeDistribution(fac={4: 1.0})
+DEFAULT_LDPC = DegreeDistribution(fac={2: 0.6, 3: 0.2, 6: 0.2})
 DOPED_CHECK_FRACTION = 0.10
-
-
-def default_ldgm_dist() -> DegreeDistribution:
-    return DegreeDistribution(fac=dict(DEFAULT_LDGM_FAC_DIST))
-
-
-def default_ldpc_dist() -> DegreeDistribution:
-    return DegreeDistribution(fac=dict(DEFAULT_LDPC_FAC_DIST))
 
 
 def _with_unit_factors(
@@ -336,8 +328,8 @@ def build_compound(
     n: int,
     ldgm_rate: float,
     syndrome_rate: float,
-    ldgm_dist: DegreeDistribution | None = None,
-    ldpc_dist: DegreeDistribution | None = None,
+    ldgm_dist: DegreeDistribution = DEFAULT_LDGM,
+    ldpc_dist: DegreeDistribution = DEFAULT_LDPC,
     seed: int = 0,
     doped_fraction: float = DOPED_CHECK_FRACTION,
 ) -> CompoundCode:
@@ -352,8 +344,6 @@ def build_compound(
     this problem; checks placed on arbitrary codeword positions have no
     workable BP basin there.
     """
-    ldgm_dist = ldgm_dist if ldgm_dist is not None else default_ldgm_dist()
-    ldpc_dist = ldpc_dist if ldpc_dist is not None else default_ldpc_dist()
     k, m, n_doped = compound_sizes(
         n, ldgm_rate, syndrome_rate, ldgm_dist, ldpc_dist, doped_fraction
     )
@@ -390,7 +380,7 @@ def build_anchor_compound(
     n: int,
     ldgm_rate: float,
     gamma_fraction: float,
-    ldgm_dist: DegreeDistribution | None = None,
+    ldgm_dist: DegreeDistribution = DEFAULT_LDGM,
     seed: int = 0,
 ) -> CompoundCode:
     """Compound code for the joint scheme's anchoring link.
@@ -404,7 +394,6 @@ def build_anchor_compound(
     rate saving below the lossless point is the joint scheme's structural
     advantage over successive decoding.
     """
-    ldgm_dist = ldgm_dist if ldgm_dist is not None else default_ldgm_dist()
     k, m = anchor_sizes(n, ldgm_rate, gamma_fraction, ldgm_dist)
     sub = np.random.SeedSequence(seed).generate_state(1)
     # Mixed outputs draw from the checked prefix only: a wrong suffix

@@ -12,7 +12,8 @@ import argparse
 import sys
 import warnings
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,14 +40,14 @@ from .evaluate import (
     summary_row,
 )
 from .graphs import (
+    DEFAULT_LDGM,
+    DEFAULT_LDPC,
     DegreeDistribution,
     GraphConstructionError,
     anchor_sizes,
     build_anchor_compound,
     build_compound,
     compound_sizes,
-    default_ldgm_dist,
-    default_ldpc_dist,
     design_rates,
 )
 from .oracles import CapacityError
@@ -61,6 +62,9 @@ REFERENCE_TEST_CHANNEL_CASES = ((0.01, 0.01), (0.1, 0.1), (0.1, 0.3))
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings.  Each field is also a config-file key and a flag
+    of simulate and sweep; see _key_parsers and _add_config_args."""
+
     p1: float = 0.15
     p2: float = 0.15
     d1: float = 0.1
@@ -83,8 +87,8 @@ class ExperimentConfig:
     # information bits as degree-1 checks; the remaining gamma ride on the
     # correlation.
     anchor_gamma: float = 0.025
-    ldgm_fac_dist: dict[int, float] | None = None
-    ldpc_fac_dist: dict[int, float] | None = None
+    ldgm_fac_dist: dict[int, float] = field(default_factory=lambda: dict(DEFAULT_LDGM.fac))
+    ldpc_fac_dist: dict[int, float] = field(default_factory=lambda: dict(DEFAULT_LDPC.fac))
     output: str = "-"
 
     def validate(self) -> None:
@@ -97,7 +101,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.scheme not in ("joint", "successive", "both"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError("scheme must be one of 'joint', 'successive', 'both', "
+                             f"got {self.scheme!r}")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
         if self.ldgm_margin <= -1.0:
@@ -110,12 +115,10 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("ldgm_fac_dist", "ldpc_fac_dist"):
-            fac = getattr(self, name)
-            if fac is not None:
-                try:
-                    DegreeDistribution(fac=dict(fac))
-                except GraphConstructionError as exc:
-                    raise ValueError(f"{name}={fac}: {exc}") from None
+            try:
+                DegreeDistribution(fac=dict(getattr(self, name)))
+            except GraphConstructionError as exc:
+                raise ValueError(f"{name}={getattr(self, name)}: {exc}") from None
         self._validate_codes()
 
     def _validate_codes(self) -> None:
@@ -139,13 +142,9 @@ class ExperimentConfig:
                 ) from None
 
     def ldgm_dist(self) -> DegreeDistribution:
-        if self.ldgm_fac_dist is None:
-            return default_ldgm_dist()
         return DegreeDistribution(fac=dict(self.ldgm_fac_dist))
 
     def ldpc_dist(self) -> DegreeDistribution:
-        if self.ldpc_fac_dist is None:
-            return default_ldpc_dist()
         return DegreeDistribution(fac=dict(self.ldpc_fac_dist))
 
     def chain(self) -> ChainParams:
@@ -186,32 +185,34 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _file_config(file_values: dict[str, str]) -> ExperimentConfig:
-    """The defaults overridden by a config file's values; not validated."""
-    cfg = defaults = ExperimentConfig()
-    names = {f.name for f in fields(ExperimentConfig)}
-    for key, value in file_values.items():
-        if key not in names:
-            raise ValueError(f"unknown config key {key!r}")
-        # Each key parses as its default's type; the None defaults are the
-        # degree distributions.
-        default = getattr(defaults, key)
-        cast = parse_degree_dist if default is None else type(default)
-        try:
-            cfg = replace(cfg, **{key: cast(value)})
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
-    return cfg
+def _key_parsers() -> dict[str, Callable[[str], object]]:
+    """Each ExperimentConfig key's parser, shared by its flag and its
+    config-file line: its default's type, or parse_degree_dist for the
+    dict-valued degree distributions."""
+    return {key: parse_degree_dist if isinstance(default, dict) else type(default)
+            for key, default in vars(ExperimentConfig()).items()}
 
 
 def config_from_sources(file_values: dict[str, str], args: argparse.Namespace) -> ExperimentConfig:
-    cfg = _file_config(file_values)
-    for f in fields(ExperimentConfig):
-        cli_val = getattr(args, f.name, None)
-        if cli_val is not None:
-            cfg = replace(cfg, **{f.name: cli_val})
-    cfg.validate()
-    return cfg
+    """The defaults, overridden by the config file's values and then by every
+    flag given (a flag left at None is not given); not validated."""
+    parsers = _key_parsers()
+    values = {}
+    for key, text in file_values.items():
+        if key not in parsers:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            values[key] = parsers[key](text)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    for key in parsers:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    return ExperimentConfig(**values)
+
+
+def _args_config(args: argparse.Namespace) -> ExperimentConfig:
+    return config_from_sources(load_config_file(args.config) if args.config else {}, args)
 
 
 # ----------------------------------------------------------------------
@@ -371,10 +372,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    file_values = load_config_file(args.config) if args.config else {}
-    cfg = config_from_sources(file_values, args)
-    text = simulate(cfg)
-    _emit(text, cfg.output)
+    cfg = _args_config(args)
+    cfg.validate()
+    _emit(simulate(cfg), cfg.output)
     return EXIT_OK
 
 
@@ -384,57 +384,40 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError(
             f"--rates: expected comma-separated numbers, got {args.rates!r}") from None
-    file_values = load_config_file(args.config) if args.config else {}
-    # --p1/--p2 if given, else the file's, else the defaults (as in cfg below).
-    file_cfg = _file_config(file_values)
-    p1, p2 = (file_cfg.p1 if args.p1 is None else args.p1,
-              file_cfg.p2 if args.p2 is None else args.p2)
+    cfg = _args_config(args)
+    if args.empirical:
+        cfg.validate()
     lines = ["# schema=binceo-sweep-v1", "series,sum_rate,distortion,d1,d2"]
     for rate in grid:
-        res = bounds_mod.optimize_test_channels(p1, p2, rate)
+        res = bounds_mod.optimize_test_channels(cfg.p1, cfg.p2, rate)
         lines.append(
             f"bound,{rate!r},{res.distortion!r},{res.pair.d1!r},{res.pair.d2!r}")
     if args.reference_cases:
         for d1, d2 in REFERENCE_TEST_CHANNEL_CASES:
-            pt = bsc_bounds(p1, p2, TestChannelPair(d1, d2))
+            pt = bsc_bounds(cfg.p1, cfg.p2, TestChannelPair(d1, d2))
             lines.append(f"case,{pt.sum_rate!r},{pt.distortion!r},{d1!r},{d2!r}")
     if args.empirical:
-        cfg = config_from_sources(file_values, args)
         for scheme, reports in _scheme_reports(cfg):
             mean_rate = float(np.mean([r.empirical_sum_rate for r in reports]))
             mean_loss = float(np.mean([r.empirical_log_loss for r in reports]))
             lines.append(
                 f"empirical-{scheme},{mean_rate!r},{mean_loss!r},{cfg.d1!r},{cfg.d2!r}"
             )
-    _emit("\n".join(lines) + "\n", args.output or "-")
+    _emit("\n".join(lines) + "\n", cfg.output)
     return EXIT_OK
 
 
-def _add_channel_args(p: argparse.ArgumentParser, default: float | None = 0.15) -> None:
-    p.add_argument("--p1", type=float, default=default)
-    p.add_argument("--p2", type=float, default=default)
+def _add_channel_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p1", type=float, default=0.15)
+    p.add_argument("--p2", type=float, default=0.15)
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
+    """--config and one flag per ExperimentConfig key, each None when not given."""
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--d1", type=float, default=None)
-    p.add_argument("--d2", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--scheme", choices=("joint", "successive", "both"), default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", dest="base_seed", type=int, default=None)
-    p.add_argument("--biasprop-sweeps", dest="biasprop_sweeps", type=int, default=None)
-    p.add_argument("--sp-iters", dest="sp_iters", type=int, default=None)
-    p.add_argument("--jsp-local", dest="jsp_local", type=int, default=None)
-    p.add_argument("--jsp-global", dest="jsp_global", type=int, default=None)
-    p.add_argument("--ldgm-margin", dest="ldgm_margin", type=float, default=None)
-    p.add_argument("--syndrome-margin", dest="syndrome_margin", type=float, default=None)
-    p.add_argument("--anchor-gamma", dest="anchor_gamma", type=float, default=None)
-    p.add_argument("--ldgm-fac-dist", dest="ldgm_fac_dist", type=parse_degree_dist,
-                   default=None, help="e.g. 4:1.0")
-    p.add_argument("--ldpc-fac-dist", dest="ldpc_fac_dist", type=parse_degree_dist,
-                   default=None)
-    p.add_argument("--output", default=None, help="output path, '-' for stdout")
+    for key, parse in _key_parsers().items():
+        flag = "--seed" if key == "base_seed" else "--" + key.replace("_", "-")
+        p.add_argument(flag, dest=key, type=parse, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,12 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("simulate", help="run coding-scheme trials, emit CSV")
-    _add_channel_args(p, default=None)
     _add_config_args(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="bound curve CSV, optional empirical points")
-    _add_channel_args(p, default=None)
     p.add_argument("--rates", help="comma-separated sum-rate grid")
     p.add_argument("--reference-cases", action="store_true",
                    help="annotate the reference test-channel cases")

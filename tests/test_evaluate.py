@@ -51,6 +51,11 @@ def test_csv_row_roundtrip():
     assert float(row["empirical_log_loss"]) == rep.empirical_log_loss
     assert float(row["sum_rate_gap"]) == rep.sum_rate_gap
     assert row["seeds"] == rep.seeds
+    # csv_row writes non-strings by repr, which is lossless and bare only
+    # for Python scalars (numpy's own scalars repr as np.float64(...)).
+    values = [getattr(rep, c) for c in CSV_COLUMNS if not c.startswith("bound_")]
+    values += [rep.theoretical.sum_rate, rep.theoretical.distortion]
+    assert {type(v) for v in values} <= {int, float, str}
 
 
 def test_below_bound_flag():

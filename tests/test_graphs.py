@@ -6,6 +6,7 @@ import pytest
 from binceo.binmath import binary_convolution, binary_entropy
 from binceo.decoders import combined_syndrome_code
 from binceo.graphs import (
+    DEFAULT_LDPC,
     CompoundCode,
     DegreeDistribution,
     GraphConstructionError,
@@ -14,7 +15,6 @@ from binceo.graphs import (
     SparseBipartiteGraph,
     build_anchor_compound,
     build_compound,
-    default_ldpc_dist,
     design_rates,
     sample_graph,
 )
@@ -210,7 +210,7 @@ def _digest(*graphs: SparseBipartiteGraph) -> str:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_graph_builders_golden_digests(seed):
-    g = sample_graph(default_ldpc_dist(), n_var=600, n_fac=500, seed=seed)
+    g = sample_graph(DEFAULT_LDPC, n_var=600, n_fac=500, seed=seed)
     cc = build_compound(2000, ldgm_rate=0.56, syndrome_rate=0.5, seed=seed)
     ac = build_anchor_compound(2000, ldgm_rate=0.558, gamma_fraction=0.025, seed=seed)
     assert _digest(g) == GRAPH_DIGESTS["sample", seed]

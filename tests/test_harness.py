@@ -16,6 +16,7 @@ from binceo.harness import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     ExperimentConfig,
+    build_parser,
     component_seed,
     config_from_sources,
     load_config_file,
@@ -68,6 +69,37 @@ def test_config_file_values_take_their_field_types(tmp_path):
     assert cfg.sp_iters == 7 and isinstance(cfg.sp_iters, int)
     assert cfg.syndrome_margin == 0.3
     assert cfg.ldpc_fac_dist == {2: 0.5, 3: 0.5}
+
+
+# A non-default value of every ExperimentConfig key, as the key parses it.
+NON_DEFAULT_VALUES = {
+    "p1": 0.2, "p2": 0.05, "d1": 0.12, "d2": 0.08, "n": 3000, "scheme": "joint",
+    "trials": 4, "base_seed": 17, "biasprop_sweeps": 9, "sp_iters": 50, "jsp_local": 7,
+    "jsp_global": 3, "ldgm_margin": 0.5, "syndrome_margin": 0.3, "anchor_gamma": 0.01,
+    "ldgm_fac_dist": {3: 0.5, 5: 0.5}, "ldpc_fac_dist": {2: 0.75, 4: 0.25},
+    "output": "out.csv",
+}
+
+
+def _as_text(value) -> str:
+    if isinstance(value, dict):
+        return ",".join(f"{d}:{f}" for d, f in value.items())
+    return str(value)
+
+
+def test_every_key_reaches_the_config_as_flag_and_file_line():
+    assert set(NON_DEFAULT_VALUES) == set(vars(ExperimentConfig()))
+    for key, value in NON_DEFAULT_VALUES.items():
+        assert getattr(ExperimentConfig(), key) != value
+        text = _as_text(value)
+        flag = "--seed" if key == "base_seed" else "--" + key.replace("_", "-")
+        for command in ("simulate", "sweep"):
+            args = build_parser().parse_args([command, flag, text])
+            from_flag = getattr(config_from_sources({}, args), key)
+            # repr tells 3000 from 3000.0, in a dict's keys too.
+            assert (type(from_flag), repr(from_flag)) == (type(value), repr(value)), flag
+        from_file = getattr(config_from_sources({key: text}, argparse.Namespace()), key)
+        assert (type(from_file), repr(from_file)) == (type(value), repr(value)), key
 
 
 def test_config_from_sources_unknown_key():
@@ -156,6 +188,20 @@ def test_cli_sweep_takes_p1_p2_from_config_unless_flags_give_them(tmp_path, caps
     assert rc == EXIT_OK
     bound = capsys.readouterr().out.strip().splitlines()[2].split(",")
     assert float(bound[2]) == optimize_test_channels(0.15, 0.15, 1.0).distortion
+
+
+def test_cli_sweep_writes_the_config_files_output_unless_the_flag_gives_one(tmp_path, capsys):
+    file_out, flag_out = tmp_path / "file.csv", tmp_path / "flag.csv"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"output = {file_out}\n")
+    assert main(["sweep", "--rates", "1.0", "--config", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    text = file_out.read_text()
+    assert text.startswith("# schema=binceo-sweep-v1\n") and "\nbound,1.0," in text
+    file_out.unlink()
+    assert main(["sweep", "--rates", "1.0", "--config", str(path),
+                 "--output", str(flag_out)]) == EXIT_OK
+    assert flag_out.read_text() == text and not file_out.exists()
 
 
 # sha256 of simulate's CSV for a fixed config.  A change that is meant to
@@ -253,6 +299,8 @@ def test_cli_simulate_rejects_unrealizable_distortion(args, key, capsys):
      "error: ldpc_fac_dist={2: 0.5, 3: 0.6}: fractions sum to"),
     ([], "n = 1e4\n", "error: config key 'n': "),
     ([], "ldpc_fac_dist = 2:0.5;3:0.5\n", "error: config key 'ldpc_fac_dist': "),
+    (["--scheme", "bogus"], None,
+     "error: scheme must be one of 'joint', 'successive', 'both', got 'bogus'"),
 ])
 def test_cli_simulate_bad_values_name_their_key(args, cfg_text, message, tmp_path, capsys):
     if cfg_text is not None:
