@@ -1,18 +1,19 @@
 """Vectorized helpers shared by the quantizer and the decoders.
 
-Messages are natural-log LLRs with positive sign favoring bit 0.  Check
-updates run in the tanh half-angle domain.  The leave-one-out product of
-each factor is taken per bucket (SparseBipartiteGraph.buckets), a run of
-factors of equal degree d whose edges, one slice, form an (n_run, d)
-block; each edge's product is its exclusive prefix product times its
-exclusive suffix product along its row (the standard tanh-rule layout,
-Richardson & Urbanke, Modern Coding Theory, 2008).  Exact zeros (fully
-uninformative legs) therefore need no log, exp or division, and a degree-1
-factor gets the empty product 1.
-
-The factor terms that are never left out (syndrome signs, quantizer
-channel tanh values) arrive as one scale per edge, gathered by the caller
-once per decode or quantize call, so an update gathers nothing per factor.
+The loops carry every message, prior, posterior and clamp as half a
+natural-log LLR (positive favoring bit 0), so a check update is
+atanh(scale * prod tanh(m)); halving a float is exact, so every sign and
+comparison is that of the full-LLR loop.  The update runs per bucket
+(d, edges, factors, order): factors of equal degree d whose edge slice,
+viewed as a (d, n) array, holds slot j of every factor in row j, either
+slot-major ("C", rows contiguous: the decoders' layout) or in the graph's
+row order ("F": the quantizer's, so that its variable sums add in graph
+order).  Each edge's leave-one-out product is its prefix product times
+its suffix product along the slots (the standard tanh-rule layout,
+Richardson & Urbanke, Modern Coding Theory, 2008), so exact zeros need
+no special case.  The factor term that is never left out (syndrome sign,
+quantizer channel tanh, coupling 1 - 2q) is one scale per factor,
+multiplied into a block as one row broadcast.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ import numpy as np
 from .graphs import SparseBipartiteGraph
 
 LLR_CLAMP = 30.0
-# Keeps atanh finite; corresponds to |message| ~ 37, above the LLR clamp.
-TANH_CLIP = 1.0 - 1e-16
+HALF_CLAMP = LLR_CLAMP / 2
+
+Bucket = tuple[int, slice, slice, str]  # (degree, edges, factors, order)
 
 
 def extrinsic_messages(
-    total: np.ndarray, edge_var: np.ndarray, m_in: np.ndarray, limit: float = LLR_CLAMP,
+    total: np.ndarray, edge_var: np.ndarray, m_in: np.ndarray, limit: float = HALF_CLAMP,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-edge message total[v] - m_in[e] out of each variable, clamped to
@@ -40,51 +42,50 @@ def extrinsic_messages(
     return np.clip(out, -limit, limit, out=out)
 
 
-def leave_one_out_products(
-    t: np.ndarray,
-    buckets: tuple[tuple[int, slice], ...],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-edge product of t over the other edges of the same factor,
-    written into out (a new array by default; never t itself)."""
-    out = np.empty_like(t) if out is None else out
-    for d, edges in buckets:
-        blk = t[edges].reshape(-1, d)
-        res = out[edges].reshape(-1, d)  # a view: written in place in out
-        # Column by column: numpy's cumprod along a row this short costs
-        # about three times as much.
-        res[:, 0] = 1.0
-        for j in range(1, d):  # res[:, j] = prod(blk[:, :j])
-            np.multiply(res[:, j - 1], blk[:, j - 1], out=res[:, j])
-        suffix = blk[:, d - 1].copy()  # prod(blk[:, j + 1:])
-        for j in range(d - 2, -1, -1):
-            res[:, j] *= suffix
-            suffix *= blk[:, j]
-    return out
+def leave_one_out_products(blk: np.ndarray, res: np.ndarray) -> None:
+    """Write into res[j] the product of blk's rows other than row j, for a
+    (d, n) block whose row j holds slot j of n factors (res is not blk)."""
+    d = len(blk)
+    # res[j] = prod(blk[:j]) * prod(blk[j + 1:]); res[0] holds the suffix
+    # product until it is its own.
+    if d > 1:
+        res[1] = blk[0]
+    for j in range(2, d):
+        np.multiply(res[j - 1], blk[j - 1], out=res[j])
+    res[0] = blk[d - 1] if d > 1 else 1.0
+    for j in range(d - 2, 0, -1):
+        res[j] *= res[0]
+        res[0] *= blk[j]
 
 
 def check_messages(
     m_in: np.ndarray,
-    edge_scale: np.ndarray,
-    buckets: tuple[tuple[int, slice], ...],
+    fac_scale: np.ndarray,
+    buckets: tuple[Bucket, ...],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Parity-check message update 2*atanh(scale_e * prod tanh(m/2)).
+    """Half-LLR parity-check update atanh(scale_f * prod tanh(m)) on the
+    edges of buckets.
 
-    edge_scale[e] is the factor term of edge e's factor that is never left
-    out: the syndrome sign (1 - 2s) for parity checks, or tanh of the
-    channel LLR for quantizer factors.  Given out, the messages are
-    written there and m_in is spent as the tanh buffer, so a decoder loop
-    that reuses both allocates no per-edge array.
+    fac_scale[f] is the term of factor f that is never left out: the
+    syndrome sign (1 - 2s) for parity checks, or tanh of the channel half
+    LLR for quantizer factors.  Given out, the messages are written there
+    (its other edges are left alone) and m_in is spent as the tanh buffer,
+    so a loop that reuses both allocates no per-edge array.
     """
-    t = np.multiply(m_in, 0.5, out=None if out is None else m_in)
-    np.tanh(t, out=t)
-    prod = leave_one_out_products(t, buckets, out)
-    prod *= edge_scale
-    np.clip(prod, -TANH_CLIP, TANH_CLIP, out=prod)
-    np.arctanh(prod, out=prod)
-    prod *= 2.0
-    return np.clip(prod, -LLR_CLAMP, LLR_CLAMP, out=prod)
+    t = np.empty_like(m_in) if out is None else m_in
+    out = np.empty_like(m_in) if out is None else out
+    # |scale * product| <= 1, and atanh(+-1) = +-inf is clamped to +-HALF_CLAMP.
+    with np.errstate(divide="ignore"):
+        for d, edges, facs, order in buckets:
+            blk = np.tanh(m_in[edges], out=t[edges]).reshape((d, -1), order=order)
+            msg = out[edges]
+            res = msg.reshape((d, -1), order=order)  # views: written in place in out
+            leave_one_out_products(blk, res)
+            res *= fac_scale[facs]
+            np.arctanh(msg, out=msg)
+            np.clip(msg, -HALF_CLAMP, HALF_CLAMP, out=msg)
+    return out
 
 
 def variable_sums(
@@ -94,17 +95,33 @@ def variable_sums(
     return np.bincount(edge_var, weights=m_in, minlength=n_var)
 
 
-def hoist_unit_factors(
-    graph: SparseBipartiteGraph, edge_scale: np.ndarray, messages: np.ndarray
-) -> tuple[int, tuple]:
-    """Write the messages of graph's p leading degree-1 factors (one edge
-    each) into messages[:p]; return p and graph.buckets over the edges
-    after them, renumbered from 0.  A degree-1 factor's leave-one-out
-    product is 1, so its message depends on its scale alone and a loop can
-    set it once and run the kernels on the other edges only."""
-    not_unit = np.flatnonzero(np.diff(graph.indptr) != 1)
-    p = int(not_unit[0]) if len(not_unit) else graph.n_fac
-    check_messages(np.zeros(p), edge_scale[:p], ((1, slice(0, p)),), out=messages[:p])
-    # The prefix is the first bucket, if any; every other one starts after it.
-    return p, tuple((d, slice(e.start - p, e.stop - p))
-                    for d, e in graph.buckets if e.start >= p)
+def slot_major(graph: SparseBipartiteGraph) -> tuple[np.ndarray, np.ndarray, tuple[Bucket, ...]]:
+    """graph's factors by ascending degree (stable) and its edges in one
+    slot-major block per degree: returns perm (new edge -> graph edge),
+    fac_order (new factor -> graph factor) and the blocks' buckets, over
+    factors and edges in the new order."""
+    degrees = np.diff(graph.indptr)
+    fac_order = np.argsort(degrees, kind="stable")
+    perm, buckets, fac, edge = [np.zeros(0, np.int64)], [], 0, 0
+    for d, count in enumerate(np.bincount(degrees).tolist()):
+        if d and count:
+            first = graph.indptr[fac_order[fac : fac + count]]
+            perm.append((first + np.arange(d)[:, None]).ravel())
+            buckets.append((d, slice(edge, edge + d * count), slice(fac, fac + count), "C"))
+            edge += d * count
+        fac += count
+    return np.concatenate(perm), fac_order, tuple(buckets)
+
+
+def hoist_unit_block(
+    buckets: tuple[Bucket, ...], fac_scale: np.ndarray, messages: np.ndarray
+) -> tuple[int, tuple[Bucket, ...]]:
+    """If the first bucket is of degree 1, write its messages into messages
+    and return the edge where it ends and the buckets after it; else 0
+    and all buckets.  A degree-1 factor's leave-one-out product is 1, so
+    its message depends on its scale alone and a loop can set it once and
+    run the kernels on the other edges only."""
+    if not buckets or buckets[0][0] != 1:
+        return 0, buckets
+    check_messages(np.zeros(len(messages)), fac_scale, buckets[:1], out=messages)
+    return buckets[0][1].stop, buckets[1:]

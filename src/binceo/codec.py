@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._msgpass import check_messages, extrinsic_messages, hoist_unit_factors, variable_sums
+from ._msgpass import check_messages, extrinsic_messages, hoist_unit_block, variable_sums
 from .bounds import TestChannelPair
 from .graphs import CompoundCode, LdgmCode, LdpcCode
 
@@ -57,11 +57,12 @@ def bias_propagation_quantize(
     k = code.k
     graph = code.graph
     edge_var = graph.indices
-    edge_tanh = channel_tanh[graph.edge_fac]
     m_fv = np.zeros(graph.n_edges)
-    # The systematic outputs lead; their messages never change.
-    p, buckets = hoist_unit_factors(graph, edge_tanh, m_fv)
-    m_vf = np.empty(graph.n_edges - p)
+    # The systematic outputs lead; their messages never change.  The loop
+    # runs on half LLRs in the graph's row order, so each variable adds its
+    # messages in graph order.
+    p, buckets = hoist_unit_block(graph.buckets, channel_tanh, m_fv)
+    m_vf = np.empty(graph.n_edges)
     fv_sums = np.zeros(k)
     fixed = np.full(k, -1, dtype=np.int8)
     fix_llr = np.zeros(k)
@@ -72,20 +73,20 @@ def bias_propagation_quantize(
         if len(unfixed) == 0:
             break
         var_tot = fix_llr + fv_sums
-        extrinsic_messages(var_tot, edge_var[p:], m_fv[p:], FIXED_LLR, out=m_vf)
-        check_messages(m_vf, edge_tanh[p:], buckets, out=m_fv[p:])
+        extrinsic_messages(var_tot, edge_var[p:], m_fv[p:], FIXED_LLR / 2, out=m_vf[p:])
+        check_messages(m_vf, channel_tanh, buckets, out=m_fv)
         fv_sums = variable_sums(m_fv, edge_var, k)
         bias = fix_llr + fv_sums
 
         batch = -(-len(unfixed) // (max_iters - sweep))  # ceil division
         chosen = _most_biased(unfixed, np.abs(bias[unfixed]), batch)
-        dead = np.abs(bias[chosen]) < DECIMATION_BIAS_FLOOR
+        dead = np.abs(bias[chosen]) < DECIMATION_BIAS_FLOOR / 2
         values = (bias[chosen] < 0).astype(np.int8)
         if np.any(dead):
             values[dead] = rng.integers(0, 2, size=int(dead.sum()), dtype=np.int8)
             converged = False
         fixed[chosen] = values
-        fix_llr[chosen] = np.where(values == 0, FIXED_LLR, -FIXED_LLR)
+        fix_llr[chosen] = np.where(values == 0, FIXED_LLR / 2, -FIXED_LLR / 2)
 
     info = fixed.astype(np.uint8)
     quantized = code.encode(info)

@@ -3,7 +3,7 @@ joint-sum-product variant, side-information priors, and soft
 reconstruction of the remote source.
 
 LLR convention everywhere: natural log, positive favors bit 0, messages
-clamped to +-30.
+clamped to +-30.  The message-passing loop carries every LLR halved.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._msgpass import (LLR_CLAMP, check_messages, extrinsic_messages, hoist_unit_factors,
-                       variable_sums)
+from ._msgpass import (HALF_CLAMP, LLR_CLAMP, check_messages, extrinsic_messages,
+                       hoist_unit_block, slot_major, variable_sums)
 from .binmath import ChainParams, chain_posterior_table
 from .graphs import CompoundCode, LdpcCode, SparseBipartiteGraph
 
@@ -61,52 +61,68 @@ def sum_product_decode(
     checks = SparseBipartiteGraph(n_var=g.n_var, indptr=g.indptr[: m + 1],
                                   indices=g.indices[: g.indptr[m]])
     fac_scale = np.concatenate([1.0 - 2.0 * syndrome.astype(float), leaf_scale])
-    return _sum_product([(g, fac_scale)], prior, max_iters,
-                        1 if early_stop else max_iters, [(checks, syndrome)])[0]
+    return _sum_product(g, fac_scale, prior, max_iters, 1 if early_stop else max_iters,
+                        [(checks, syndrome)])[0]
 
 
 def _sum_product(
-    layers: list[tuple[SparseBipartiteGraph, np.ndarray]], prior: np.ndarray, budget: int,
+    graph: SparseBipartiteGraph, fac_scale: np.ndarray, prior: np.ndarray, budget: int,
     every: int, links: list[tuple[SparseBipartiteGraph, np.ndarray]],
+    pairs: tuple[int, int, float] | None = None,
 ) -> list[DecodeResult]:
-    """Sum-product from per-variable prior LLRs on the factor graph made of
-    layers, (graph, fac_scale) pairs over the same variables.
+    """Sum-product from per-variable prior LLRs on graph, whose factor f
+    never leaves out the term fac_scale[f].
 
-    Every iteration updates the layers in turn: all factor messages of a
-    layer from the variables' extrinsic beliefs (fac_scale[f] is the term
-    of factor f that is never left out), then every posterior, so a later
-    layer sees the earlier ones' new messages; with one layer this is
-    flooding.  links lists (checks, syndrome) pairs whose variables fill the
-    graph's, in order; every `every` iterations and after the last, each
-    link's hard decision is tested against its syndrome, and the loop
+    pairs = (nc, n1, scale) adds nc degree-2 checks (i, n1 + i), i < nc,
+    of that scale.  Every iteration first updates those from the
+    variables' extrinsic beliefs and the posteriors, and then all of
+    graph's factors from the refreshed beliefs; without pairs this is
+    flooding.  links lists (checks, syndrome) pairs whose variables fill
+    the graph's, in order; every `every` iterations and after the last,
+    each link's hard decision is tested against its syndrome, and the loop
     stops once all of them pass.
     """
-    m_cv = [np.zeros(graph.n_edges) for graph, _ in layers]
-    live = []  # per layer, the edges after its leading degree-1 factors
-    for (graph, fac_scale), msgs in zip(layers, m_cv):
-        edge_scale = fac_scale[graph.edge_fac]
-        p, buckets = hoist_unit_factors(graph, edge_scale, msgs)
-        live.append((graph.indices[p:], edge_scale[p:], buckets, msgs[p:],
-                     np.empty(graph.n_edges - p)))
-    sums = [np.zeros(len(prior)) for _ in layers]
-    posterior = prior.copy()
+    # Factors by degree, each degree one slot-major block, degree 1 first.
+    perm, fac_order, buckets = slot_major(graph)
+    edge_var = graph.indices[perm]
+    del perm
+    scale = fac_scale[fac_order]
+    m_cv = np.zeros(graph.n_edges)
+    p, live = hoist_unit_block(buckets, scale, m_cv)
+    m_vc = np.empty(graph.n_edges)
+    # The loop runs on half LLRs.
+    prior = 0.5 * prior
+    base, sums, posterior = prior, np.zeros(graph.n_var), prior.copy()
+    if pairs is not None:
+        # The messages into variables [0, nc), then [n1, n1 + nc), are one
+        # slot-major degree-2 block.
+        nc, n1, coupling = pairs
+        spans = [(slice(0, nc), slice(0, nc)), (slice(n1, n1 + nc), slice(nc, 2 * nc))]
+        pair_buckets = ((2, slice(0, 2 * nc), slice(0, nc), "C"),)
+        pair_scale = np.full(nc, coupling)
+        cross, ext, base = np.zeros(2 * nc), np.empty(2 * nc), prior.copy()
+    bounds = np.cumsum([checks.n_var for checks, _ in links[:-1]])
     for it in range(1, budget + 1):
-        for layer, (graph, _) in enumerate(layers):
-            edge_var, edge_scale, buckets, m_live, m_vc = live[layer]
-            # posterior holds prior plus the sums of the current factor messages.
-            extrinsic_messages(posterior, edge_var, m_live, out=m_vc)
-            check_messages(m_vc, edge_scale, buckets, out=m_live)
-            sums[layer] = variable_sums(m_cv[layer], graph.indices, graph.n_var)
-            np.add(prior, sums[0], out=posterior)
-            for layer_sums in sums[1:]:
-                posterior += layer_sums
+        if pairs is not None:
+            for var, pair in spans:
+                np.subtract(posterior[var], cross[pair], out=ext[pair])
+            np.clip(ext, -HALF_CLAMP, HALF_CLAMP, out=ext)
+            check_messages(ext, pair_scale, pair_buckets, out=cross)
+            for var, pair in spans:
+                np.add(prior[var], cross[pair], out=base[var])
+                np.add(base[var], sums[var], out=posterior[var])
+        # posterior holds base plus the sums of the current factor messages.
+        extrinsic_messages(posterior, edge_var[p:], m_cv[p:], out=m_vc[p:])
+        check_messages(m_vc, scale, live, out=m_cv)
+        sums = variable_sums(m_cv, edge_var, graph.n_var)
+        np.add(base, sums, out=posterior)
         if it % every == 0 or it == budget:
-            posts = np.split(posterior, np.cumsum([g.n_var for g, _ in links[:-1]]))
-            hats = [(post < 0).astype(np.uint8) for post in posts]
+            hats = [(post < 0).astype(np.uint8) for post in np.split(posterior, bounds)]
             oks = [np.array_equal(checks.factor_parity(hat), syn)
                    for (checks, syn), hat in zip(links, hats)]
             if all(oks):
                 break
+    posts = np.split(2.0 * posterior, bounds)
     return [DecodeResult(hat, ok, it, post) for hat, ok, post in zip(hats, oks, posts)]
 
 
@@ -166,19 +182,15 @@ def joint_sum_product_decode(
         raise ValueError("syndrome lengths do not match the codes")
 
     # Coupling check i is (i, code1.n + i) with scale 1 - 2q.  The link
-    # layer holds link 1's checks, then link 2's on variables shifted by
+    # graph holds link 1's checks, then link 2's on variables shifted by
     # code1.n; each carries its syndrome sign 1 - 2s.
     g1, g2 = code1.graph, code2.graph
-    pairs = np.arange(nc)
-    coupling = SparseBipartiteGraph(n_var=code1.n + code2.n, indptr=2 * np.arange(nc + 1),
-                                    indices=np.column_stack([pairs, code1.n + pairs]).ravel())
     links = SparseBipartiteGraph(n_var=code1.n + code2.n,
                                  indptr=np.concatenate([g1.indptr, g1.n_edges + g2.indptr[1:]]),
                                  indices=np.concatenate([g1.indices, code1.n + g2.indices]))
-    link_scale = 1.0 - 2.0 * np.concatenate([s1, s2])
-    return tuple(_sum_product([(coupling, np.full(nc, 1.0 - 2.0 * q)), (links, link_scale)],
+    return tuple(_sum_product(links, 1.0 - 2.0 * np.concatenate([s1, s2]),
                               np.concatenate([prior1, prior2]), local_iters * global_iters,
-                              local_iters, [(g1, s1), (g2, s2)]))
+                              local_iters, [(g1, s1), (g2, s2)], (nc, code1.n, 1.0 - 2.0 * q)))
 
 
 def combined_syndrome_code(cc: CompoundCode, absorb_leaves: bool = False) -> LdpcCode:

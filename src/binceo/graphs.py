@@ -8,7 +8,7 @@ edges within a factor are repaired by socket swaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,14 +67,13 @@ def _balanced(total_edges: int, count: int) -> np.ndarray:
 class SparseBipartiteGraph:
     """CSR adjacency: factor f touches variables indices[indptr[f]:indptr[f + 1]].
 
-    Edges are numbered in that order.  Construction also derives edge_fac
-    (edge -> factor); the check kernel's buckets are derived on first use.
+    Edges are numbered in that order.  edge_fac (edge -> factor) and the
+    check kernel's buckets are derived on first use.
     """
 
     n_var: int
     indptr: np.ndarray
     indices: np.ndarray
-    edge_fac: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -86,17 +85,23 @@ class SparseBipartiteGraph:
             raise GraphConstructionError(f"variable index outside [0, {self.n_var})")
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "edge_fac", np.repeat(np.arange(len(degrees)), degrees))
 
     @cached_property
-    def buckets(self) -> tuple[tuple[int, slice], ...]:
-        """One (d, edges) pair per maximal run of consecutive factors of
-        equal degree d > 0, in factor order; edges is the slice of the
-        run's edges.  A factor's messages depend on its own edges only, so
-        how a degree's factors split into runs changes no bit."""
+    def edge_fac(self) -> np.ndarray:
+        """The factor of each edge."""
+        return np.repeat(np.arange(self.n_fac), np.diff(self.indptr))
+
+    @cached_property
+    def buckets(self) -> tuple[tuple[int, slice, slice, str], ...]:
+        """The check kernel's buckets in row order: one (d, edges, factors,
+        "F") per maximal run of consecutive factors of equal degree d > 0,
+        in factor order, with the slices of the run's edges and factors.
+        A factor's messages depend on its own edges only, so how a
+        degree's factors split into runs changes no bit."""
         degrees = np.diff(self.indptr)
         starts = np.flatnonzero(np.diff(degrees, prepend=-1)).tolist()
-        return tuple((int(degrees[a]), slice(int(self.indptr[a]), int(self.indptr[b])))
+        return tuple((int(degrees[a]), slice(int(self.indptr[a]), int(self.indptr[b])),
+                      slice(a, b), "F")
                      for a, b in zip(starts, starts[1:] + [len(degrees)]) if degrees[a] > 0)
 
     @property

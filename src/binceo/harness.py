@@ -385,8 +385,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--rates: expected comma-separated numbers, got {args.rates!r}") from None
     cfg = _args_config(args)
-    if args.empirical:
-        cfg.validate()
+    cfg.validate()
     lines = ["# schema=binceo-sweep-v1", "series,sum_rate,distortion,d1,d2"]
     for rate in grid:
         res = bounds_mod.optimize_test_channels(cfg.p1, cfg.p2, rate)

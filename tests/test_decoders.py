@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binceo._msgpass import LLR_CLAMP, check_messages, extrinsic_messages, variable_sums
+from binceo._msgpass import (LLR_CLAMP, check_messages, extrinsic_messages, slot_major,
+                             variable_sums)
 from binceo.binmath import ChainParams, chain_posterior_table
 from binceo.bounds import TestChannelPair
 from binceo.codec import bias_propagation_quantize
@@ -202,46 +203,59 @@ def test_joint_decode_updates_coupling_before_link_checks():
         np.testing.assert_allclose(res[k].posterior, belief(k), atol=1e-9)
 
 
-def _reference_sum_product(layers, prior, iters):
-    """The layered loop of _sum_product with every factor's messages,
-    degree-1 factors included, recomputed in every iteration."""
-    m_cv = [np.zeros(g.n_edges) for g, _ in layers]
+def _reference_sum_product(graph, fac_scale, prior, iters, pairs):
+    """The loop of _sum_product on the same slot-major edge layout, with
+    every factor's messages, degree-1 factors included, recomputed in
+    every iteration, and the pairs, if any, run before them as a generic
+    degree-2 layer: gathered extrinsics, the kernel and a bincount."""
+    perm, fac_order, buckets = slot_major(graph)
+    layers = [(graph.indices[perm], fac_scale[fac_order], buckets)]
+    if pairs is not None:
+        nc, n1, scale = pairs
+        pair_var = np.concatenate([np.arange(nc), n1 + np.arange(nc)])
+        layers.insert(0, (pair_var, np.full(nc, scale),
+                          ((2, slice(0, 2 * nc), slice(0, nc), "C"),)))
+    half = prior / 2
+    m_cv = [np.zeros(len(edge_var)) for edge_var, _, _ in layers]
     sums = [np.zeros(len(prior)) for _ in layers]
-    posterior = prior.copy()
+    posterior = half.copy()
     for _ in range(iters):
-        for layer, (g, fac_scale) in enumerate(layers):
-            m_vc = extrinsic_messages(posterior, g.indices, m_cv[layer])
-            m_cv[layer] = check_messages(m_vc, fac_scale[g.edge_fac], g.buckets)
-            sums[layer] = variable_sums(m_cv[layer], g.indices, g.n_var)
-            posterior = prior + sums[0]
+        for layer, (edge_var, scale, bks) in enumerate(layers):
+            m_vc = extrinsic_messages(posterior, edge_var, m_cv[layer])
+            m_cv[layer] = check_messages(m_vc, scale, bks)
+            sums[layer] = variable_sums(m_cv[layer], edge_var, len(prior))
+            posterior = half + sums[0]
             for layer_sums in sums[1:]:
                 posterior += layer_sums
-    return posterior
+    return 2 * posterior
 
 
-@given(seed=st.integers(0, 2**32 - 1), n_layers=st.integers(1, 2), iters=st.integers(1, 8))
-def test_sum_product_sets_unit_factor_messages_once_bit_for_bit(seed, n_layers, iters):
-    # Each layer leads with 0..n degree-1 factors, then has factors of
-    # degree 0-4 in any order (more degree-1 ones among them); scales are
-    # signs or fractions.  Setting the leading factors' messages once must
-    # give the posteriors of recomputing them every iteration, bit for bit.
+@given(seed=st.integers(0, 2**32 - 1), iters=st.integers(1, 8),
+       coupling=st.sampled_from(["none", "adjacent", "apart"]))
+def test_sum_product_sets_unit_factor_messages_once_bit_for_bit(seed, iters, coupling):
+    # The graph has factors of degree 0-4 in any order, with runs of
+    # degree-1 ones; scales are signs or fractions.  Setting the degree-1
+    # factors' messages once and updating the pairs (i, n1 + i) straight
+    # from the posterior halves, adjacent (nc = n1) or apart (nc < n1),
+    # must give the posteriors of the generic loop, bit for bit.
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 12))
-    layers = []
-    for _ in range(n_layers):
-        lead = int(rng.integers(0, n + 1))
-        degrees = [1] * lead + list(rng.integers(0, 5, rng.integers(1, 9)))
-        adjs = [rng.choice(n, d, replace=False) for d in degrees]
-        g = SparseBipartiteGraph(n_var=n, indptr=np.cumsum([0] + degrees),
-                                 indices=np.concatenate(adjs))
-        scale = np.where(rng.random(g.n_fac) < 0.5, rng.choice([-1.0, 1.0], g.n_fac),
-                         rng.uniform(-1.0, 1.0, g.n_fac))
-        layers.append((g, scale))
+    n1 = int(rng.integers(4, 12))
+    n = n1 if coupling == "none" else n1 + int(rng.integers(n1, 12))
+    degrees = []
+    for _ in range(int(rng.integers(1, 6))):
+        degrees += [1] * int(rng.integers(0, 4)) + list(rng.integers(0, 5, rng.integers(1, 5)))
+    adjs = [rng.choice(n, d, replace=False) for d in degrees]
+    g = SparseBipartiteGraph(n_var=n, indptr=np.cumsum([0] + degrees),
+                             indices=np.concatenate(adjs))
+    scale = np.where(rng.random(g.n_fac) < 0.5, rng.choice([-1.0, 1.0], g.n_fac),
+                     rng.uniform(-1.0, 1.0, g.n_fac))
+    pairs = {"none": None, "adjacent": (n1, n1, rng.uniform(-1.0, 1.0)),
+             "apart": (int(rng.integers(0, n1)), n1, rng.uniform(-1.0, 1.0))}[coupling]
     prior = rng.normal(0.0, 2.0, n)
-    g0 = layers[0][0]
-    (res,) = _sum_product(layers, prior, iters, iters, [(g0, np.zeros(g0.n_fac, np.uint8))])
+    (res,) = _sum_product(g, scale, prior, iters, iters, [(g, np.zeros(g.n_fac, np.uint8))],
+                          pairs)
     assert res.iterations_used == iters
-    assert np.array_equal(res.posterior, _reference_sum_product(layers, prior, iters))
+    assert np.array_equal(res.posterior, _reference_sum_product(g, scale, prior, iters, pairs))
 
 
 def test_combined_syndrome_code_structure(nested_code):

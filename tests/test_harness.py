@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import binceo
@@ -235,6 +236,18 @@ def test_failed_decode_warns():
     assert rep.iterations_used == {1: 600, 2: 600}
 
 
+def test_simulate_raises_no_floating_point_fault():
+    # Every floating-point fault is an error here.  The check kernel's
+    # atanh(+-1) = +-inf, which its clamp absorbs, is the one place that
+    # opts out, locally.
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        simulate(ExperimentConfig(n=2000, trials=1, scheme="both", base_seed=11))
+        cfg = ExperimentConfig(p1=0.05, p2=0.05, n=2000, trials=1, scheme="joint",
+                               base_seed=11)
+        with pytest.warns(RuntimeWarning, match="link 2 "):
+            run_joint_trial(cfg, 0)
+
+
 def test_simulate_csv_structure():
     cfg = ExperimentConfig(n=2000, trials=2, scheme="successive", base_seed=3)
     with pytest.warns(RuntimeWarning,
@@ -317,6 +330,18 @@ def test_cli_sweep_bad_rates_name_the_flag(capsys):
     assert rc == EXIT_CONFIG
     assert "error: --rates: expected comma-separated numbers, got '0.6,x'" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--p1", "0.7", "--n", "5"], "error: p1 must be in [0, 0.5], got 0.7"),
+    (["--rates", "1.0", "--scheme", "bogus"],
+     "error: scheme must be one of 'joint', 'successive', 'both', got 'bogus'"),
+])
+def test_cli_sweep_validates_its_setting_without_empirical(args, message, capsys):
+    rc = main(["sweep", *args])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 def test_simulate_and_bounds_do_not_import_scipy():

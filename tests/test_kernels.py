@@ -7,10 +7,13 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binceo._msgpass import (LLR_CLAMP, TANH_CLIP, check_messages, hoist_unit_factors,
-                             leave_one_out_products)
+from binceo._msgpass import (HALF_CLAMP, LLR_CLAMP, check_messages, hoist_unit_block,
+                             leave_one_out_products, slot_major)
 from binceo.codec import DECIMATION_BIAS_FLOOR, _most_biased
 from binceo.graphs import DegreeDistribution, SparseBipartiteGraph, _apportion, sample_graph
+
+# The largest float below 1: the full-LLR reference kernel clips to it.
+TANH_CLIP = 1.0 - 1e-16
 
 
 @st.composite
@@ -35,6 +38,12 @@ def csr_graph(n_var, adjs):
 # up to the clip.
 edge_values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0),
                         st.sampled_from([TANH_CLIP, -TANH_CLIP, 1e-300]))
+# Full-LLR messages: exact zeros and magnitudes whose tanh(m / 2) rounds
+# to +-1.  Factor scales: signs, zero and the values next to +-1.
+special_llrs = [0.0, -0.0, 80.0, -80.0]
+special_scales = [1.0, -1.0, 0.0, TANH_CLIP, -TANH_CLIP]
+llr_values = st.one_of(st.sampled_from(special_llrs), st.floats(-2 * LLR_CLAMP, 2 * LLR_CLAMP))
+scale_values = st.one_of(st.sampled_from(special_scales), st.floats(-1.0, 1.0))
 
 
 def naive_products(t, adjs):
@@ -46,12 +55,51 @@ def naive_products(t, adjs):
     return np.array(out)
 
 
+def reference_check_messages(m_in, edge_scale, buckets):
+    """The full-LLR kernel the half-LLR one replaced, kept as written:
+    2*atanh(clip(scale_e * prod tanh(m/2))) with one scale per edge, over
+    the (d, edges) runs of buckets in row order."""
+    t = np.tanh(m_in * 0.5)
+    prod = np.empty_like(t)
+    for d, edges, *_ in buckets:
+        blk = t[edges].reshape(-1, d)
+        res = prod[edges].reshape(-1, d)
+        res[:, 0] = 1.0
+        for j in range(1, d):
+            np.multiply(res[:, j - 1], blk[:, j - 1], out=res[:, j])
+        suffix = blk[:, d - 1].copy()
+        for j in range(d - 2, -1, -1):
+            res[:, j] *= suffix
+            suffix *= blk[:, j]
+    prod *= edge_scale
+    np.clip(prod, -TANH_CLIP, TANH_CLIP, out=prod)
+    np.arctanh(prod, out=prod)
+    prod *= 2.0
+    return np.clip(prod, -LLR_CLAMP, LLR_CLAMP, out=prod)
+
+
+def draw_messages(data, g):
+    """Per-edge full-LLR messages and per-factor scales: random fractions,
+    whose products round differently in another association order, with
+    the special values mixed in."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m_in, scale = rng.normal(0.0, 4.0, g.n_edges), rng.uniform(-1.0, 1.0, g.n_fac)
+    for values, special in ((m_in, special_llrs), (scale, special_scales)):
+        mask = rng.random(len(values)) < 0.3
+        values[mask] = rng.choice(special, int(mask.sum()))
+    return m_in, scale
+
+
 @given(adjacency(), st.data())
 def test_leave_one_out_matches_per_factor_loop(adj, data):
     n_var, adjs = adj
     g = csr_graph(n_var, adjs)
     t = np.array(data.draw(st.lists(edge_values, min_size=g.n_edges, max_size=g.n_edges)))
-    got = leave_one_out_products(t, g.buckets)
+    # Row-order views of the graph's runs, each written in place.
+    got = np.full_like(t, np.nan)
+    for d, edges, _, order in g.buckets:
+        leave_one_out_products(t[edges].reshape((d, -1), order=order),
+                               got[edges].reshape((d, -1), order=order))
     np.testing.assert_allclose(got, naive_products(t, adjs), rtol=0, atol=1e-12)
 
 
@@ -59,60 +107,81 @@ def test_leave_one_out_matches_per_factor_loop(adj, data):
 def test_check_messages_matches_per_factor_loop(adj, data):
     n_var, adjs = adj
     g = csr_graph(n_var, adjs)
-    m_in = np.array(data.draw(st.lists(
-        st.one_of(st.just(0.0), st.floats(-2 * LLR_CLAMP, 2 * LLR_CLAMP)),
-        min_size=g.n_edges, max_size=g.n_edges)))
-    scale = np.array(data.draw(st.lists(
-        st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.0, 1.0)),
-        min_size=g.n_fac, max_size=g.n_fac)))
-    got = check_messages(m_in, scale[g.edge_fac], g.buckets)
-    prod = naive_products(np.tanh(0.5 * m_in), adjs) * scale[g.edge_fac]
-    want = np.clip(2.0 * np.arctanh(np.clip(prod, -TANH_CLIP, TANH_CLIP)),
-                   -LLR_CLAMP, LLR_CLAMP)
+    m_in, scale = draw_messages(data, g)
+    got = check_messages(m_in, scale, g.buckets)
+    prod = naive_products(np.tanh(m_in), adjs) * scale[g.edge_fac]
+    want = np.clip(np.arctanh(np.clip(prod, -TANH_CLIP, TANH_CLIP)), -HALF_CLAMP, HALF_CLAMP)
     # Compared in the tanh domain, where rounding of the product is not
     # amplified by arctanh near +-1.
-    np.testing.assert_allclose(np.tanh(0.5 * got), np.tanh(0.5 * want), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.tanh(got), np.tanh(want), rtol=0, atol=1e-12)
     # Written into a given buffer, the messages are the same bits.
     out = np.empty_like(m_in)
-    check_messages(m_in.copy(), scale[g.edge_fac], g.buckets, out=out)
+    check_messages(m_in.copy(), scale, g.buckets, out=out)
     np.testing.assert_array_equal(out, got)
 
 
-llr_values = st.one_of(st.just(0.0), st.floats(-2 * LLR_CLAMP, 2 * LLR_CLAMP))
+@given(adjacency(), st.data())
+def test_half_llr_kernel_matches_the_full_llr_reference_bit_for_bit(adj, data):
+    n_var, adjs = adj
+    g = csr_graph(n_var, adjs)
+    m_in, scale = draw_messages(data, g)
+    want = reference_check_messages(m_in, scale[g.edge_fac], g.buckets)
+    got = 2.0 * check_messages(m_in / 2, scale, g.buckets)
+    assert got.tobytes() == want.tobytes()
+
+
+@given(adjacency(), st.data())
+def test_slot_major_layout_permutes_the_row_order_messages_bit_for_bit(adj, data):
+    n_var, adjs = adj
+    g = csr_graph(n_var, adjs)
+    degrees = np.diff(g.indptr)
+    perm, fac_order, buckets = slot_major(g)
+    # The layout covers every edge once; factors go by ascending degree,
+    # in graph order within a degree.
+    assert sorted(perm.tolist()) == list(range(g.n_edges))
+    assert sorted(fac_order.tolist()) == list(range(g.n_fac))
+    assert sorted(zip(degrees[fac_order], fac_order)) == list(zip(degrees[fac_order], fac_order))
+    # One block per degree, in order, tiling the edges; row j of a block is
+    # slot j of each of its factors.
+    assert [d for d, *_ in buckets] == sorted(set(degrees.tolist()) - {0})
+    assert [i for _, e, _, _ in buckets for i in range(e.start, e.stop)] == list(range(g.n_edges))
+    for d, edges, facs, order in buckets:
+        assert order == "C" and (degrees[fac_order[facs]] == d).all()
+        np.testing.assert_array_equal(perm[edges].reshape(d, -1),
+                                      g.indptr[fac_order[facs]] + np.arange(d)[:, None])
+    m_in, scale = draw_messages(data, g)
+    row = check_messages(m_in, scale, g.buckets)
+    got = check_messages(m_in[perm], scale[fac_order], buckets)
+    assert got.tobytes() == row[perm].tobytes()
 
 
 @given(st.integers(1, 20), st.data())
 def test_degree1_check_messages_do_not_depend_on_m_in(n, data):
-    scale = np.array(data.draw(st.lists(
-        st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.0, 1.0)), min_size=n, max_size=n)))
+    scale = np.array(data.draw(st.lists(scale_values, min_size=n, max_size=n)))
     m_a, m_b = (np.array(data.draw(st.lists(llr_values, min_size=n, max_size=n)))
                 for _ in range(2))
-    bucket = ((1, slice(0, n)),)
+    bucket = ((1, slice(0, n), slice(0, n), "C"),)
     got = check_messages(m_a, scale, bucket)
     np.testing.assert_array_equal(check_messages(m_b, scale, bucket), got)
 
 
 @given(adjacency(), st.data())
-def test_hoist_unit_factors_buckets_are_those_of_the_graph_after_it(adj, data):
+def test_hoist_unit_block_sets_the_leading_degree1_bucket_once(adj, data):
     n_var, adjs = adj
     lead = data.draw(st.lists(st.integers(0, n_var - 1).map(lambda v: [v]), max_size=6))
-    facs = lead + adjs
-    g = csr_graph(n_var, facs)
-    scale = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=g.n_edges,
-                                        max_size=g.n_edges)))
-    messages = np.full(g.n_edges, np.nan)
-    p, live = hoist_unit_factors(g, scale, messages)
-    # Their messages are written; the other edges' are left alone.
-    want = check_messages(np.zeros(p), scale[:p], ((1, slice(0, p)),))
-    np.testing.assert_array_equal(messages[:p], want)
-    assert np.isnan(messages[p:]).all()
-    # adjs may itself start with degree-1 factors; the prefix takes them too.
-    assert [len(a) for a in facs[:p]] == [1] * p and p >= len(lead)
-    assert p == len(facs) or len(facs[p]) != 1
-    rest = csr_graph(n_var, facs[p:])
-    edges = np.arange(rest.n_edges)
-    assert ([(d, edges[e].tolist()) for d, e in live]
-            == [(d, edges[e].tolist()) for d, e in rest.buckets])
+    g = csr_graph(n_var, lead + adjs)
+    scale = np.array(data.draw(st.lists(scale_values, min_size=g.n_fac, max_size=g.n_fac)))
+    for buckets in (g.buckets, slot_major(g)[2]):
+        messages = np.full(g.n_edges, np.nan)
+        p, live = hoist_unit_block(buckets, scale, messages)
+        # Only the leading degree-1 bucket, if any, is written and dropped.
+        hoisted = buckets[: len(buckets) - len(live)]
+        assert live == buckets[len(hoisted):] and [d for d, *_ in hoisted] in ([], [1])
+        assert p == (hoisted[0][1].stop if hoisted else 0)
+        assert bool(hoisted) == (g.n_edges > 0 and buckets[0][0] == 1)
+        want = check_messages(np.zeros(g.n_edges), scale, hoisted)
+        np.testing.assert_array_equal(messages[:p], want[:p])
+        assert np.isnan(messages[p:]).all()
 
 
 @given(adjacency())
@@ -121,18 +190,18 @@ def test_buckets_are_ordered_runs_of_equal_degree_covering_every_edge(adj):
     g = csr_graph(n_var, adjs)
     degrees = [len(a) for a in adjs]
     # The slices tile the edges in order, each once.
-    assert all(isinstance(e, slice) and e.step is None for _, e in g.buckets)
-    covered = [i for _, e in g.buckets for i in range(e.start, e.stop)]
+    assert all(isinstance(e, slice) and e.step is None for _, e, _, _ in g.buckets)
+    covered = [i for _, e, _, _ in g.buckets for i in range(e.start, e.stop)]
     assert covered == list(range(g.n_edges))
-    # Every factor from a bucket's first to its last has degree d.
-    for d, e in g.buckets:
-        first, last = g.edge_fac[e.start], g.edge_fac[e.stop - 1]
-        assert d > 0 and degrees[first : last + 1] == [d] * (last + 1 - first)
+    # Every factor of a bucket's factor slice has degree d, and owns its
+    # edges in row order.
+    for d, e, facs, order in g.buckets:
+        assert order == "F" and d > 0 and degrees[facs] == [d] * (facs.stop - facs.start)
+        assert (g.indptr[facs.start], g.indptr[facs.stop]) == (e.start, e.stop)
     # Neighbouring buckets are distinct runs: a degree-0 factor lies
     # between them, or their degrees differ.
-    for (d_a, e_a), (d_b, e_b) in zip(g.buckets, g.buckets[1:]):
-        between = degrees[g.edge_fac[e_a.stop - 1] + 1 : g.edge_fac[e_b.start]]
-        assert 0 in between or d_a != d_b
+    for (d_a, _, f_a, _), (d_b, _, f_b, _) in zip(g.buckets, g.buckets[1:]):
+        assert 0 in degrees[f_a.stop : f_b.start] or d_a != d_b
 
 
 # Bias magnitudes from a small pool, so that ties (including dead biases
