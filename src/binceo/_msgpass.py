@@ -13,7 +13,8 @@ its suffix product along the slots (the standard tanh-rule layout,
 Richardson & Urbanke, Modern Coding Theory, 2008), so exact zeros need
 no special case.  The factor term that is never left out (syndrome sign,
 quantizer channel tanh, coupling 1 - 2q) is one scale per factor,
-multiplied into a block as one row broadcast.
+multiplied into a block as one row broadcast.  The decoders first peel
+the hard factors (scale +-1) and lay out only the residual graph.
 """
 
 from __future__ import annotations
@@ -95,22 +96,59 @@ def variable_sums(
     return np.bincount(edge_var, weights=m_in, minlength=n_var)
 
 
-def slot_major(graph: SparseBipartiteGraph) -> tuple[np.ndarray, np.ndarray, tuple[Bucket, ...]]:
-    """graph's factors by ascending degree (stable) and its edges in one
-    slot-major block per degree: returns perm (new edge -> graph edge),
-    fac_order (new factor -> graph factor) and the blocks' buckets, over
-    factors and edges in the new order."""
-    degrees = np.diff(graph.indptr)
+def slot_major(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[Bucket, ...]]:
+    """The factors of the CSR rows indptr by ascending degree (stable) and
+    their edges in one slot-major block per degree: returns perm (new edge
+    -> graph edge), fac_order (new factor -> graph factor) and the blocks'
+    buckets, over factors and edges in the new order."""
+    degrees = np.diff(indptr)
     fac_order = np.argsort(degrees, kind="stable")
     perm, buckets, fac, edge = [np.zeros(0, np.int64)], [], 0, 0
     for d, count in enumerate(np.bincount(degrees).tolist()):
         if d and count:
-            first = graph.indptr[fac_order[fac : fac + count]]
+            first = indptr[fac_order[fac : fac + count]]
             perm.append((first + np.arange(d)[:, None]).ravel())
             buckets.append((d, slice(edge, edge + d * count), slice(fac, fac + count), "C"))
             edge += d * count
         fac += count
     return np.concatenate(perm), fac_order, tuple(buckets)
+
+
+def peel(graph: SparseBipartiteGraph, fac_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pinned, bits) per variable: what peeling the hard factors
+    (|fac_scale| == 1, parity target fac_scale < 0) fixes, bits 0 elsewhere.
+    Each round pins the one unresolved variable of every hard factor that
+    has exactly one to the target XOR its pinned bits, the lowest factor's
+    value where two claim it (Luby et al., IEEE T-IT 2001: sum-product with
+    infinite LLRs).  No factor may list a variable twice."""
+    hard = np.abs(fac_scale) == 1.0
+    degree = np.diff(graph.indptr)
+    # Per variable its hard factors; per factor the count, index sum (at
+    # count 1, that variable) and target parity of its unresolved variables.
+    left = np.where(hard, degree, 0)
+    rows = np.flatnonzero(left)
+    var = graph.indices[np.repeat(hard, degree)].astype(np.int32)
+    var_ptr = np.concatenate(([0], np.cumsum(np.bincount(var, minlength=graph.n_var))))
+    index_sum = np.zeros(graph.n_fac, np.int64)
+    index_sum[rows] = np.add.reduceat(var, np.cumsum(left[rows]) - left[rows], dtype=np.int64)
+    var_fac = np.repeat(rows.astype(np.int32), left[rows])[np.argsort(var)]
+    del var
+    parity = (fac_scale < 0).astype(np.uint8)
+    pinned, bits = np.zeros(graph.n_var, bool), np.zeros(graph.n_var, np.uint8)
+    front = np.flatnonzero(hard & (degree == 1))
+    while len(front):
+        # front ascends, so the first claim of a variable is the lowest factor's.
+        v, first = np.unique(index_sum[front], return_index=True)
+        b = parity[front[first]]
+        pinned[v], bits[v] = True, b
+        count = var_ptr[v + 1] - var_ptr[v]
+        edges = np.repeat(var_ptr[v] - np.cumsum(count) + count, count) + np.arange(count.sum())
+        f = var_fac[edges]
+        np.subtract.at(left, f, 1)
+        np.subtract.at(index_sum, f, np.repeat(v, count))
+        np.bitwise_xor.at(parity, f, np.repeat(b, count))
+        front = np.unique(f[left[f] == 1])
+    return pinned, bits
 
 
 def hoist_unit_block(

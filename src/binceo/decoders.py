@@ -4,6 +4,8 @@ reconstruction of the remote source.
 
 LLR convention everywhere: natural log, positive favors bit 0, messages
 clamped to +-30.  The message-passing loop carries every LLR halved.
+Both decoders first peel the bits that the syndromes fix and run
+sum-product only on the residual graph of the other bits.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._msgpass import (HALF_CLAMP, LLR_CLAMP, check_messages, extrinsic_messages,
-                       hoist_unit_block, slot_major, variable_sums)
+                       hoist_unit_block, peel, slot_major, variable_sums)
 from .binmath import ChainParams, chain_posterior_table
 from .graphs import CompoundCode, LdpcCode, SparseBipartiteGraph
 
@@ -24,6 +26,9 @@ class DecodeResult:
     syndrome_satisfied: bool
     iterations_used: int
     posterior: np.ndarray
+    # Bits peeled; edges on this link's variables updated every iteration.
+    pinned: int
+    live_edges: int
 
 
 def sum_product_decode(
@@ -57,60 +62,87 @@ def sum_product_decode(
         raise ValueError("max_iters must be >= 1")
 
     # Check f's parity target as a sign (1 - 2s_f), then the leaf scales.
-    g = code.graph
-    checks = SparseBipartiteGraph(n_var=g.n_var, indptr=g.indptr[: m + 1],
-                                  indices=g.indices[: g.indptr[m]])
     fac_scale = np.concatenate([1.0 - 2.0 * syndrome.astype(float), leaf_scale])
-    return _sum_product(g, fac_scale, prior, max_iters, 1 if early_stop else max_iters,
-                        [(checks, syndrome)])[0]
+    return _sum_product(code.graph, fac_scale, prior, max_iters,
+                        1 if early_stop else max_iters, [(code.n, m)])[0]
 
 
 def _sum_product(
     graph: SparseBipartiteGraph, fac_scale: np.ndarray, prior: np.ndarray, budget: int,
-    every: int, links: list[tuple[SparseBipartiteGraph, np.ndarray]],
-    pairs: tuple[int, int, float] | None = None,
+    every: int, links: list[tuple[int, int]], pairs: tuple[int, int, float] | None = None,
 ) -> list[DecodeResult]:
     """Sum-product from per-variable prior LLRs on graph, whose factor f
     never leaves out the term fac_scale[f].
 
     pairs = (nc, n1, scale) adds nc degree-2 checks (i, n1 + i), i < nc,
-    of that scale.  Every iteration first updates those from the
-    variables' extrinsic beliefs and the posteriors, and then all of
-    graph's factors from the refreshed beliefs; without pairs this is
-    flooding.  links lists (checks, syndrome) pairs whose variables fill
-    the graph's, in order; every `every` iterations and after the last,
-    each link's hard decision is tested against its syndrome, and the loop
-    stops once all of them pass.
+    of that scale.  links lists (n_var, n_checks) per link: its variables
+    and its (hard) checks are the graph's next ones in order.  The hard
+    factors (|scale| == 1) are peeled, and the loop runs on the residual
+    graph: unpinned variables' edges, each factor's scale times
+    (-1)^(its pinned bits); pinned variables hold +-HALF_CLAMP.  A pair
+    with one pinned end is a constant in the other end's prior.  Every
+    iteration updates the other pairs from the extrinsic beliefs, then all
+    residual factors from the refreshed beliefs (without pairs, flooding).
+    A link's fully pinned checks are tested once; every `every` iterations
+    and after the last its other checks are tested on the hard decision,
+    and the loop stops once every link passes.
     """
-    # Factors by degree, each degree one slot-major block, degree 1 first.
-    perm, fac_order, buckets = slot_major(graph)
-    edge_var = graph.indices[perm]
-    del perm
-    scale = fac_scale[fac_order]
-    m_cv = np.zeros(graph.n_edges)
+    pinned, bits = peel(graph, fac_scale)
+    kept = ~pinned[graph.indices]
+    indptr = np.concatenate(([0], np.cumsum(kept)))[graph.indptr]
+    indices = graph.indices[kept]
+    del kept
+    scale = fac_scale * (1.0 - 2.0 * graph.factor_parity(bits))
+    # Per link: its residual checks of degree > 0 with their target parity,
+    # and whether its fully pinned checks all hold.
+    tests, fac, var = [], 0, 0
+    for n_var, m in links:
+        degree, target = np.diff(indptr[fac : fac + m + 1]), scale[fac : fac + m] < 0
+        left = degree > 0
+        checks = SparseBipartiteGraph(n_var=n_var,
+                                      indptr=np.concatenate(([0], np.cumsum(degree[left]))),
+                                      indices=indices[indptr[fac] : indptr[fac + m]] - var)
+        tests.append((checks, target[left].astype(np.uint8), not target[~left].any()))
+        fac, var = fac + m, var + n_var
+    # Residual factors by degree, each degree one slot-major block, degree 1 first.
+    perm, fac_order, buckets = slot_major(indptr)
+    edge_var = indices[perm]
+    del perm, indices, indptr
+    scale = scale[fac_order]
+    m_cv = np.zeros(len(edge_var))
     p, live = hoist_unit_block(buckets, scale, m_cv)
-    m_vc = np.empty(graph.n_edges)
+    m_vc = np.empty(len(edge_var))
     # The loop runs on half LLRs.
     prior = 0.5 * prior
-    base, sums, posterior = prior, np.zeros(graph.n_var), prior.copy()
+    prior[pinned] = np.where(bits, -HALF_CLAMP, HALF_CLAMP)[pinned]
+    coupled = np.zeros(0, np.int64)
     if pairs is not None:
-        # The messages into variables [0, nc), then [n1, n1 + nc), are one
-        # slot-major degree-2 block.
         nc, n1, coupling = pairs
-        spans = [(slice(0, nc), slice(0, nc)), (slice(n1, n1 + nc), slice(nc, 2 * nc))]
-        pair_buckets = ((2, slice(0, 2 * nc), slice(0, nc), "C"),)
-        pair_scale = np.full(nc, coupling)
-        cross, ext, base = np.zeros(2 * nc), np.empty(2 * nc), prior.copy()
-    bounds = np.cumsum([checks.n_var for checks, _ in links[:-1]])
+        i = np.arange(nc)
+        first, second = pinned[i], pinned[n1 + i]
+        # A pair with one pinned end sends the other end a constant message.
+        one = first != second
+        src, dst = np.where(first, i, n1 + i)[one], np.where(first, n1 + i, i)[one]
+        with np.errstate(divide="ignore"):
+            prior[dst] += np.clip(np.arctanh(coupling * (1.0 - 2.0 * bits[src])),
+                                  -HALF_CLAMP, HALF_CLAMP)
+        # The messages into the remaining pairs' first ends, then their
+        # second ends, are one slot-major degree-2 block.
+        free = i[~(first | second)]
+        coupled, nf = np.concatenate([free, n1 + free]), len(free)
+        pair_buckets = ((2, slice(0, 2 * nf), slice(0, nf), "C"),)
+        pair_scale = np.full(nf, coupling)
+        cross, ext = np.zeros(2 * nf), np.empty(2 * nf)
+    base = prior if pairs is None else prior.copy()
+    sums, posterior = np.zeros(graph.n_var), prior.copy()
+    bounds = np.cumsum([n_var for n_var, _ in links[:-1]])
     for it in range(1, budget + 1):
         if pairs is not None:
-            for var, pair in spans:
-                np.subtract(posterior[var], cross[pair], out=ext[pair])
+            np.subtract(posterior[coupled], cross, out=ext)
             np.clip(ext, -HALF_CLAMP, HALF_CLAMP, out=ext)
             check_messages(ext, pair_scale, pair_buckets, out=cross)
-            for var, pair in spans:
-                np.add(prior[var], cross[pair], out=base[var])
-                np.add(base[var], sums[var], out=posterior[var])
+            base[coupled] = prior[coupled] + cross
+            posterior[coupled] = base[coupled] + sums[coupled]
         # posterior holds base plus the sums of the current factor messages.
         extrinsic_messages(posterior, edge_var[p:], m_cv[p:], out=m_vc[p:])
         check_messages(m_vc, scale, live, out=m_cv)
@@ -118,12 +150,17 @@ def _sum_product(
         np.add(base, sums, out=posterior)
         if it % every == 0 or it == budget:
             hats = [(post < 0).astype(np.uint8) for post in np.split(posterior, bounds)]
-            oks = [np.array_equal(checks.factor_parity(hat), syn)
-                   for (checks, syn), hat in zip(links, hats)]
+            oks = [ok and np.array_equal(checks.factor_parity(hat), target)
+                   for (checks, target, ok), hat in zip(tests, hats)]
             if all(oks):
                 break
+    del m_cv, m_vc
+    live_edges = np.bincount(edge_var[p:], minlength=graph.n_var)
+    live_edges[coupled] += 1
     posts = np.split(2.0 * posterior, bounds)
-    return [DecodeResult(hat, ok, it, post) for hat, ok, post in zip(hats, oks, posts)]
+    return [DecodeResult(hat, ok, it, post, int(pins.sum()), int(edges.sum()))
+            for hat, ok, post, pins, edges in zip(hats, oks, posts, np.split(pinned, bounds),
+                                                  np.split(live_edges, bounds))]
 
 
 def side_info_prior(u2: np.ndarray, q: float) -> np.ndarray:
@@ -190,7 +227,8 @@ def joint_sum_product_decode(
                                  indices=np.concatenate([g1.indices, code1.n + g2.indices]))
     return tuple(_sum_product(links, 1.0 - 2.0 * np.concatenate([s1, s2]),
                               np.concatenate([prior1, prior2]), local_iters * global_iters,
-                              local_iters, [(g1, s1), (g2, s2)], (nc, code1.n, 1.0 - 2.0 * q)))
+                              local_iters, [(code1.n, code1.m), (code2.n, code2.m)],
+                              (nc, code1.n, 1.0 - 2.0 * q)))
 
 
 def combined_syndrome_code(cc: CompoundCode, absorb_leaves: bool = False) -> LdpcCode:

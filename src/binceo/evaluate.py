@@ -51,9 +51,11 @@ class RunReport:
     seeds: str
     # Decoder outcome of each decoded link, keyed by link number (successive
     # link 2 sends its information bits and is not decoded).  Not part of the
-    # v1 CSV row.
+    # v1 CSV row.  live_edges * iterations_used is the decode's work.
     syndrome_satisfied: dict[int, bool]
     iterations_used: dict[int, int]
+    pinned: dict[int, int]
+    live_edges: dict[int, int]
 
     @property
     def below_bound_flag(self) -> bool:
@@ -121,6 +123,8 @@ def report_run(
         seeds=seeds,
         syndrome_satisfied={k: r.syndrome_satisfied for k, r in decoded.items()},
         iterations_used={k: r.iterations_used for k, r in decoded.items()},
+        pinned={k: r.pinned for k, r in decoded.items()},
+        live_edges={k: r.live_edges for k, r in decoded.items()},
     )
 
 
@@ -139,4 +143,4 @@ def summary_row(scheme: str, reports: list[RunReport]) -> str:
         sum_rate_gap=mean["empirical_sum_rate"] - theo.sum_rate,
         distortion_gap=mean["empirical_log_loss"] - theo.distortion,
         seeds=f"std_loss={np.std([r.empirical_log_loss for r in reports]):.6g}",
-        syndrome_satisfied={}, iterations_used={}).csv_row()
+        syndrome_satisfied={}, iterations_used={}, pinned={}, live_edges={}).csv_row()

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binceo._msgpass import (LLR_CLAMP, check_messages, extrinsic_messages, slot_major,
-                             variable_sums)
+from binceo._msgpass import (LLR_CLAMP, check_messages, extrinsic_messages, peel,
+                             slot_major, variable_sums)
 from binceo.binmath import ChainParams, chain_posterior_table
 from binceo.bounds import TestChannelPair
 from binceo.codec import bias_propagation_quantize
@@ -207,14 +207,14 @@ def _reference_sum_product(graph, fac_scale, prior, iters, pairs):
     """The loop of _sum_product on the same slot-major edge layout, with
     every factor's messages, degree-1 factors included, recomputed in
     every iteration, and the pairs, if any, run before them as a generic
-    degree-2 layer: gathered extrinsics, the kernel and a bincount."""
-    perm, fac_order, buckets = slot_major(graph)
+    degree-2 layer: gathered extrinsics, the kernel and a bincount.  pairs
+    is (first ends, second ends, scale)."""
+    perm, fac_order, buckets = slot_major(graph.indptr)
     layers = [(graph.indices[perm], fac_scale[fac_order], buckets)]
     if pairs is not None:
-        nc, n1, scale = pairs
-        pair_var = np.concatenate([np.arange(nc), n1 + np.arange(nc)])
-        layers.insert(0, (pair_var, np.full(nc, scale),
-                          ((2, slice(0, 2 * nc), slice(0, nc), "C"),)))
+        first, second, scale = pairs
+        layers.insert(0, (np.concatenate([first, second]), np.full(len(first), scale),
+                          ((2, slice(0, 2 * len(first)), slice(0, len(first)), "C"),)))
     half = prior / 2
     m_cv = [np.zeros(len(edge_var)) for edge_var, _, _ in layers]
     sums = [np.zeros(len(prior)) for _ in layers]
@@ -230,14 +230,47 @@ def _reference_sum_product(graph, fac_scale, prior, iters, pairs):
     return 2 * posterior
 
 
+def _residual_problem(graph, fac_scale, prior, pairs):
+    """The peeled problem written out per factor and per pair: the graph
+    of the unpinned variables' edges, each factor's scale times
+    (-1)^(its pinned bits), the prior with each pinned bit at
+    +-LLR_CLAMP and each pair with one pinned end turned into a constant
+    on the other end, and the pairs left (first ends, second ends, scale)."""
+    pinned, bits = peel(graph, fac_scale)
+    adjs = [graph.indices[graph.indptr[f] : graph.indptr[f + 1]] for f in range(graph.n_fac)]
+    kept = [[v for v in a if not pinned[v]] for a in adjs]
+    residual = SparseBipartiteGraph(n_var=graph.n_var,
+                                    indptr=np.cumsum([0] + [len(a) for a in kept]),
+                                    indices=np.array([v for a in kept for v in a], dtype=np.int64))
+    scale = np.array([s * (-1.0) ** int(bits[a].sum()) for s, a in zip(fac_scale, adjs)])
+    prior = np.where(pinned, np.where(bits == 1, -LLR_CLAMP, LLR_CLAMP), prior)
+    if pairs is None:
+        return pinned, residual, scale, prior, None
+    nc, n1, coupling = pairs
+    free = []
+    for i in range(nc):
+        ends = (i, n1 + i)
+        if pinned[i] != pinned[n1 + i]:
+            src, dst = ends if pinned[i] else ends[::-1]
+            with np.errstate(divide="ignore"):
+                msg = 2.0 * np.arctanh(coupling * (1.0 - 2.0 * bits[src]))
+            prior[dst] += np.clip(msg, -LLR_CLAMP, LLR_CLAMP)
+        elif not pinned[i]:
+            free.append(i)
+    free = np.array(free, dtype=np.int64)
+    return pinned, residual, scale, prior, (free, n1 + free, coupling)
+
+
 @given(seed=st.integers(0, 2**32 - 1), iters=st.integers(1, 8),
-       coupling=st.sampled_from(["none", "adjacent", "apart"]))
+       coupling=st.sampled_from(["none", "adjacent", "apart", "hard"]))
 def test_sum_product_sets_unit_factor_messages_once_bit_for_bit(seed, iters, coupling):
     # The graph has factors of degree 0-4 in any order, with runs of
-    # degree-1 ones; scales are signs or fractions.  Setting the degree-1
-    # factors' messages once and updating the pairs (i, n1 + i) straight
-    # from the posterior halves, adjacent (nc = n1) or apart (nc < n1),
-    # must give the posteriors of the generic loop, bit for bit.
+    # degree-1 ones; scales are signs (hard factors, which peel) or
+    # fractions.  Pinning the peeled bits, setting the residual degree-1
+    # factors' messages once and updating the pairs (i, n1 + i) left by
+    # index, adjacent (nc = n1) or apart (nc < n1), at a soft scale or at
+    # scale 1 (q = 0), must give the posteriors of the generic loop on the
+    # residual problem, bit for bit, and +-LLR_CLAMP on the pinned bits.
     rng = np.random.default_rng(seed)
     n1 = int(rng.integers(4, 12))
     n = n1 if coupling == "none" else n1 + int(rng.integers(n1, 12))
@@ -250,12 +283,36 @@ def test_sum_product_sets_unit_factor_messages_once_bit_for_bit(seed, iters, cou
     scale = np.where(rng.random(g.n_fac) < 0.5, rng.choice([-1.0, 1.0], g.n_fac),
                      rng.uniform(-1.0, 1.0, g.n_fac))
     pairs = {"none": None, "adjacent": (n1, n1, rng.uniform(-1.0, 1.0)),
-             "apart": (int(rng.integers(0, n1)), n1, rng.uniform(-1.0, 1.0))}[coupling]
+             "apart": (int(rng.integers(0, n1)), n1, rng.uniform(-1.0, 1.0)),
+             "hard": (n1, n1, 1.0)}[coupling]
     prior = rng.normal(0.0, 2.0, n)
-    (res,) = _sum_product(g, scale, prior, iters, iters, [(g, np.zeros(g.n_fac, np.uint8))],
-                          pairs)
+    (res,) = _sum_product(g, scale, prior, iters, iters, [(n, 0)], pairs)
     assert res.iterations_used == iters
-    assert np.array_equal(res.posterior, _reference_sum_product(g, scale, prior, iters, pairs))
+    pinned, residual, res_scale, res_prior, res_pairs = _residual_problem(g, scale, prior, pairs)
+    want = _reference_sum_product(residual, res_scale, res_prior, iters, res_pairs)
+    assert np.array_equal(res.posterior, want)
+    assert (np.abs(res.posterior[pinned]) == LLR_CLAMP).all()
+    # Live edges: the residual ones past the degree-1 block, and both ends
+    # of each pair left.
+    degree = np.diff(residual.indptr)
+    pair_ends = 0 if res_pairs is None else 2 * len(res_pairs[0])
+    assert (res.pinned, res.live_edges) == (pinned.sum(), degree[degree > 1].sum() + pair_ends)
+
+
+def test_conflicting_unit_checks_fail_both_decoders():
+    # Checks 0 and 1 hold variable 0 alone with syndrome bits 0 and 1: no
+    # word meets the syndrome, however strong the prior.
+    code = LdpcCode(SparseBipartiteGraph(n_var=4, indptr=[0, 1, 2, 4, 6],
+                                         indices=[0, 0, 1, 2, 2, 3]))
+    syn = np.array([0, 1, 0, 1], dtype=np.uint8)
+    prior = np.array([5.0, 5.0, 5.0, -5.0])
+    res = sum_product_decode(code, syn, prior, max_iters=10)
+    assert not res.syndrome_satisfied and res.iterations_used == 10
+    ok = code.syndrome(np.array([1, 0, 0, 1], dtype=np.uint8))
+    res1, res2 = joint_sum_product_decode(code, code, syn, ok, q=0.1, local_iters=3,
+                                          global_iters=2, prior1=prior, prior2=prior)
+    assert not res1.syndrome_satisfied and res2.syndrome_satisfied
+    assert res1.iterations_used == 6
 
 
 def test_combined_syndrome_code_structure(nested_code):

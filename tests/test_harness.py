@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import binceo
+from binceo import decoders, harness
 from binceo.bounds import TestChannelPair, bsc_bounds, optimize_test_channels
 from binceo.evaluate import CSV_COLUMNS
 from binceo.harness import (
@@ -234,6 +236,12 @@ def test_failed_decode_warns():
         rep = run_joint_trial(cfg, 0)
     assert rep.syndrome_satisfied == {1: True, 2: False}
     assert rep.iterations_used == {1: 600, 2: 600}
+    # Link 1 sends all but its last gamma = 50 information bits as degree-1
+    # checks, and its mixed outputs draw on those alone: the peel pins all
+    # other bits, and only the uncoded bits' coupling pairs stay live.
+    gamma = round(cfg.anchor_gamma * cfg.n)
+    assert rep.pinned[1] == cfg.n - gamma and 0 < rep.pinned[2] < cfg.n
+    assert 0 < rep.live_edges[1] <= gamma < rep.live_edges[2]
 
 
 def test_simulate_raises_no_floating_point_fault():
@@ -274,6 +282,55 @@ def test_run_successive_trial_reports_rates():
     # Only link 1 is decoded; link 2's bits arrive as sent.
     assert rep.syndrome_satisfied == {1: True}
     assert 1 <= rep.iterations_used[1] <= cfg.sp_iters
+    assert rep.pinned.keys() == rep.live_edges.keys() == {1}
+    assert rep.pinned[1] > 0 and rep.live_edges[1] > 0
+
+
+def test_pinned_bits_are_the_encoders_bits(monkeypatch):
+    # The syndromes come from codewords, so every bit either decoder's peel
+    # pins is the bit the encoder quantized to.
+    peeled, encoded = [], []
+    real_peel = decoders.peel
+    monkeypatch.setattr(decoders, "peel", lambda *a: peeled.append(real_peel(*a)) or peeled[-1])
+    for name in ("encode_joint", "encode_successive"):
+        monkeypatch.setattr(harness, name, lambda *a, _f=getattr(harness, name), **k:
+                            encoded.append(_f(*a, **k)) or encoded[-1])
+    cfg = ExperimentConfig(n=2000, base_seed=11)
+    joint, successive = run_joint_trial(cfg, 0), run_successive_trial(cfg, 0)
+    (_, _, q1, q2), (_, q1_succ, _) = encoded
+    words = [np.concatenate([q1.quantized, q2.quantized]), q1_succ.info_bits]
+    for (pinned, bits), word in zip(peeled, words):
+        assert pinned.sum() > 500
+        np.testing.assert_array_equal(bits[pinned], word[pinned])
+    (pinned_joint, _), (pinned_succ, _) = peeled
+    assert joint.pinned == {1: pinned_joint[:2000].sum(), 2: pinned_joint[2000:].sum()}
+    assert successive.pinned == {1: pinned_succ.sum()}
+
+
+# tracemalloc peak of the successive decode below before the decoder peeled
+# its hard checks: 2,460,701 bytes.  Traced sizes are deterministic, so a
+# change that keeps more per-edge arrays alive fails here in seconds.
+SUCCESSIVE_DECODE_PEAK_BYTES = int(2.35 * 2**20)
+
+
+def test_successive_decode_memory_peak_is_in_budget(monkeypatch):
+    peaks = []
+    real = harness.sum_product_decode
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            return real(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            tracemalloc.stop()
+
+    monkeypatch.setattr(harness, "sum_product_decode", traced)
+    run_successive_trial(ExperimentConfig(n=20_000, scheme="successive"), 0)
+    (peak,) = peaks
+    assert peak <= SUCCESSIVE_DECODE_PEAK_BYTES
 
 
 def test_cli_simulate_to_file(tmp_path):

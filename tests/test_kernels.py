@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binceo._msgpass import (HALF_CLAMP, LLR_CLAMP, check_messages, hoist_unit_block,
-                             leave_one_out_products, slot_major)
+                             leave_one_out_products, peel, slot_major)
 from binceo.codec import DECIMATION_BIAS_FLOOR, _most_biased
 from binceo.graphs import DegreeDistribution, SparseBipartiteGraph, _apportion, sample_graph
 
@@ -135,7 +135,7 @@ def test_slot_major_layout_permutes_the_row_order_messages_bit_for_bit(adj, data
     n_var, adjs = adj
     g = csr_graph(n_var, adjs)
     degrees = np.diff(g.indptr)
-    perm, fac_order, buckets = slot_major(g)
+    perm, fac_order, buckets = slot_major(g.indptr)
     # The layout covers every edge once; factors go by ascending degree,
     # in graph order within a degree.
     assert sorted(perm.tolist()) == list(range(g.n_edges))
@@ -171,7 +171,7 @@ def test_hoist_unit_block_sets_the_leading_degree1_bucket_once(adj, data):
     lead = data.draw(st.lists(st.integers(0, n_var - 1).map(lambda v: [v]), max_size=6))
     g = csr_graph(n_var, lead + adjs)
     scale = np.array(data.draw(st.lists(scale_values, min_size=g.n_fac, max_size=g.n_fac)))
-    for buckets in (g.buckets, slot_major(g)[2]):
+    for buckets in (g.buckets, slot_major(g.indptr)[2]):
         messages = np.full(g.n_edges, np.nan)
         p, live = hoist_unit_block(buckets, scale, messages)
         # Only the leading degree-1 bucket, if any, is written and dropped.
@@ -182,6 +182,50 @@ def test_hoist_unit_block_sets_the_leading_degree1_bucket_once(adj, data):
         want = check_messages(np.zeros(g.n_edges), scale, hoisted)
         np.testing.assert_array_equal(messages[:p], want[:p])
         assert np.isnan(messages[p:]).all()
+
+
+def brute_force_peel(adjs, hard, target):
+    """Peeling as rounds of a per-factor loop: each round, every hard factor
+    (in index order) with exactly one variable unresolved at the round's
+    start pins it, unless a lower factor pinned it this round."""
+    pinned = {}
+    while True:
+        claims = {}
+        for f, adj in enumerate(adjs):
+            free = [v for v in adj if v not in pinned]
+            if hard[f] and len(free) == 1 and free[0] not in claims:
+                claims[free[0]] = (target[f] + sum(pinned[v] for v in adj if v in pinned)) % 2
+        if not claims:
+            return pinned
+        pinned.update(claims)
+
+
+@given(adjacency(), st.data())
+def test_peel_matches_per_factor_loop(adj, data):
+    n_var, adjs = adj
+    # Degree-1 factors on top of the drawn ones, so that peeling starts.
+    adjs = data.draw(st.lists(st.integers(0, n_var - 1).map(lambda v: [v]), max_size=6)) + adjs
+    g = csr_graph(n_var, adjs)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    hard = rng.random(g.n_fac) < 0.7
+    from_word = data.draw(st.booleans())
+    word = rng.integers(0, 2, n_var, dtype=np.uint8)
+    target = g.factor_parity(word) if from_word else rng.integers(0, 2, g.n_fac)
+    # Hard factors carry their target as a sign; soft ones any other scale,
+    # +-(1 - 2^-52) included.
+    soft = rng.choice([0.0, 0.3, -0.7, 1.0 - 2.0**-52, -(1.0 - 2.0**-52)], g.n_fac)
+    scale = np.where(hard, 1.0 - 2.0 * target, soft)
+    pinned, bits = peel(g, scale)
+    want = brute_force_peel(adjs, hard, target)
+    assert sorted(np.flatnonzero(pinned).tolist()) == sorted(want)
+    assert [int(bits[v]) for v in sorted(want)] == [want[v] for v in sorted(want)]
+    assert not bits[~pinned].any()
+    if from_word:
+        # The word's own bits are the only consistent values, so every
+        # fully pinned hard factor holds.
+        np.testing.assert_array_equal(bits[pinned], word[pinned])
+        done = np.array([all(pinned[v] for v in a) for a in adjs], dtype=bool)
+        np.testing.assert_array_equal(g.factor_parity(bits)[hard & done], target[hard & done])
 
 
 @given(adjacency())
