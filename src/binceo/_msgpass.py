@@ -3,7 +3,9 @@
 The loops carry every message, prior, posterior and clamp as half a
 natural-log LLR (positive favoring bit 0), so a check update is
 atanh(scale * prod tanh(m)); halving a float is exact, so every sign and
-comparison is that of the full-LLR loop.  The update runs per bucket
+comparison is that of the full-LLR loop.  The buckets of one update tile
+one contiguous run of edges; tanh, atanh and the clamp are elementwise
+and run once over that run, and the products run per bucket
 (d, edges, factors, order): factors of equal degree d whose edge slice,
 viewed as a (d, n) array, holds slot j of every factor in row j, either
 slot-major ("C", rows contiguous: the decoders' layout) or in the graph's
@@ -14,7 +16,8 @@ Richardson & Urbanke, Modern Coding Theory, 2008), so exact zeros need
 no special case.  The factor term that is never left out (syndrome sign,
 quantizer channel tanh, coupling 1 - 2q) is one scale per factor,
 multiplied into a block as one row broadcast.  The decoders first peel
-the hard factors (scale +-1) and lay out only the residual graph.
+the hard factors (scale +-1), fold the leaves left into their factors'
+scales and lay out only the residual graph of the other variables.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def check_messages(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Half-LLR parity-check update atanh(scale_f * prod tanh(m)) on the
-    edges of buckets.
+    edges of buckets, which must tile one contiguous run of edges in order.
 
     fac_scale[f] is the term of factor f that is never left out: the
     syndrome sign (1 - 2s) for parity checks, or tanh of the channel half
@@ -76,16 +79,20 @@ def check_messages(
     """
     t = np.empty_like(m_in) if out is None else m_in
     out = np.empty_like(m_in) if out is None else out
+    if not buckets:
+        return out
+    # tanh, atanh and the clamp are elementwise: one pass each over the run.
+    run = slice(buckets[0][1].start, buckets[-1][1].stop)
+    np.tanh(m_in[run], out=t[run])
+    for d, edges, facs, order in buckets:
+        res = out[edges].reshape((d, -1), order=order)  # a view: written in place in out
+        leave_one_out_products(t[edges].reshape((d, -1), order=order), res)
+        res *= fac_scale[facs]
+    msg = out[run]
     # |scale * product| <= 1, and atanh(+-1) = +-inf is clamped to +-HALF_CLAMP.
     with np.errstate(divide="ignore"):
-        for d, edges, facs, order in buckets:
-            blk = np.tanh(m_in[edges], out=t[edges]).reshape((d, -1), order=order)
-            msg = out[edges]
-            res = msg.reshape((d, -1), order=order)  # views: written in place in out
-            leave_one_out_products(blk, res)
-            res *= fac_scale[facs]
-            np.arctanh(msg, out=msg)
-            np.clip(msg, -HALF_CLAMP, HALF_CLAMP, out=msg)
+        np.arctanh(msg, out=msg)
+    np.clip(msg, -HALF_CLAMP, HALF_CLAMP, out=msg)
     return out
 
 

@@ -4,8 +4,9 @@ reconstruction of the remote source.
 
 LLR convention everywhere: natural log, positive favors bit 0, messages
 clamped to +-30.  The message-passing loop carries every LLR halved.
-Both decoders first peel the bits that the syndromes fix and run
-sum-product only on the residual graph of the other bits.
+Both decoders first peel the bits that the syndromes fix, fold the
+leaves left into their factors, and run sum-product only on the other
+bits' residual graph, testing the syndromes after every iteration.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._msgpass import (HALF_CLAMP, LLR_CLAMP, check_messages, extrinsic_messages,
+from ._msgpass import (HALF_CLAMP, LLR_CLAMP, Bucket, check_messages, extrinsic_messages,
                        hoist_unit_block, peel, slot_major, variable_sums)
 from .binmath import ChainParams, chain_posterior_table
 from .graphs import CompoundCode, LdpcCode, SparseBipartiteGraph
@@ -45,10 +46,10 @@ def sum_product_decode(
     multiplied by (-1)^{s_i}).  The code's last len(leaf_scale) factors, if
     any, are those of absorbed leaves (combined_prior) and take leaf_scale
     as their scale; the syndrome covers the checks before them, and only
-    those are tested.  With early_stop the decoder returns as soon as the
-    hard decision satisfies the syndrome; early_stop=False always runs
-    max_iters rounds.  Non-convergence is reported through the flag, not
-    an error.
+    those are tested.  With early_stop the decoder returns after the first
+    iteration whose hard decision satisfies the syndrome; early_stop=False
+    always runs max_iters rounds.  Non-convergence is reported through the
+    flag, not an error.
     """
     syndrome = np.asarray(syndrome)
     prior = np.asarray(prior, dtype=float)
@@ -63,13 +64,18 @@ def sum_product_decode(
 
     # Check f's parity target as a sign (1 - 2s_f), then the leaf scales.
     fac_scale = np.concatenate([1.0 - 2.0 * syndrome.astype(float), leaf_scale])
-    return _sum_product(code.graph, fac_scale, prior, max_iters,
-                        1 if early_stop else max_iters, [(code.n, m)])[0]
+    return _sum_product(code.graph, fac_scale, prior, max_iters, [(code.n, m)],
+                        stop=early_stop)[0]
+
+
+# Violated checks (without a leaf) that a failed stop test keeps to re-test.
+WITNESSES = 64
 
 
 def _sum_product(
     graph: SparseBipartiteGraph, fac_scale: np.ndarray, prior: np.ndarray, budget: int,
-    every: int, links: list[tuple[int, int]], pairs: tuple[int, int, float] | None = None,
+    links: list[tuple[int, int]], pairs: tuple[int, int, float] | None = None,
+    stop: bool = True,
 ) -> list[DecodeResult]:
     """Sum-product from per-variable prior LLRs on graph, whose factor f
     never leaves out the term fac_scale[f].
@@ -80,42 +86,32 @@ def _sum_product(
     factors (|scale| == 1) are peeled, and the loop runs on the residual
     graph: unpinned variables' edges, each factor's scale times
     (-1)^(its pinned bits); pinned variables hold +-HALF_CLAMP.  A pair
-    with one pinned end is a constant in the other end's prior.  Every
-    iteration updates the other pairs from the extrinsic beliefs, then all
-    residual factors from the refreshed beliefs (without pairs, flooding).
-    A link's fully pinned checks are tested once; every `every` iterations
-    and after the last its other checks are tested on the hard decision,
-    and the loop stops once every link passes.
+    with one pinned end is a constant in the other end's prior.  A leaf is
+    an unpinned variable with one residual edge that is no end of a pair
+    left, alone as such on a factor with at least two more edges.  It
+    always sends that factor tanh of its clamped prior, so that term
+    folds into the factor's scale, and its posterior is computed from the
+    factor's other tanh values when needed.  The loop runs on the other
+    variables with an edge, the free pair ends first.  Every iteration
+    updates the pairs from the extrinsic beliefs, then all residual
+    factors from the refreshed beliefs (without pairs, flooding).  With
+    stop, the checks are tested on the hard decision after every
+    iteration (else after the last), and the loop ends at the first
+    iteration at which every link's checks hold.  Before a full test the
+    loop re-tests a few checks the last one found violated and skips the
+    full test while any of them still is.
     """
+    n_var = graph.n_var
     pinned, bits = peel(graph, fac_scale)
-    kept = ~pinned[graph.indices]
-    indptr = np.concatenate(([0], np.cumsum(kept)))[graph.indptr]
-    indices = graph.indices[kept]
-    del kept
+    indptr, indices = _keep_edges(graph.indptr, graph.indices, ~pinned[graph.indices])
     scale = fac_scale * (1.0 - 2.0 * graph.factor_parity(bits))
-    # Per link: its residual checks of degree > 0 with their target parity,
-    # and whether its fully pinned checks all hold.
-    tests, fac, var = [], 0, 0
-    for n_var, m in links:
-        degree, target = np.diff(indptr[fac : fac + m + 1]), scale[fac : fac + m] < 0
-        left = degree > 0
-        checks = SparseBipartiteGraph(n_var=n_var,
-                                      indptr=np.concatenate(([0], np.cumsum(degree[left]))),
-                                      indices=indices[indptr[fac] : indptr[fac + m]] - var)
-        tests.append((checks, target[left].astype(np.uint8), not target[~left].any()))
-        fac, var = fac + m, var + n_var
-    # Residual factors by degree, each degree one slot-major block, degree 1 first.
-    perm, fac_order, buckets = slot_major(indptr)
-    edge_var = indices[perm]
-    del perm, indices, indptr
-    scale = scale[fac_order]
-    m_cv = np.zeros(len(edge_var))
-    p, live = hoist_unit_block(buckets, scale, m_cv)
-    m_vc = np.empty(len(edge_var))
+    # The checks' parity targets, taken before leaves fold into the scales.
+    n_checks = sum(m for _, m in links)
+    target = scale[:n_checks] < 0
     # The loop runs on half LLRs.
-    prior = 0.5 * prior
-    prior[pinned] = np.where(bits, -HALF_CLAMP, HALF_CLAMP)[pinned]
-    coupled = np.zeros(0, np.int64)
+    half = 0.5 * prior
+    half[pinned] = np.where(bits, -HALF_CLAMP, HALF_CLAMP)[pinned]
+    ends = np.zeros(0, np.int64)
     if pairs is not None:
         nc, n1, coupling = pairs
         i = np.arange(nc)
@@ -124,43 +120,140 @@ def _sum_product(
         one = first != second
         src, dst = np.where(first, i, n1 + i)[one], np.where(first, n1 + i, i)[one]
         with np.errstate(divide="ignore"):
-            prior[dst] += np.clip(np.arctanh(coupling * (1.0 - 2.0 * bits[src])),
-                                  -HALF_CLAMP, HALF_CLAMP)
-        # The messages into the remaining pairs' first ends, then their
-        # second ends, are one slot-major degree-2 block.
+            half[dst] += np.clip(np.arctanh(coupling * (1.0 - 2.0 * bits[src])),
+                                 -HALF_CLAMP, HALF_CLAMP)
         free = i[~(first | second)]
-        coupled, nf = np.concatenate([free, n1 + free]), len(free)
+        ends = np.concatenate([free, n1 + free])
+    nf = len(ends) // 2
+
+    # Each leaf folds into its host's scale and leaves the graph.
+    degree = np.bincount(indices, minlength=n_var)
+    degree[ends] = 0
+    lone = degree[indices] == 1
+    fac_degree = np.diff(indptr)
+    hosts = (np.diff(_keep_edges(indptr, indices, lone)[0]) == 1) & (fac_degree >= 3)
+    lone &= np.repeat(hosts, fac_degree)
+    leaves, hosts = indices[lone], np.flatnonzero(hosts)
+    host_scale = scale[hosts]
+    scale[hosts] *= np.tanh(np.clip(half[leaves], -HALF_CLAMP, HALF_CLAMP))
+    degree[leaves] = 0
+    indptr, indices = _keep_edges(indptr, indices, ~lone)
+    del lone
+    # The loop's variables: the free pair ends, then the others with an edge.
+    loop_var = np.concatenate([ends, np.flatnonzero(degree)])
+    del degree, fac_degree
+    n_loop = len(loop_var)
+    loop_id = np.zeros(n_var, np.int32)
+    loop_id[loop_var] = np.arange(n_loop, dtype=np.int32)
+
+    # Residual factors by degree, each degree one slot-major block, degree 1 first.
+    perm, fac_order, buckets = slot_major(indptr)
+    edge_var = loop_id[indices[perm]].astype(np.intp)
+    del perm, indptr, indices, loop_id
+    scale = scale[fac_order]
+    # Slot-major positions of the checks and of the leaves' hosts, and the
+    # hosts' edges; a leaf's message is atanh(host scale * the product of
+    # the tanh values on them), taken slot by slot.
+    position = np.empty(graph.n_fac, np.intp)
+    position[fac_order] = np.arange(graph.n_fac)
+    checks, hosts = position[:n_checks], position[hosts]
+    del position, fac_order
+    order = np.argsort(hosts)
+    hosts, leaves, host_scale = hosts[order], leaves[order], host_scale[order]
+    host_edges, host_ptr = _slot_edges(buckets, hosts)
+    leaf_prior = half[leaves]
+    link = np.repeat(np.arange(len(links)), [m for _, m in links])
+    # A witness is a check with edges and no leaf.
+    witness_ok = np.ones(graph.n_fac, bool)
+    witness_ok[: buckets[0][2].start if buckets else graph.n_fac] = False
+    witness_ok[hosts] = False
+
+    def leaf_posterior() -> np.ndarray:
+        """The leaves' half-LLR posteriors; m_vc holds the tanh values."""
+        msg = np.multiply.reduceat(m_vc[host_edges], host_ptr) * host_scale
+        with np.errstate(divide="ignore"):
+            np.arctanh(msg, out=msg)
+        return leaf_prior + np.clip(msg, -HALF_CLAMP, HALF_CLAMP, out=msg)
+
+    def parity_test() -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per link whether its checks hold on the hard decision, and the
+        edge variables, reduceat offsets and targets of a few witnesses
+        that do not."""
+        signs = (posterior < 0)[edge_var]
+        parity = np.zeros(graph.n_fac, bool)
+        for d, edges, facs, _ in buckets:
+            np.bitwise_xor.reduce(signs[edges].reshape(d, -1), axis=0, out=parity[facs])
+        parity[hosts] ^= leaf_posterior() < 0
+        bad = np.flatnonzero(parity[checks] != target)
+        bad_links = np.bincount(link[bad], minlength=len(links))
+        bad = bad[witness_ok[checks[bad]]][:WITNESSES]
+        w_edges, w_ptr = _slot_edges(buckets, checks[bad])
+        return bad_links == 0, (edge_var[w_edges], w_ptr, target[bad])
+
+    m_cv = np.zeros(len(edge_var))
+    p, live = hoist_unit_block(buckets, scale, m_cv)
+    m_vc = np.empty(len(edge_var))
+    base = half[loop_var]
+    posterior, sums = base.copy(), np.zeros(n_loop)
+    if nf:
+        # The messages into the free pairs' first ends, then their second
+        # ends, are one slot-major degree-2 block.
+        pair_prior = base[: 2 * nf].copy()
         pair_buckets = ((2, slice(0, 2 * nf), slice(0, nf), "C"),)
         pair_scale = np.full(nf, coupling)
         cross, ext = np.zeros(2 * nf), np.empty(2 * nf)
-    base = prior if pairs is None else prior.copy()
-    sums, posterior = np.zeros(graph.n_var), prior.copy()
-    bounds = np.cumsum([n_var for n_var, _ in links[:-1]])
+    w_var = np.zeros(0, np.intp)
     for it in range(1, budget + 1):
-        if pairs is not None:
-            np.subtract(posterior[coupled], cross, out=ext)
+        if nf:
+            np.subtract(posterior[: 2 * nf], cross, out=ext)
             np.clip(ext, -HALF_CLAMP, HALF_CLAMP, out=ext)
             check_messages(ext, pair_scale, pair_buckets, out=cross)
-            base[coupled] = prior[coupled] + cross
-            posterior[coupled] = base[coupled] + sums[coupled]
+            np.add(pair_prior, cross, out=base[: 2 * nf])
+            np.add(base[: 2 * nf], sums[: 2 * nf], out=posterior[: 2 * nf])
         # posterior holds base plus the sums of the current factor messages.
         extrinsic_messages(posterior, edge_var[p:], m_cv[p:], out=m_vc[p:])
         check_messages(m_vc, scale, live, out=m_cv)
-        sums = variable_sums(m_cv, edge_var, graph.n_var)
+        sums = variable_sums(m_cv, edge_var, n_loop)
         np.add(base, sums, out=posterior)
-        if it % every == 0 or it == budget:
-            hats = [(post < 0).astype(np.uint8) for post in np.split(posterior, bounds)]
-            oks = [ok and np.array_equal(checks.factor_parity(hat), target)
-                   for (checks, target, ok), hat in zip(tests, hats)]
-            if all(oks):
-                break
+        # Before the last iteration, a witness that still fails spares the
+        # full test.
+        if it < budget and (not stop or len(w_var) and (
+                np.bitwise_xor.reduceat(posterior[w_var] < 0, w_ptr) != w_target).any()):
+            continue
+        oks, (w_var, w_ptr, w_target) = parity_test()
+        if oks.all():
+            break
+    half[loop_var] = posterior
+    half[leaves] = leaf_posterior()
     del m_cv, m_vc
-    live_edges = np.bincount(edge_var[p:], minlength=graph.n_var)
-    live_edges[coupled] += 1
-    posts = np.split(2.0 * posterior, bounds)
-    return [DecodeResult(hat, ok, it, post, int(pins.sum()), int(edges.sum()))
-            for hat, ok, post, pins, edges in zip(hats, oks, posts, np.split(pinned, bounds),
-                                                  np.split(live_edges, bounds))]
+    live_edges = np.zeros(n_var, np.int64)
+    live_edges[loop_var] = np.bincount(edge_var[p:], minlength=n_loop)
+    live_edges[ends] += 1
+    bounds = np.cumsum([n for n, _ in links[:-1]])
+    return [DecodeResult((post < 0).astype(np.uint8), bool(ok), it, 2.0 * post,
+                         int(pins.sum()), int(edges.sum()))
+            for ok, post, pins, edges in zip(oks, np.split(half, bounds),
+                                             np.split(pinned, bounds),
+                                             np.split(live_edges, bounds))]
+
+
+def _keep_edges(indptr: np.ndarray, indices: np.ndarray,
+                keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows (indptr, indices) with only the edges keep marks."""
+    return np.concatenate(([0], np.cumsum(keep)))[indptr], indices[keep]
+
+
+def _slot_edges(buckets: tuple[Bucket, ...], facs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of the slot-major factors facs, factor by factor in slot
+    order, and the offset at which each factor's run starts."""
+    first = np.array([f.start for _, _, f, _ in buckets], np.intp)
+    b = np.searchsorted(first, facs, side="right") - 1
+    degree = np.array([d for d, *_ in buckets], np.intp)[b]
+    count = np.array([f.stop - f.start for _, _, f, _ in buckets], np.intp)[b]
+    start = np.array([e.start for _, e, _, _ in buckets], np.intp)[b] + facs - first[b]
+    ptr = np.cumsum(degree) - degree
+    slot = np.arange(degree.sum()) - np.repeat(ptr, degree)
+    return np.repeat(start, degree) + np.repeat(count, degree) * slot, ptr
 
 
 def side_info_prior(u2: np.ndarray, q: float) -> np.ndarray:
@@ -190,6 +283,7 @@ def joint_sum_product_decode(
     prior1: np.ndarray | None = None,
     prior2: np.ndarray | None = None,
     n_coupled: int | None = None,
+    early_stop: bool = True,
 ) -> tuple[DecodeResult, DecodeResult]:
     """Sum-product on the union factor graph of both links.
 
@@ -198,10 +292,10 @@ def joint_sum_product_decode(
     between the quantized sequences.  That factor is a degree-2 parity
     check with scale 1 - 2q: its message is 2*atanh((1 - 2q) tanh(m/2)).
     Every iteration updates the coupling checks first and then, from the
-    refreshed beliefs, all link checks at once.  The decoder runs a total
-    budget of local_iters * global_iters iterations; the hard decisions
-    are tested against both syndromes every local_iters iterations and
-    the decoder stops at the first joint success.
+    refreshed beliefs, all link checks at once.  The decoder runs at most
+    local_iters * global_iters iterations.  With early_stop it returns
+    after the first iteration whose hard decisions satisfy both
+    syndromes; early_stop=False always runs the whole budget.
     """
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"crossover must be in [0, 0.5], got {q!r}")
@@ -227,8 +321,8 @@ def joint_sum_product_decode(
                                  indices=np.concatenate([g1.indices, code1.n + g2.indices]))
     return tuple(_sum_product(links, 1.0 - 2.0 * np.concatenate([s1, s2]),
                               np.concatenate([prior1, prior2]), local_iters * global_iters,
-                              local_iters, [(code1.n, code1.m), (code2.n, code2.m)],
-                              (nc, code1.n, 1.0 - 2.0 * q)))
+                              [(code1.n, code1.m), (code2.n, code2.m)],
+                              (nc, code1.n, 1.0 - 2.0 * q), stop=early_stop))
 
 
 def combined_syndrome_code(cc: CompoundCode, absorb_leaves: bool = False) -> LdpcCode:

@@ -120,6 +120,39 @@ def test_joint_decode_cross_bootstraps_second_link(nested_code, quantized):
     np.testing.assert_array_equal(res2.u_hat, u2)
 
 
+def test_decoders_stop_at_the_first_iteration_that_meets_the_syndromes(nested_code, quantized):
+    # An early-stopped decode that reports t iterations is a full run of t
+    # iterations, bit for bit, and a full run of t - 1 iterations still
+    # leaves a syndrome unsatisfied.
+    rng = np.random.default_rng(58)
+    u1 = quantized
+    y2 = u1 ^ (rng.random(len(u1)) < 0.12).astype(np.uint8)
+    u2 = bias_propagation_quantize(nested_code.ldgm, y2, 0.1, seed=57).quantized
+    side = u1 ^ (rng.random(len(u1)) < 0.12).astype(np.uint8)
+    absorbed = combined_syndrome_code(nested_code, absorb_leaves=True)
+    info_prior, leaf_scale = combined_prior(nested_code, side_info_prior(side, 0.12))
+    s = nested_code.ldpc.syndrome(u1)
+
+    def successive(iters, early_stop):
+        return (sum_product_decode(absorbed, s, info_prior, iters, early_stop, leaf_scale),)
+
+    comb = combined_syndrome_code(nested_code)
+    s1, s2 = (combined_syndrome(nested_code, nested_code.ldpc.syndrome(u)) for u in (u1, u2))
+
+    def joint(iters, early_stop):
+        return joint_sum_product_decode(comb, comb, s1, s2, float(np.mean(u1 != u2)), iters, 1,
+                                        side_info_prior(side, 0.12), early_stop=early_stop)
+
+    for decode in (successive, joint):
+        stopped = decode(100, True)
+        t = stopped[0].iterations_used
+        assert t > 1 and all(r.syndrome_satisfied and r.iterations_used == t for r in stopped)
+        for got, want in zip(stopped, decode(t, False)):
+            assert got.posterior.tobytes() == want.posterior.tobytes()
+            assert want.syndrome_satisfied
+        assert not all(r.syndrome_satisfied for r in decode(t - 1, False))
+
+
 def _tree_code(rng, n: int) -> LdpcCode:
     """A random cycle-free syndrome code on n variables: every check joins
     one variable already in the tree with one or two fresh ones."""
@@ -148,7 +181,7 @@ def test_joint_decode_exact_on_coupled_trees(seed, q):
     prior1, prior2 = rng.normal(0.0, 1.2, n1), rng.normal(0.0, 1.2, n2)
     res1, res2 = joint_sum_product_decode(code1, code2, s1, s2, q, local_iters=40,
                                           global_iters=1, prior1=prior1, prior2=prior2,
-                                          n_coupled=1)
+                                          n_coupled=1, early_stop=False)
     g1, g2 = code1.graph, code2.graph
     union = LdpcCode(SparseBipartiteGraph(
         n_var=n1 + n2 + 1,
@@ -198,17 +231,21 @@ def test_joint_decode_updates_coupling_before_link_checks():
                     new[ej] = 2 * np.arctanh((1 - 2 * int(syn[f])) * np.prod(np.delete(t, j)))
             msgs[k] = np.clip(new, -LLR_CLAMP, LLR_CLAMP)
     res = joint_sum_product_decode(*codes, *syns, q, local_iters=iters, global_iters=1,
-                                   prior1=priors[0], prior2=priors[1], n_coupled=nc)
+                                   prior1=priors[0], prior2=priors[1], n_coupled=nc,
+                                   early_stop=False)
     for k in (0, 1):
         np.testing.assert_allclose(res[k].posterior, belief(k), atol=1e-9)
 
 
-def _reference_sum_product(graph, fac_scale, prior, iters, pairs):
+def _reference_sum_product(graph, fac_scale, prior, iters, pairs, leaves=()):
     """The loop of _sum_product on the same slot-major edge layout, with
     every factor's messages, degree-1 factors included, recomputed in
     every iteration, and the pairs, if any, run before them as a generic
     degree-2 layer: gathered extrinsics, the kernel and a bincount.  pairs
-    is (first ends, second ends, scale)."""
+    is (first ends, second ends, scale).  Each absorbed leaf (variable,
+    host factor, host scale before the fold) gets, after the last
+    iteration, its prior plus atanh(host scale * the product of tanh of
+    the host's last messages in, taken slot by slot)."""
     perm, fac_order, buckets = slot_major(graph.indptr)
     layers = [(graph.indices[perm], fac_scale[fac_order], buckets)]
     if pairs is not None:
@@ -227,6 +264,19 @@ def _reference_sum_product(graph, fac_scale, prior, iters, pairs):
             posterior = half + sums[0]
             for layer_sums in sums[1:]:
                 posterior += layer_sums
+    if leaves:
+        tanh, slot = np.tanh(m_vc), np.argsort(perm)  # graph edge -> slot-major edge
+        prods = []
+        for _, f, _ in leaves:
+            edges = slot[graph.indptr[f] : graph.indptr[f + 1]]
+            prod = tanh[edges[0]]
+            for e in edges[1:]:
+                prod = prod * tanh[e]
+            prods.append(prod)
+        var = [v for v, _, _ in leaves]
+        with np.errstate(divide="ignore"):
+            msg = np.arctanh(np.array(prods) * np.array([s for _, _, s in leaves]))
+        posterior[var] = half[var] + np.clip(msg, -LLR_CLAMP / 2, LLR_CLAMP / 2)
     return 2 * posterior
 
 
@@ -235,30 +285,44 @@ def _residual_problem(graph, fac_scale, prior, pairs):
     of the unpinned variables' edges, each factor's scale times
     (-1)^(its pinned bits), the prior with each pinned bit at
     +-LLR_CLAMP and each pair with one pinned end turned into a constant
-    on the other end, and the pairs left (first ends, second ends, scale)."""
+    on the other end, and the pairs left (first ends, second ends, scale).
+    Then the leaves, each variable with one edge left that is no end of a
+    pair left and the only such variable of a factor with two more edges,
+    leave the graph, folded into their factor's scale as tanh of half
+    their clamped prior; they are returned as (variable, factor, scale
+    before the fold)."""
     pinned, bits = peel(graph, fac_scale)
     adjs = [graph.indices[graph.indptr[f] : graph.indptr[f + 1]] for f in range(graph.n_fac)]
     kept = [[v for v in a if not pinned[v]] for a in adjs]
+    scale = np.array([s * (-1.0) ** int(bits[a].sum()) for s, a in zip(fac_scale, adjs)])
+    prior = np.where(pinned, np.where(bits == 1, -LLR_CLAMP, LLR_CLAMP), prior)
+    res_pairs, ends = None, set()
+    if pairs is not None:
+        nc, n1, coupling = pairs
+        free = []
+        for i in range(nc):
+            pair = (i, n1 + i)
+            if pinned[i] != pinned[n1 + i]:
+                src, dst = pair if pinned[i] else pair[::-1]
+                with np.errstate(divide="ignore"):
+                    msg = 2.0 * np.arctanh(coupling * (1.0 - 2.0 * bits[src]))
+                prior[dst] += np.clip(msg, -LLR_CLAMP, LLR_CLAMP)
+            elif not pinned[i]:
+                free.append(i)
+        free = np.array(free, dtype=np.int64)
+        res_pairs, ends = (free, n1 + free, coupling), {*free, *(n1 + free)}
+    uses = np.bincount([v for a in kept for v in a], minlength=graph.n_var)
+    leaves = []
+    for f, a in enumerate(kept):
+        lone = [v for v in a if uses[v] == 1 and v not in ends]
+        if len(lone) == 1 and len(a) >= 3:
+            leaves.append((lone[0], f, scale[f]))
+            scale[f] *= np.tanh(np.clip(prior[lone[0]] / 2, -LLR_CLAMP / 2, LLR_CLAMP / 2))
+            a.remove(lone[0])
     residual = SparseBipartiteGraph(n_var=graph.n_var,
                                     indptr=np.cumsum([0] + [len(a) for a in kept]),
                                     indices=np.array([v for a in kept for v in a], dtype=np.int64))
-    scale = np.array([s * (-1.0) ** int(bits[a].sum()) for s, a in zip(fac_scale, adjs)])
-    prior = np.where(pinned, np.where(bits == 1, -LLR_CLAMP, LLR_CLAMP), prior)
-    if pairs is None:
-        return pinned, residual, scale, prior, None
-    nc, n1, coupling = pairs
-    free = []
-    for i in range(nc):
-        ends = (i, n1 + i)
-        if pinned[i] != pinned[n1 + i]:
-            src, dst = ends if pinned[i] else ends[::-1]
-            with np.errstate(divide="ignore"):
-                msg = 2.0 * np.arctanh(coupling * (1.0 - 2.0 * bits[src]))
-            prior[dst] += np.clip(msg, -LLR_CLAMP, LLR_CLAMP)
-        elif not pinned[i]:
-            free.append(i)
-    free = np.array(free, dtype=np.int64)
-    return pinned, residual, scale, prior, (free, n1 + free, coupling)
+    return pinned, residual, scale, prior, res_pairs, leaves
 
 
 @given(seed=st.integers(0, 2**32 - 1), iters=st.integers(1, 8),
@@ -266,11 +330,12 @@ def _residual_problem(graph, fac_scale, prior, pairs):
 def test_sum_product_sets_unit_factor_messages_once_bit_for_bit(seed, iters, coupling):
     # The graph has factors of degree 0-4 in any order, with runs of
     # degree-1 ones; scales are signs (hard factors, which peel) or
-    # fractions.  Pinning the peeled bits, setting the residual degree-1
-    # factors' messages once and updating the pairs (i, n1 + i) left by
-    # index, adjacent (nc = n1) or apart (nc < n1), at a soft scale or at
-    # scale 1 (q = 0), must give the posteriors of the generic loop on the
-    # residual problem, bit for bit, and +-LLR_CLAMP on the pinned bits.
+    # fractions.  Pinning the peeled bits, absorbing the leaves, setting
+    # the residual degree-1 factors' messages once and updating the pairs
+    # (i, n1 + i) left by index, adjacent (nc = n1) or apart (nc < n1), at
+    # a soft scale or at scale 1 (q = 0), must give the posteriors of the
+    # generic loop on the residual problem, bit for bit, and +-LLR_CLAMP on
+    # the pinned bits.
     rng = np.random.default_rng(seed)
     n1 = int(rng.integers(4, 12))
     n = n1 if coupling == "none" else n1 + int(rng.integers(n1, 12))
@@ -286,17 +351,45 @@ def test_sum_product_sets_unit_factor_messages_once_bit_for_bit(seed, iters, cou
              "apart": (int(rng.integers(0, n1)), n1, rng.uniform(-1.0, 1.0)),
              "hard": (n1, n1, 1.0)}[coupling]
     prior = rng.normal(0.0, 2.0, n)
-    (res,) = _sum_product(g, scale, prior, iters, iters, [(n, 0)], pairs)
+    (res,) = _sum_product(g, scale, prior, iters, [(n, 0)], pairs, stop=False)
     assert res.iterations_used == iters
-    pinned, residual, res_scale, res_prior, res_pairs = _residual_problem(g, scale, prior, pairs)
-    want = _reference_sum_product(residual, res_scale, res_prior, iters, res_pairs)
+    pinned, residual, res_scale, res_prior, res_pairs, leaves = _residual_problem(
+        g, scale, prior, pairs)
+    want = _reference_sum_product(residual, res_scale, res_prior, iters, res_pairs, leaves)
     assert np.array_equal(res.posterior, want)
     assert (np.abs(res.posterior[pinned]) == LLR_CLAMP).all()
     # Live edges: the residual ones past the degree-1 block, and both ends
-    # of each pair left.
+    # of each pair left; no leaf's edge.
     degree = np.diff(residual.indptr)
     pair_ends = 0 if res_pairs is None else 2 * len(res_pairs[0])
     assert (res.pinned, res.live_edges) == (pinned.sum(), degree[degree > 1].sum() + pair_ends)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n1=st.integers(6, 10))
+def test_leaves_are_absorbed_alone_and_beside_two_edges(seed, n1):
+    # Soft factors only, so nothing peels.  Variables n1 + 1.. are each on
+    # one factor and on no pair left: a leaf on a factor with two more
+    # edges is absorbed; two such variables on one factor, one on a factor
+    # of degree 2 and a degree-1 end of a pair left (variable 0, paired
+    # with n1) are not.  Variables 1-2 and n1 are on several factors.
+    rng = np.random.default_rng(seed)
+    leaf = n1 + 1
+    adjs = [[1, 2, leaf], [leaf + 1, leaf + 2, 1, 2], [leaf + 3, 1], [0, 1, 2],
+            [1, 2, n1], [1, n1], [2, n1]]
+    order = rng.permutation(len(adjs))
+    adjs = [adjs[f] for f in order]
+    g = SparseBipartiteGraph(n_var=leaf + 4, indptr=np.cumsum([0] + [len(a) for a in adjs]),
+                             indices=np.concatenate(adjs))
+    scale, prior = rng.uniform(-0.9, 0.9, g.n_fac), rng.normal(0.0, 2.0, g.n_var)
+    pairs = (1, n1, rng.uniform(-0.9, 0.9))
+    (res,) = _sum_product(g, scale, prior, 3, [(g.n_var, 0)], pairs, stop=False)
+    _, residual, res_scale, res_prior, res_pairs, leaves = _residual_problem(
+        g, scale, prior, pairs)
+    assert [v for v, _, _ in leaves] == [leaf]
+    # Every edge but the leaf's, and the pair's two ends.
+    assert (res.pinned, res.live_edges) == (0, g.n_edges - 1 + 2)
+    want = _reference_sum_product(residual, res_scale, res_prior, 3, res_pairs, leaves)
+    assert np.array_equal(res.posterior, want)
 
 
 def test_conflicting_unit_checks_fail_both_decoders():

@@ -244,6 +244,23 @@ def test_failed_decode_warns():
     assert 0 < rep.live_edges[1] <= gamma < rep.live_edges[2]
 
 
+# (p, live_edges, iterations_used) of joint trial 0 at n = 2000, base seed
+# 11.  live_edges counts no absorbed leaf: with link 2's leaves counted it
+# would read 5,705 at p = 0.05 and 4,407 at p = 0.15.  A change that makes
+# the loop do more work per iteration, or stop later, fails here.
+JOINT_WORK = [(0.05, {1: 41, 2: 4837}, {1: 600, 2: 600}),
+              (0.15, {1: 24, 2: 3755}, {1: 20, 2: 20})]
+
+
+@pytest.mark.parametrize("p, live_edges, iterations_used", JOINT_WORK)
+def test_joint_decode_work_is_pinned(p, live_edges, iterations_used):
+    cfg = ExperimentConfig(p1=p, p2=p, n=2000, trials=1, scheme="joint", base_seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rep = run_joint_trial(cfg, 0)
+    assert (rep.live_edges, rep.iterations_used) == (live_edges, iterations_used)
+
+
 def test_simulate_raises_no_floating_point_fault():
     # Every floating-point fault is an error here.  The check kernel's
     # atanh(+-1) = +-inf, which its clamp absorbs, is the one place that
