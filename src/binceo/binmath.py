@@ -101,18 +101,16 @@ def chain_posterior_table(params: ChainParams) -> np.ndarray:
     return table
 
 
-def log_loss(prob_of_one: float, x: int, eps: float = LOG_LOSS_EPS) -> float:
+def log_loss(prob_of_one: float, x: int) -> float:
     """Logarithmic loss (bits) of a soft reconstruction against symbol x."""
     if x not in (0, 1):
         raise ValueError(f"source symbol must be a bit, got {x!r}")
     q = prob_of_one if x == 1 else 1.0 - prob_of_one
-    q = min(max(q, eps), 1.0)
+    q = min(max(q, LOG_LOSS_EPS), 1.0)
     return -math.log2(q)
 
 
-def average_log_loss(
-    prob_of_one: np.ndarray, source: np.ndarray, eps: float = LOG_LOSS_EPS
-) -> float:
+def average_log_loss(prob_of_one: np.ndarray, source: np.ndarray) -> float:
     """Mean symbol-wise log loss of soft reconstructions against a source."""
     prob_of_one = np.asarray(prob_of_one, dtype=float)
     source = np.asarray(source)
@@ -124,5 +122,5 @@ def average_log_loss(
     if prob_of_one.size == 0:
         raise ValueError("need at least one symbol")
     q = np.where(source == 1, prob_of_one, 1.0 - prob_of_one)
-    q = np.clip(q, eps, 1.0)
+    q = np.clip(q, LOG_LOSS_EPS, 1.0)
     return float(np.mean(-np.log2(q)))

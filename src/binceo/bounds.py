@@ -123,9 +123,7 @@ def _d2_on_constraint(p1: float, p2: float, d1: float, target: float) -> float |
     )
 
 
-def optimize_test_channels(
-    p1: float, p2: float, target_sum_rate: float, grid_step: float = GRID_STEP
-) -> OptimumResult:
+def optimize_test_channels(p1: float, p2: float, target_sum_rate: float) -> OptimumResult:
     """Minimize the closed-form distortion at a fixed sum-rate.
 
     The problem is non-convex, so the search walks a coarse d1 grid along
@@ -147,7 +145,7 @@ def optimize_test_channels(
             return INFEASIBLE_PENALTY
         return bsc_bounds(p1, p2, TestChannelPair(d1, d2)).distortion
 
-    grid = np.arange(0.0, 0.5 + grid_step / 2, grid_step)
+    grid = np.arange(0.0, 0.5 + GRID_STEP / 2, GRID_STEP)
     vals = np.array([constrained_distortion(d1) for d1 in grid])
     feasible = vals < INFEASIBLE_PENALTY
     if not np.any(feasible):

@@ -278,8 +278,7 @@ def joint_sum_product_decode(
     s1: np.ndarray,
     s2: np.ndarray,
     q: float,
-    local_iters: int = 40,
-    global_iters: int = 15,
+    max_iters: int = 600,
     prior1: np.ndarray | None = None,
     prior2: np.ndarray | None = None,
     n_coupled: int | None = None,
@@ -293,14 +292,14 @@ def joint_sum_product_decode(
     check with scale 1 - 2q: its message is 2*atanh((1 - 2q) tanh(m/2)).
     Every iteration updates the coupling checks first and then, from the
     refreshed beliefs, all link checks at once.  The decoder runs at most
-    local_iters * global_iters iterations.  With early_stop it returns
-    after the first iteration whose hard decisions satisfy both
-    syndromes; early_stop=False always runs the whole budget.
+    max_iters iterations.  With early_stop it returns after the first
+    iteration whose hard decisions satisfy both syndromes;
+    early_stop=False always runs the whole budget.
     """
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"crossover must be in [0, 0.5], got {q!r}")
-    if local_iters < 1 or global_iters < 1:
-        raise ValueError("local_iters and global_iters must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     prior1 = np.zeros(code1.n) if prior1 is None else np.asarray(prior1, dtype=float)
     prior2 = np.zeros(code2.n) if prior2 is None else np.asarray(prior2, dtype=float)
     if prior1.shape != (code1.n,) or prior2.shape != (code2.n,):
@@ -320,7 +319,7 @@ def joint_sum_product_decode(
                                  indptr=np.concatenate([g1.indptr, g1.n_edges + g2.indptr[1:]]),
                                  indices=np.concatenate([g1.indices, code1.n + g2.indices]))
     return tuple(_sum_product(links, 1.0 - 2.0 * np.concatenate([s1, s2]),
-                              np.concatenate([prior1, prior2]), local_iters * global_iters,
+                              np.concatenate([prior1, prior2]), max_iters,
                               [(code1.n, code1.m), (code2.n, code2.m)],
                               (nc, code1.n, 1.0 - 2.0 * q), stop=early_stop))
 

@@ -67,8 +67,8 @@ def _balanced(total_edges: int, count: int) -> np.ndarray:
 class SparseBipartiteGraph:
     """CSR adjacency: factor f touches variables indices[indptr[f]:indptr[f + 1]].
 
-    Edges are numbered in that order.  edge_fac (edge -> factor) and the
-    check kernel's buckets are derived on first use.
+    Edges are numbered in that order.  The check kernel's buckets are
+    derived on first use.
     """
 
     n_var: int
@@ -85,11 +85,6 @@ class SparseBipartiteGraph:
             raise GraphConstructionError(f"variable index outside [0, {self.n_var})")
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
-
-    @cached_property
-    def edge_fac(self) -> np.ndarray:
-        """The factor of each edge."""
-        return np.repeat(np.arange(self.n_fac), np.diff(self.indptr))
 
     @cached_property
     def buckets(self) -> tuple[tuple[int, slice, slice, str], ...]:
@@ -205,10 +200,6 @@ class LdgmCode:
     def n(self) -> int:
         return self.graph.n_fac
 
-    @property
-    def rate(self) -> float:
-        return self.k / self.n
-
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
         """Output bit i is the mod-2 sum of its adjacent information bits."""
         return self.graph.factor_parity(info_bits)
@@ -248,10 +239,6 @@ class CompoundCode:
     @property
     def n(self) -> int:
         return self.ldgm.n
-
-    @property
-    def transmitted_rate(self) -> float:
-        return self.ldpc.m / self.n
 
 
 # Default ensembles for the nested construction below.  The LDGM mixed
@@ -303,7 +290,6 @@ def compound_sizes(
     syndrome_rate: float,
     ldgm_dist: DegreeDistribution,
     ldpc_dist: DegreeDistribution,
-    doped_fraction: float = DOPED_CHECK_FRACTION,
 ) -> tuple[int, int, int]:
     """(k, m, n_doped) of the code build_compound builds from these
     arguments; raises GraphConstructionError if it cannot build it."""
@@ -313,13 +299,9 @@ def compound_sizes(
         raise GraphConstructionError(
             f"syndrome_rate must be in (0, 1), got {syndrome_rate}"
         )
-    if not 0.0 <= doped_fraction < 1.0:
-        raise GraphConstructionError(
-            f"doped_fraction must be in [0, 1), got {doped_fraction}"
-        )
     k = round(n * ldgm_rate)
     m = round(n * syndrome_rate)
-    n_doped = int(round(doped_fraction * m))
+    n_doped = int(round(DOPED_CHECK_FRACTION * m))
     if k < 1 or m < 1 or m >= n or k >= n or n_doped > k:
         raise GraphConstructionError(
             f"degenerate code sizes: n={n}, k={k}, m={m}, doped={n_doped}"
@@ -336,12 +318,11 @@ def build_compound(
     ldgm_dist: DegreeDistribution = DEFAULT_LDGM,
     ldpc_dist: DegreeDistribution = DEFAULT_LDPC,
     seed: int = 0,
-    doped_fraction: float = DOPED_CHECK_FRACTION,
 ) -> CompoundCode:
     """Build a nested LDGM/LDPC pair over one block with rate bookkeeping.
 
     k = round(n * ldgm_rate) information bits, m = round(n * syndrome_rate)
-    checks; transmitted_rate = m / n.  The LDGM is systematic on the first
+    checks (transmitted rate m / n).  The LDGM is systematic on the first
     k outputs and the LDPC checks live entirely on those systematic
     positions, so the syndrome is a sparse linear functional of the
     information bits themselves.  This nesting is what makes the syndrome
@@ -349,9 +330,7 @@ def build_compound(
     this problem; checks placed on arbitrary codeword positions have no
     workable BP basin there.
     """
-    k, m, n_doped = compound_sizes(
-        n, ldgm_rate, syndrome_rate, ldgm_dist, ldpc_dist, doped_fraction
-    )
+    k, m, n_doped = compound_sizes(n, ldgm_rate, syndrome_rate, ldgm_dist, ldpc_dist)
     sub = np.random.SeedSequence(seed).generate_state(3)
     ldgm = _systematic_ldgm(n, k, k, ldgm_dist, seed=int(sub[0]))
 

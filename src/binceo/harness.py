@@ -75,8 +75,7 @@ class ExperimentConfig:
     base_seed: int = 0
     biasprop_sweeps: int = 25
     sp_iters: int = 100
-    jsp_local: int = 40
-    jsp_global: int = 15
+    jsp_iters: int = 600
     # Quantizer rate margin (multiplicative, on 1 - h_b(d_i)).
     ldgm_margin: float = 0.05
     # Syndrome rate margin (multiplicative, on the per-link rate target
@@ -111,7 +110,7 @@ class ExperimentConfig:
             raise ValueError("syndrome_margin must exceed -1")
         if not 0.0 <= self.anchor_gamma < 0.5:
             raise ValueError("anchor_gamma must be in [0, 0.5)")
-        for name in ("biasprop_sweeps", "sp_iters", "jsp_local", "jsp_global"):
+        for name in ("biasprop_sweeps", "sp_iters", "jsp_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("ldgm_fac_dist", "ldpc_fac_dist"):
@@ -123,23 +122,25 @@ class ExperimentConfig:
 
     def _validate_codes(self) -> None:
         """Each d_i must give code rates whose graphs the builders can
-        realize for every link the configured schemes build."""
+        realize for every link the configured schemes build.  The message
+        names the link's d_i and the two other keys its code's sizes come from."""
         g1, g2, s1, s2 = design_rates(self.p1, self.p2, self.d1, self.d2,
                                       self.ldgm_margin, self.syndrome_margin)
         ldgm, ldpc = self.ldgm_dist(), self.ldpc_dist()
         checks = []
         if self.scheme != "successive":
-            checks.append(("d1", anchor_sizes, (g1, self.anchor_gamma, ldgm)))
+            checks.append(("d1", "anchor_gamma", anchor_sizes, (g1, self.anchor_gamma, ldgm)))
         if self.scheme != "joint":
-            checks.append(("d1", compound_sizes, (g1, s1, ldgm, ldpc)))
-        checks.append(("d2", compound_sizes, (g2, s2, ldgm, ldpc)))
-        for key, sizes, args in checks:
+            checks.append(("d1", "syndrome_margin", compound_sizes, (g1, s1, ldgm, ldpc)))
+        checks.append(("d2", "syndrome_margin", compound_sizes, (g2, s2, ldgm, ldpc)))
+        for key, other, sizes, args in checks:
             try:
                 sizes(self.n, *args)
             except GraphConstructionError as exc:
                 raise ValueError(
-                    f"{key}={getattr(self, key)} gives a link code that cannot be built: {exc}"
-                ) from None
+                    f"{key}={getattr(self, key)} with ldgm_margin={self.ldgm_margin} and "
+                    f"{other}={getattr(self, other)} gives a link code that cannot be "
+                    f"built: {exc}") from None
 
     def ldgm_dist(self) -> DegreeDistribution:
         return DegreeDistribution(fac=dict(self.ldgm_fac_dist))
@@ -163,16 +164,20 @@ def parse_degree_dist(text: str) -> dict[int, float]:
     for item in text.split(","):
         try:
             deg, frac = item.split(":")
-            out[int(deg)] = float(frac)
+            deg, frac = int(deg), float(frac)
         except ValueError:
             raise ValueError(
                 f"expected comma-separated degree:fraction pairs, got {text!r}") from None
+        if deg in out:
+            raise ValueError(f"degree {deg} is given twice in {text!r}")
+        out[deg] = frac
     return out
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Flat 'key = value' lines; '#' starts a comment."""
+    """Flat 'key = value' lines, each key at most once; '#' starts a comment."""
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -180,8 +185,11 @@ def load_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in line_of:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line "
+                                 f"{line_of[key]}")
+            out[key], line_of[key] = value, lineno
     return out
 
 
@@ -254,8 +262,7 @@ def run_joint_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
         combined_syndrome(cc1, syn1),
         combined_syndrome(cc2, syn2),
         q=chain.u1_to_u2,
-        local_iters=cfg.jsp_local,
-        global_iters=cfg.jsp_global,
+        max_iters=cfg.jsp_iters,
     )
     recons = reconstruct_soft(res1.u_hat, res2.u_hat, chain)
     rates = empirical_rates_joint(cc1.ldpc.m, cc2.ldpc.m, cfg.n)
@@ -407,8 +414,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _add_channel_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p1", type=float, default=0.15)
-    p.add_argument("--p2", type=float, default=0.15)
+    for key in ("p1", "p2"):
+        p.add_argument("--" + key, type=float, default=getattr(ExperimentConfig, key))
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:

@@ -64,7 +64,7 @@ def marginal_entropy(pmf: np.ndarray, keep_axes: tuple[int, ...]) -> float:
 def _dense(graph) -> np.ndarray:
     """Dense 0/1 matrix H[f, v] = 1 iff factor f touches variable v."""
     h = np.zeros((graph.n_fac, graph.n_var), dtype=np.uint8)
-    h[graph.edge_fac, graph.indices] = 1
+    h[np.repeat(np.arange(graph.n_fac), np.diff(graph.indptr)), graph.indices] = 1
     return h
 
 

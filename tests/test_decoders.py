@@ -93,8 +93,8 @@ def test_joint_decode_validation(nested_code):
         joint_sum_product_decode(comb, comb, s, s, q=0.3, n_coupled=comb.n + 1)
     with pytest.raises(ValueError, match="n_coupled=-1"):
         joint_sum_product_decode(comb, comb, s, s, q=0.3, n_coupled=-1)
-    with pytest.raises(ValueError, match="local_iters"):
-        joint_sum_product_decode(comb, comb, s, s, q=0.3, local_iters=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        joint_sum_product_decode(comb, comb, s, s, q=0.3, max_iters=0)
 
 
 def test_joint_decode_cross_bootstraps_second_link(nested_code, quantized):
@@ -140,7 +140,7 @@ def test_decoders_stop_at_the_first_iteration_that_meets_the_syndromes(nested_co
     s1, s2 = (combined_syndrome(nested_code, nested_code.ldpc.syndrome(u)) for u in (u1, u2))
 
     def joint(iters, early_stop):
-        return joint_sum_product_decode(comb, comb, s1, s2, float(np.mean(u1 != u2)), iters, 1,
+        return joint_sum_product_decode(comb, comb, s1, s2, float(np.mean(u1 != u2)), iters,
                                         side_info_prior(side, 0.12), early_stop=early_stop)
 
     for decode in (successive, joint):
@@ -179,9 +179,9 @@ def test_joint_decode_exact_on_coupled_trees(seed, q):
     words = [rng.integers(0, 2, c.n, dtype=np.uint8) for c in (code1, code2)]
     s1, s2 = code1.syndrome(words[0]), code2.syndrome(words[1])
     prior1, prior2 = rng.normal(0.0, 1.2, n1), rng.normal(0.0, 1.2, n2)
-    res1, res2 = joint_sum_product_decode(code1, code2, s1, s2, q, local_iters=40,
-                                          global_iters=1, prior1=prior1, prior2=prior2,
-                                          n_coupled=1, early_stop=False)
+    res1, res2 = joint_sum_product_decode(code1, code2, s1, s2, q, max_iters=40,
+                                          prior1=prior1, prior2=prior2, n_coupled=1,
+                                          early_stop=False)
     g1, g2 = code1.graph, code2.graph
     union = LdpcCode(SparseBipartiteGraph(
         n_var=n1 + n2 + 1,
@@ -230,9 +230,8 @@ def test_joint_decode_updates_coupling_before_link_checks():
                 for j, ej in enumerate(e):
                     new[ej] = 2 * np.arctanh((1 - 2 * int(syn[f])) * np.prod(np.delete(t, j)))
             msgs[k] = np.clip(new, -LLR_CLAMP, LLR_CLAMP)
-    res = joint_sum_product_decode(*codes, *syns, q, local_iters=iters, global_iters=1,
-                                   prior1=priors[0], prior2=priors[1], n_coupled=nc,
-                                   early_stop=False)
+    res = joint_sum_product_decode(*codes, *syns, q, max_iters=iters, prior1=priors[0],
+                                   prior2=priors[1], n_coupled=nc, early_stop=False)
     for k in (0, 1):
         np.testing.assert_allclose(res[k].posterior, belief(k), atol=1e-9)
 
@@ -402,8 +401,8 @@ def test_conflicting_unit_checks_fail_both_decoders():
     res = sum_product_decode(code, syn, prior, max_iters=10)
     assert not res.syndrome_satisfied and res.iterations_used == 10
     ok = code.syndrome(np.array([1, 0, 0, 1], dtype=np.uint8))
-    res1, res2 = joint_sum_product_decode(code, code, syn, ok, q=0.1, local_iters=3,
-                                          global_iters=2, prior1=prior, prior2=prior)
+    res1, res2 = joint_sum_product_decode(code, code, syn, ok, q=0.1, max_iters=6,
+                                          prior1=prior, prior2=prior)
     assert not res1.syndrome_satisfied and res2.syndrome_satisfied
     assert res1.iterations_used == 6
 

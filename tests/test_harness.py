@@ -77,8 +77,8 @@ def test_config_file_values_take_their_field_types(tmp_path):
 # A non-default value of every ExperimentConfig key, as the key parses it.
 NON_DEFAULT_VALUES = {
     "p1": 0.2, "p2": 0.05, "d1": 0.12, "d2": 0.08, "n": 3000, "scheme": "joint",
-    "trials": 4, "base_seed": 17, "biasprop_sweeps": 9, "sp_iters": 50, "jsp_local": 7,
-    "jsp_global": 3, "ldgm_margin": 0.5, "syndrome_margin": 0.3, "anchor_gamma": 0.01,
+    "trials": 4, "base_seed": 17, "biasprop_sweeps": 9, "sp_iters": 50, "jsp_iters": 7,
+    "ldgm_margin": 0.5, "syndrome_margin": 0.3, "anchor_gamma": 0.01,
     "ldgm_fac_dist": {3: 0.5, 5: 0.5}, "ldpc_fac_dist": {2: 0.75, 4: 0.25},
     "output": "out.csv",
 }
@@ -127,6 +127,16 @@ def test_cli_bounds_ok(capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "sum_rate" in out and "distortion" in out
+
+
+@pytest.mark.parametrize("command", [["bounds", "--d1", "0.1", "--d2", "0.1"],
+                                     ["optimize", "--target-rate", "1.0"]])
+def test_cli_channel_defaults_are_the_config_defaults(command, capsys):
+    cfg = ExperimentConfig()
+    assert main(command) == EXIT_OK
+    default = capsys.readouterr().out
+    assert main([*command, "--p1", str(cfg.p1), "--p2", str(cfg.p2)]) == EXIT_OK
+    assert capsys.readouterr().out == default
 
 
 def test_cli_bounds_invalid_probability():
@@ -360,8 +370,7 @@ def test_cli_simulate_to_file(tmp_path):
     assert out.read_text().startswith("# schema=binceo-run-v1")
 
 
-@pytest.mark.parametrize("flag", ["--biasprop-sweeps", "--sp-iters", "--jsp-local",
-                                  "--jsp-global"])
+@pytest.mark.parametrize("flag", ["--biasprop-sweeps", "--sp-iters", "--jsp-iters"])
 def test_cli_simulate_rejects_zero_iterations(flag, capsys):
     rc = main(["simulate", "--n", "2000", "--trials", "1", flag, "0"])
     assert rc == EXIT_CONFIG
@@ -381,6 +390,18 @@ def test_cli_simulate_rejects_unrealizable_distortion(args, key, capsys):
     assert f"error: {key}=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--ldgm-margin", "1.5"], "ldgm_margin=1.5 "),
+    (["--syndrome-margin", "-0.99"], "syndrome_margin=-0.99 "),
+    (["--scheme", "joint", "--d1", "0.3", "--anchor-gamma", "0.3"], "anchor_gamma=0.3 "),
+])
+def test_cli_simulate_unbuildable_code_names_the_key_set(args, named, capsys):
+    rc = main(["simulate", "--n", "2000", "--trials", "1", *args])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: d1=") and named in err
+
+
 @pytest.mark.parametrize("args, cfg_text, message", [
     (["--ldpc-fac-dist", "2:0.5,3:0.6"], None,
      "error: ldpc_fac_dist={2: 0.5, 3: 0.6}: fractions sum to"),
@@ -388,6 +409,10 @@ def test_cli_simulate_rejects_unrealizable_distortion(args, key, capsys):
     ([], "ldpc_fac_dist = 2:0.5;3:0.5\n", "error: config key 'ldpc_fac_dist': "),
     (["--scheme", "bogus"], None,
      "error: scheme must be one of 'joint', 'successive', 'both', got 'bogus'"),
+    ([], "ldpc_fac_dist = 2:0.5,2:0.5\n",
+     "error: config key 'ldpc_fac_dist': degree 2 is given twice in '2:0.5,2:0.5'"),
+    ([], "n = 2000\nn = 3000\n", "run.cfg:2: key 'n' is already set on line 1"),
+    ([], "jsp_local = 40\n", "error: unknown config key 'jsp_local'"),
 ])
 def test_cli_simulate_bad_values_name_their_key(args, cfg_text, message, tmp_path, capsys):
     if cfg_text is not None:
@@ -397,6 +422,13 @@ def test_cli_simulate_bad_values_name_their_key(args, cfg_text, message, tmp_pat
     rc = main(["simulate", "--n", "2000", "--trials", "1", *args])
     assert rc == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+def test_cli_flag_rejects_a_repeated_degree(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--ldpc-fac-dist", "2:0.5,2:0.5"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--ldpc-fac-dist" in capsys.readouterr().err
 
 
 def test_cli_sweep_bad_rates_name_the_flag(capsys):
