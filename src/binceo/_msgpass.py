@@ -109,7 +109,9 @@ def slot_major(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[Bucket
     -> graph edge), fac_order (new factor -> graph factor) and the blocks'
     buckets, over factors and edges in the new order."""
     degrees = np.diff(indptr)
-    fac_order = np.argsort(degrees, kind="stable")
+    # A stable sort of 16-bit keys is a radix sort.
+    fac_order = np.argsort(degrees.astype(np.uint16) if degrees.max(initial=0) < 1 << 16
+                           else degrees, kind="stable")
     perm, buckets, fac, edge = [np.zeros(0, np.int64)], [], 0, 0
     for d, count in enumerate(np.bincount(degrees).tolist()):
         if d and count:
@@ -121,41 +123,115 @@ def slot_major(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[Bucket
     return np.concatenate(perm), fac_order, tuple(buckets)
 
 
-def peel(graph: SparseBipartiteGraph, fac_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pinned, bits) per variable: what peeling the hard factors
-    (|fac_scale| == 1, parity target fac_scale < 0) fixes, bits 0 elsewhere.
-    Each round pins the one unresolved variable of every hard factor that
-    has exactly one to the target XOR its pinned bits, the lowest factor's
-    value where two claim it (Luby et al., IEEE T-IT 2001: sum-product with
-    infinite LLRs).  No factor may list a variable twice."""
-    hard = np.abs(fac_scale) == 1.0
-    degree = np.diff(graph.indptr)
-    # Per variable its hard factors; per factor the count, index sum (at
-    # count 1, that variable) and target parity of its unresolved variables.
-    left = np.where(hard, degree, 0)
-    rows = np.flatnonzero(left)
-    var = graph.indices[np.repeat(hard, degree)].astype(np.int32)
-    var_ptr = np.concatenate(([0], np.cumsum(np.bincount(var, minlength=graph.n_var))))
-    index_sum = np.zeros(graph.n_fac, np.int64)
-    index_sum[rows] = np.add.reduceat(var, np.cumsum(left[rows]) - left[rows], dtype=np.int64)
-    var_fac = np.repeat(rows.astype(np.int32), left[rows])[np.argsort(var)]
+def peel(
+    graph: SparseBipartiteGraph, fac_scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What peeling the hard factors (|fac_scale| == 1, parity target
+    fac_scale < 0) fixes: per variable (pinned, bits), bits 0 where not
+    pinned, and per factor (free, flip), the count of its variables left
+    unpinned and the parity of its pinned bits.  Each round pins the one
+    unresolved variable of every hard factor that has exactly one to the
+    target XOR its pinned bits, the lowest factor's value where two claim
+    it (Luby et al., IEEE T-IT 2001: sum-product with infinite LLRs).  No
+    factor may list a variable twice.
+
+    A variable on one factor only is private to it.  A hard factor with a
+    private variable can pin only that one, and only once all its others
+    are pinned, which changes no other factor.  So the rounds run on the
+    factors without one, and the pass over all factors that counts free
+    and flip pins the private variables of the factors with one.
+    """
+    n_var, degree = graph.n_var, np.diff(graph.indptr)
+    # Sums over a factor pack counts below 2**shift under sums of indices.
+    shift = int(degree.max(initial=0)).bit_length()
+    mask = (1 << shift) - 1
+    # The hard factors' rows, numbered in order.
+    is_hard = np.abs(fac_scale) == 1.0
+    hard = np.flatnonzero(is_hard)
+    var = graph.indices
+    if len(hard) < graph.n_fac:
+        # The edges of each run of consecutive hard rows.
+        run = graph.indptr[np.flatnonzero(np.diff(is_hard, prepend=False, append=False))]
+        var = np.concatenate([var[:0]] + [var[a:b] for a, b in run.reshape(-1, 2)])
+    odd, degree = fac_scale[hard] < 0, degree[hard]
+    private = np.bincount(graph.indices, minlength=n_var) == 1
+    # Per row (its index sum << shift) + its count of private variables.
+    acc = row_sums((np.arange(n_var) << shift) + private, var,
+                   np.concatenate(([0], np.cumsum(degree))))
+    n_private = acc & mask
+    rounds, deferred = n_private == 0, n_private == 1
+    del n_private, private
+    if not rounds.all():
+        var = np.compress(np.repeat(rounds, degree), var)
+    pinned, bits = np.zeros(n_var, bool), np.zeros(n_var, np.uint8)
+
+    # The rounds, on the rows without a private variable.  Per row the
+    # count of its unresolved variables, and acc = (their index sum <<
+    # shift) + its target + its pinned ones, which at count 1 hold that
+    # variable and the bit it takes; per variable its rows,
+    # var_row[var_ptr[v]:var_ptr[v] + n_rows[v]].
+    acc += odd
+    left = np.where(rounds, degree, 0)
+    del degree, rounds
+    # Sorted (var << row_bits | row) keys, 32-bit ones where they fit.
+    row_bits = len(hard).bit_length()
+    key_type = np.uint32 if n_var << row_bits <= 1 << 32 else np.uint64
+    key = var.astype(key_type) << row_bits | np.repeat(np.arange(len(hard), dtype=key_type), left)
+    var_row = (np.sort(key) & (1 << row_bits) - 1).astype(np.intp)
+    del key
+    n_rows = np.bincount(var, minlength=n_var)
+    var_ptr = np.cumsum(n_rows) - n_rows
     del var
-    parity = (fac_scale < 0).astype(np.uint8)
-    pinned, bits = np.zeros(graph.n_var, bool), np.zeros(graph.n_var, np.uint8)
-    front = np.flatnonzero(hard & (degree == 1))
+    claim, slot = np.zeros(n_var, np.int32), np.zeros(len(hard), np.int32)
+    front = np.flatnonzero(left == 1)
     while len(front):
-        # front ascends, so the first claim of a variable is the lowest factor's.
-        v, first = np.unique(index_sum[front], return_index=True)
-        b = parity[front[first]]
+        a = acc[front]
+        v = a >> shift
+        # The lowest row's claim on a variable wins.
+        claim[v] = front
+        won = claim[v] == front
+        if not won.all():
+            lost = np.flatnonzero(~won)
+            np.minimum.at(claim, v[lost], front[lost].astype(np.int32))
+            won = np.flatnonzero(claim[v] == front)
+            v, a = v[won], a[won]
+        b = a & 1
         pinned[v], bits[v] = True, b
-        count = var_ptr[v + 1] - var_ptr[v]
-        edges = np.repeat(var_ptr[v] - np.cumsum(count) + count, count) + np.arange(count.sum())
-        f = var_fac[edges]
-        np.subtract.at(left, f, 1)
-        np.subtract.at(index_sum, f, np.repeat(v, count))
-        np.bitwise_xor.at(parity, f, np.repeat(b, count))
-        front = np.unique(f[left[f] == 1])
-    return pinned, bits
+        count = n_rows[v]
+        ends = np.cumsum(count)
+        rows = var_row[np.repeat(var_ptr[v] - ends + count, count) + np.arange(ends[-1])]
+        np.subtract.at(left, rows, 1)
+        np.subtract.at(acc, rows, np.repeat((v << shift) - b, count))
+        # The rows left with one unresolved variable, each once.
+        rows = rows[np.flatnonzero(left[rows] == 1)]
+        at = np.arange(len(rows))
+        slot[rows] = at
+        front = rows[slot[rows] == at]
+    del acc, left, var_row, n_rows, var_ptr, claim, slot
+
+    # Per factor ((the index sum of its unpinned variables << shift) +
+    # their count) << shift + its count of pinned ones.  A row whose only
+    # unpinned variable is private pins it.
+    sums = row_sums(np.where(pinned, bits, ((np.arange(n_var) << shift) + 1) << shift),
+                    graph.indices, graph.indptr)
+    row = np.flatnonzero(deferred & (sums[hard] >> shift & mask == 1))
+    ready = hard[row]
+    own = sums[ready] >> 2 * shift
+    pinned[own], bits[own] = True, (odd[row] ^ sums[ready]) & 1
+    free, flip = sums >> shift & mask, (sums & 1).astype(bool)
+    free[ready], flip[ready] = 0, odd[row]
+    return pinned, bits, free, flip
+
+
+def row_sums(code: np.ndarray, var: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Per CSR row (ptr, var) the int64 sum of code over its variables."""
+    total = np.zeros(len(var) + 1, np.int64)
+    # In range, var never wraps; "wrap" fills total without a buffer.
+    np.take(code.astype(np.int64, copy=False), var, out=total[1:], mode="wrap")
+    np.cumsum(total, out=total)
+    sums = total[ptr[1:]]
+    sums -= total[ptr[:-1]]
+    return sums
 
 
 def hoist_unit_block(

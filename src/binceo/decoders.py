@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._msgpass import (HALF_CLAMP, LLR_CLAMP, Bucket, check_messages, extrinsic_messages,
-                       hoist_unit_block, peel, slot_major, variable_sums)
+                       hoist_unit_block, peel, row_sums, slot_major, variable_sums)
 from .binmath import ChainParams, chain_posterior_table
 from .graphs import CompoundCode, LdpcCode, SparseBipartiteGraph
 
@@ -102,27 +102,27 @@ def _sum_product(
     full test while any of them still is.
     """
     n_var = graph.n_var
-    pinned, bits = peel(graph, fac_scale)
-    indptr, indices = _keep_edges(graph.indptr, graph.indices, ~pinned[graph.indices])
-    scale = fac_scale * (1.0 - 2.0 * graph.factor_parity(bits))
+    # The residual graph: each factor's unpinned variables, and its scale
+    # times (-1)^(its pinned ones).
+    pinned, bits, fac_degree, flip = peel(graph, fac_scale)
+    indices = np.compress(~pinned[graph.indices], graph.indices)
+    scale = fac_scale * np.where(flip, -1.0, 1.0)
     # The checks' parity targets, taken before leaves fold into the scales.
     n_checks = sum(m for _, m in links)
     target = scale[:n_checks] < 0
     # The loop runs on half LLRs.
-    half = 0.5 * prior
-    half[pinned] = np.where(bits, -HALF_CLAMP, HALF_CLAMP)[pinned]
+    half = np.where(pinned, HALF_CLAMP * (1.0 - 2.0 * bits), 0.5 * prior)
     ends = np.zeros(0, np.int64)
     if pairs is not None:
         nc, n1, coupling = pairs
-        i = np.arange(nc)
-        first, second = pinned[i], pinned[n1 + i]
+        first, second = pinned[:nc], pinned[n1 : n1 + nc]
         # A pair with one pinned end sends the other end a constant message.
-        one = first != second
-        src, dst = np.where(first, i, n1 + i)[one], np.where(first, n1 + i, i)[one]
+        i = np.flatnonzero(first != second)
+        src, dst = np.where(first[i], i, n1 + i), np.where(first[i], n1 + i, i)
         with np.errstate(divide="ignore"):
             half[dst] += np.clip(np.arctanh(coupling * (1.0 - 2.0 * bits[src])),
                                  -HALF_CLAMP, HALF_CLAMP)
-        free = i[~(first | second)]
+        free = np.flatnonzero(~(first | second))
         ends = np.concatenate([free, n1 + free])
     nf = len(ends) // 2
 
@@ -130,26 +130,27 @@ def _sum_product(
     degree = np.bincount(indices, minlength=n_var)
     degree[ends] = 0
     lone = degree[indices] == 1
-    fac_degree = np.diff(indptr)
-    hosts = (np.diff(_keep_edges(indptr, indices, lone)[0]) == 1) & (fac_degree >= 3)
+    indptr = np.concatenate(([0], np.cumsum(fac_degree)))
+    hosts = (row_sums(degree == 1, indices, indptr) == 1) & (fac_degree >= 3)
     lone &= np.repeat(hosts, fac_degree)
-    leaves, hosts = indices[lone], np.flatnonzero(hosts)
+    leaves, hosts = np.compress(lone, indices), np.flatnonzero(hosts)
     host_scale = scale[hosts]
     scale[hosts] *= np.tanh(np.clip(half[leaves], -HALF_CLAMP, HALF_CLAMP))
     degree[leaves] = 0
-    indptr, indices = _keep_edges(indptr, indices, ~lone)
+    fac_degree[hosts] -= 1
+    indices = np.compress(~lone, indices)
     del lone
     # The loop's variables: the free pair ends, then the others with an edge.
     loop_var = np.concatenate([ends, np.flatnonzero(degree)])
-    del degree, fac_degree
+    del degree
     n_loop = len(loop_var)
     loop_id = np.zeros(n_var, np.int32)
     loop_id[loop_var] = np.arange(n_loop, dtype=np.int32)
 
     # Residual factors by degree, each degree one slot-major block, degree 1 first.
-    perm, fac_order, buckets = slot_major(indptr)
+    perm, fac_order, buckets = slot_major(np.concatenate(([0], np.cumsum(fac_degree))))
     edge_var = loop_id[indices[perm]].astype(np.intp)
-    del perm, indptr, indices, loop_id
+    del perm, indptr, indices, loop_id, fac_degree
     scale = scale[fac_order]
     # Slot-major positions of the checks and of the leaves' hosts, and the
     # hosts' edges; a leaf's message is atanh(host scale * the product of
@@ -235,12 +236,6 @@ def _sum_product(
             for ok, post, pins, edges in zip(oks, np.split(half, bounds),
                                              np.split(pinned, bounds),
                                              np.split(live_edges, bounds))]
-
-
-def _keep_edges(indptr: np.ndarray, indices: np.ndarray,
-                keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR rows (indptr, indices) with only the edges keep marks."""
-    return np.concatenate(([0], np.cumsum(keep)))[indptr], indices[keep]
 
 
 def _slot_edges(buckets: tuple[Bucket, ...], facs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

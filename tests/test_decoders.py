@@ -290,7 +290,7 @@ def _residual_problem(graph, fac_scale, prior, pairs):
     leave the graph, folded into their factor's scale as tanh of half
     their clamped prior; they are returned as (variable, factor, scale
     before the fold)."""
-    pinned, bits = peel(graph, fac_scale)
+    pinned, bits, _, _ = peel(graph, fac_scale)
     adjs = [graph.indices[graph.indptr[f] : graph.indptr[f + 1]] for f in range(graph.n_fac)]
     kept = [[v for v in a if not pinned[v]] for a in adjs]
     scale = np.array([s * (-1.0) ** int(bits[a].sum()) for s, a in zip(fac_scale, adjs)])

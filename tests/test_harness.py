@@ -326,10 +326,10 @@ def test_pinned_bits_are_the_encoders_bits(monkeypatch):
     joint, successive = run_joint_trial(cfg, 0), run_successive_trial(cfg, 0)
     (_, _, q1, q2), (_, q1_succ, _) = encoded
     words = [np.concatenate([q1.quantized, q2.quantized]), q1_succ.info_bits]
-    for (pinned, bits), word in zip(peeled, words):
+    for (pinned, bits, _, _), word in zip(peeled, words):
         assert pinned.sum() > 500
         np.testing.assert_array_equal(bits[pinned], word[pinned])
-    (pinned_joint, _), (pinned_succ, _) = peeled
+    (pinned_joint, *_), (pinned_succ, *_) = peeled
     assert joint.pinned == {1: pinned_joint[:2000].sum(), 2: pinned_joint[2000:].sum()}
     assert successive.pinned == {1: pinned_succ.sum()}
 

@@ -217,7 +217,7 @@ def test_peel_matches_per_factor_loop(adj, data):
     # +-(1 - 2^-52) included.
     soft = rng.choice([0.0, 0.3, -0.7, 1.0 - 2.0**-52, -(1.0 - 2.0**-52)], g.n_fac)
     scale = np.where(hard, 1.0 - 2.0 * target, soft)
-    pinned, bits = peel(g, scale)
+    pinned, bits, free, ones = peel(g, scale)
     want = brute_force_peel(adjs, hard, target)
     assert sorted(np.flatnonzero(pinned).tolist()) == sorted(want)
     assert [int(bits[v]) for v in sorted(want)] == [want[v] for v in sorted(want)]
