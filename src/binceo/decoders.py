@@ -166,8 +166,9 @@ def _sum_product(
     link = np.repeat(np.arange(len(links)), [m for _, m in links])
     # A witness is a check with edges and no leaf.
     witness_ok = np.ones(graph.n_fac, bool)
-    witness_ok[: buckets[0][2].start if buckets else graph.n_fac] = False
     witness_ok[hosts] = False
+    leafless = witness_ok[checks]
+    witness_ok[: buckets[0][2].start if buckets else graph.n_fac] = False
 
     def leaf_posterior() -> np.ndarray:
         """The leaves' half-LLR posteriors; m_vc holds the tanh values."""
@@ -176,16 +177,21 @@ def _sum_product(
             np.arctanh(msg, out=msg)
         return leaf_prior + np.clip(msg, -HALF_CLAMP, HALF_CLAMP, out=msg)
 
-    def parity_test() -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def parity_test(last: bool) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per link whether its checks hold on the hard decision, and the
         edge variables, reduceat offsets and targets of a few witnesses
-        that do not."""
+        that do not.  Before the last iteration a failed check without a
+        leaf fails the test, and the leaves' checks are left untested
+        (their links may then read as holding)."""
         signs = (posterior < 0)[edge_var]
         parity = np.zeros(graph.n_fac, bool)
         for d, edges, facs, _ in buckets:
             np.bitwise_xor.reduce(signs[edges].reshape(d, -1), axis=0, out=parity[facs])
-        parity[hosts] ^= leaf_posterior() < 0
-        bad = np.flatnonzero(parity[checks] != target)
+        bad = parity[checks] != target
+        if last or not (bad & leafless).any():
+            parity[hosts] ^= leaf_posterior() < 0
+            bad = parity[checks] != target
+        bad = np.flatnonzero(bad)
         bad_links = np.bincount(link[bad], minlength=len(links))
         bad = bad[witness_ok[checks[bad]]][:WITNESSES]
         w_edges, w_ptr = _slot_edges(buckets, checks[bad])
@@ -221,7 +227,7 @@ def _sum_product(
         if it < budget and (not stop or len(w_var) and (
                 np.bitwise_xor.reduceat(posterior[w_var] < 0, w_ptr) != w_target).any()):
             continue
-        oks, (w_var, w_ptr, w_target) = parity_test()
+        oks, (w_var, w_ptr, w_target) = parity_test(it == budget)
         if oks.all():
             break
     half[loop_var] = posterior
