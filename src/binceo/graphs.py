@@ -160,7 +160,9 @@ def sample_graph(
     # Duplicate repair: swap an offending socket with a random socket of
     # another factor, accepting only swaps that create no new duplicates.
     # A factor without duplicates never gains one, so only the factors
-    # found above are visited, in the order a full scan would reach them.
+    # found above are visited, in the order a full scan would reach them;
+    # they and their swap partners are the factors to sort again.
+    touched = set(dup_facs.tolist())
     for i in dup_facs:
         adj = sockets[ptr[i] : ptr[i + 1]]
         tries = 0
@@ -181,8 +183,9 @@ def sample_graph(
             if other[q] == dup_val or other[q] in adj or dup_val in np.delete(other, q):
                 continue
             adj[pos], other[q] = other[q], adj[pos]
-    if len(dup_facs):
-        adj_sorted = _sort_within_factors(fac, sockets, n_var)
+            touched.add(j)
+    for f in touched:
+        adj_sorted[ptr[f] : ptr[f + 1]] = np.sort(sockets[ptr[f] : ptr[f + 1]])
     return SparseBipartiteGraph(n_var=n_var, indptr=ptr, indices=adj_sorted)
 
 
