@@ -418,12 +418,22 @@ def _add_channel_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--" + key, type=float, default=getattr(ExperimentConfig, key))
 
 
+def _flag_type(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """parse as an argparse type: its ValueError's reason is the flag's error."""
+    def flag_type(text: str) -> object:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return flag_type
+
+
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     """--config and one flag per ExperimentConfig key, each None when not given."""
     p.add_argument("--config", help="flat key = value config file")
     for key, parse in _key_parsers().items():
         flag = "--seed" if key == "base_seed" else "--" + key.replace("_", "-")
-        p.add_argument(flag, dest=key, type=parse, default=None)
+        p.add_argument(flag, dest=key, type=_flag_type(parse), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -441,6 +441,19 @@ def test_cli_flag_rejects_a_repeated_degree(capsys):
     assert "--ldpc-fac-dist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--ldpc-fac-dist", "2:0.5,2:0.5"],
+     "argument --ldpc-fac-dist: degree 2 is given twice in '2:0.5,2:0.5'"),
+    (["--n", "1e4"], "argument --n: invalid literal for int() with base 10: '1e4'"),
+])
+def test_cli_flag_errors_give_the_parsers_reason(args, message, capsys):
+    # The reason a config file's line would give, not argparse's generic one.
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *args])
+    assert exc.value.code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_cli_sweep_bad_rates_name_the_flag(capsys):
     rc = main(["sweep", "--rates", "0.6,x"])
     assert rc == EXIT_CONFIG
