@@ -7,10 +7,12 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from binceo import decoders
 from binceo._msgpass import (HALF_CLAMP, LLR_CLAMP, check_messages, hoist_unit_block,
                              leave_one_out_products, peel, slot_major)
 from binceo.codec import DECIMATION_BIAS_FLOOR, _most_biased
 from binceo.graphs import DegreeDistribution, SparseBipartiteGraph, _apportion, sample_graph
+from binceo.harness import ExperimentConfig, run_joint_trial
 
 # The largest float below 1: the full-LLR reference kernel clips to it.
 TANH_CLIP = 1.0 - 1e-16
@@ -202,32 +204,70 @@ def brute_force_peel(adjs, hard, target):
         pinned.update(claims)
 
 
+def assert_peel_matches(g, adjs, hard, target):
+    """peel(g) against brute_force_peel: the same bits pinned to the same
+    values, and per factor its unpinned count and pinned parity."""
+    pinned, bits, free, flip = peel(g, np.where(hard, 1.0 - 2.0 * target, 0.5))
+    want = brute_force_peel(adjs, hard, target)
+    assert sorted(np.flatnonzero(pinned).tolist()) == sorted(want)
+    assert [int(bits[v]) for v in sorted(want)] == [want[v] for v in sorted(want)]
+    assert not bits[~pinned].any()
+    assert free.tolist() == [sum(v not in want for v in a) for a in adjs]
+    assert flip.tolist() == [sum(want.get(v, 0) for v in a) % 2 == 1 for a in adjs]
+    return pinned, bits
+
+
 @given(adjacency(), st.data())
 def test_peel_matches_per_factor_loop(adj, data):
     n_var, adjs = adj
     # Degree-1 factors on top of the drawn ones, so that peeling starts.
     adjs = data.draw(st.lists(st.integers(0, n_var - 1).map(lambda v: [v]), max_size=6)) + adjs
+    # Variables on one factor only, which peel leaves to its last pass:
+    # one hard factor gains one, another two, and a new degree-1 hard
+    # factor holds one alone.
+    adjs.insert(data.draw(st.integers(0, len(adjs))), [])
+    one, two = data.draw(st.lists(st.integers(0, len(adjs) - 1), min_size=2, max_size=2,
+                                  unique=True))
+    alone = data.draw(st.integers(0, len(adjs)))
+    adjs[one] = adjs[one] + [n_var]
+    adjs[two] = adjs[two] + [n_var + 1, n_var + 2]
+    adjs.insert(alone, [n_var + 3])
+    one, two = (f + (f >= alone) for f in (one, two))
+    n_var += 4
     g = csr_graph(n_var, adjs)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     hard = rng.random(g.n_fac) < 0.7
+    hard[[one, two, alone]] = True
     from_word = data.draw(st.booleans())
     word = rng.integers(0, 2, n_var, dtype=np.uint8)
     target = g.factor_parity(word) if from_word else rng.integers(0, 2, g.n_fac)
-    # Hard factors carry their target as a sign; soft ones any other scale,
-    # +-(1 - 2^-52) included.
+    pinned, bits = assert_peel_matches(g, adjs, hard, target)
+    # Hard factors carry their target as a sign; soft ones any other
+    # scale, +-(1 - 2^-52) included.
     soft = rng.choice([0.0, 0.3, -0.7, 1.0 - 2.0**-52, -(1.0 - 2.0**-52)], g.n_fac)
-    scale = np.where(hard, 1.0 - 2.0 * target, soft)
-    pinned, bits, free, ones = peel(g, scale)
-    want = brute_force_peel(adjs, hard, target)
-    assert sorted(np.flatnonzero(pinned).tolist()) == sorted(want)
-    assert [int(bits[v]) for v in sorted(want)] == [want[v] for v in sorted(want)]
-    assert not bits[~pinned].any()
+    got = peel(g, np.where(hard, 1.0 - 2.0 * target, soft))
+    for a, b in zip(got, (pinned, bits)):
+        np.testing.assert_array_equal(a, b)
     if from_word:
         # The word's own bits are the only consistent values, so every
         # fully pinned hard factor holds.
         np.testing.assert_array_equal(bits[pinned], word[pinned])
         done = np.array([all(pinned[v] for v in a) for a in adjs], dtype=bool)
         np.testing.assert_array_equal(g.factor_parity(bits)[hard & done], target[hard & done])
+
+
+def test_peel_matches_per_factor_loop_on_a_joint_decoder_graph(monkeypatch):
+    # The union graph of a joint n = 2000 decode: every factor is a hard
+    # check, and each mixed output is private to its factor.
+    peeled = []
+    real = decoders.peel
+    monkeypatch.setattr(decoders, "peel", lambda *a: peeled.append(a) or real(*a))
+    run_joint_trial(ExperimentConfig(n=2000, scheme="joint", base_seed=11), 0)
+    g, scale = peeled[0]
+    adjs = [g.indices[g.indptr[f] : g.indptr[f + 1]].tolist() for f in range(g.n_fac)]
+    pinned, _ = assert_peel_matches(g, adjs, np.abs(scale) == 1.0, (scale < 0).astype(int))
+    private = np.bincount(g.indices, minlength=g.n_var) == 1
+    assert 500 < pinned[private].sum() < private.sum()
 
 
 @given(adjacency())
