@@ -360,6 +360,32 @@ def test_successive_decode_memory_peak_is_in_budget(monkeypatch):
     assert peak <= SUCCESSIVE_DECODE_PEAK_BYTES
 
 
+# tracemalloc peak of the joint decode below when peeling still sorted
+# each round: 3,280,546 bytes.  Its small per-round arrays grew the heap,
+# so a change that brings them back fails here.
+JOINT_DECODE_PEAK_BYTES = int(3.13 * 2**20)
+
+
+def test_joint_decode_memory_peak_is_in_budget(monkeypatch):
+    peaks = []
+    real = harness.joint_sum_product_decode
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            return real(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            tracemalloc.stop()
+
+    monkeypatch.setattr(harness, "joint_sum_product_decode", traced)
+    run_joint_trial(ExperimentConfig(n=10_000, scheme="joint"), 0)
+    (peak,) = peaks
+    assert peak <= JOINT_DECODE_PEAK_BYTES
+
+
 def test_cli_simulate_to_file(tmp_path):
     out = tmp_path / "run.csv"
     rc = main([
