@@ -112,15 +112,15 @@ def slot_major(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[Bucket
     # A stable sort of 16-bit keys is a radix sort.
     fac_order = np.argsort(degrees.astype(np.uint16) if degrees.max(initial=0) < 1 << 16
                            else degrees, kind="stable")
-    perm, buckets, fac, edge = [np.zeros(0, np.int64)], [], 0, 0
+    perm, buckets, fac, edge = np.empty(indptr[-1], np.int64), [], 0, 0
     for d, count in enumerate(np.bincount(degrees).tolist()):
         if d and count:
-            first = indptr[fac_order[fac : fac + count]]
-            perm.append((first + np.arange(d)[:, None]).ravel())
+            block = perm[edge : edge + d * count].reshape(d, count)
+            np.add(indptr[fac_order[fac : fac + count]], np.arange(d)[:, None], out=block)
             buckets.append((d, slice(edge, edge + d * count), slice(fac, fac + count), "C"))
             edge += d * count
         fac += count
-    return np.concatenate(perm), fac_order, tuple(buckets)
+    return perm, fac_order, tuple(buckets)
 
 
 def peel(

@@ -107,6 +107,7 @@ def _sum_product(
     pinned, bits, fac_degree, flip = peel(graph, fac_scale)
     indices = np.compress(~pinned[graph.indices], graph.indices)
     scale = fac_scale * np.where(flip, -1.0, 1.0)
+    del flip
     # The checks' parity targets, taken before leaves fold into the scales.
     n_checks = sum(m for _, m in links)
     target = scale[:n_checks] < 0
@@ -132,14 +133,16 @@ def _sum_product(
     lone = degree[indices] == 1
     indptr = np.concatenate(([0], np.cumsum(fac_degree)))
     hosts = (row_sums(degree == 1, indices, indptr) == 1) & (fac_degree >= 3)
+    del indptr
     lone &= np.repeat(hosts, fac_degree)
     leaves, hosts = np.compress(lone, indices), np.flatnonzero(hosts)
     host_scale = scale[hosts]
     scale[hosts] *= np.tanh(np.clip(half[leaves], -HALF_CLAMP, HALF_CLAMP))
     degree[leaves] = 0
     fac_degree[hosts] -= 1
+    indptr = np.concatenate(([0], np.cumsum(fac_degree)))
     indices = np.compress(~lone, indices)
-    del lone
+    del lone, fac_degree
     # The loop's variables: the free pair ends, then the others with an edge.
     loop_var = np.concatenate([ends, np.flatnonzero(degree)])
     del degree
@@ -148,9 +151,9 @@ def _sum_product(
     loop_id[loop_var] = np.arange(n_loop, dtype=np.int32)
 
     # Residual factors by degree, each degree one slot-major block, degree 1 first.
-    perm, fac_order, buckets = slot_major(np.concatenate(([0], np.cumsum(fac_degree))))
+    perm, fac_order, buckets = slot_major(indptr)
     edge_var = loop_id[indices[perm]].astype(np.intp)
-    del perm, indptr, indices, loop_id, fac_degree
+    del perm, indptr, indices, loop_id
     scale = scale[fac_order]
     # Slot-major positions of the checks and of the leaves' hosts, and the
     # hosts' edges; a leaf's message is atanh(host scale * the product of
@@ -166,9 +169,8 @@ def _sum_product(
     link = np.repeat(np.arange(len(links)), [m for _, m in links])
     # A witness is a check with edges and no leaf.
     witness_ok = np.ones(graph.n_fac, bool)
-    witness_ok[hosts] = False
-    leafless = witness_ok[checks]
     witness_ok[: buckets[0][2].start if buckets else graph.n_fac] = False
+    witness_ok[hosts] = False
 
     def leaf_posterior() -> np.ndarray:
         """The leaves' half-LLR posteriors; m_vc holds the tanh values."""
@@ -180,18 +182,17 @@ def _sum_product(
     def parity_test(last: bool) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per link whether its checks hold on the hard decision, and the
         edge variables, reduceat offsets and targets of a few witnesses
-        that do not.  Before the last iteration a failed check without a
-        leaf fails the test, and the leaves' checks are left untested
-        (their links may then read as holding)."""
+        that do not.  Before the last iteration a test that finds a
+        witness fails without the leaves, and their hosts' checks are
+        left untested (their links may then read as holding)."""
         signs = (posterior < 0)[edge_var]
         parity = np.zeros(graph.n_fac, bool)
         for d, edges, facs, _ in buckets:
             np.bitwise_xor.reduce(signs[edges].reshape(d, -1), axis=0, out=parity[facs])
-        bad = parity[checks] != target
-        if last or not (bad & leafless).any():
+        bad = np.flatnonzero(parity[checks] != target)
+        if last or not witness_ok[checks[bad]].any():
             parity[hosts] ^= leaf_posterior() < 0
-            bad = parity[checks] != target
-        bad = np.flatnonzero(bad)
+            bad = np.flatnonzero(parity[checks] != target)
         bad_links = np.bincount(link[bad], minlength=len(links))
         bad = bad[witness_ok[checks[bad]]][:WITNESSES]
         w_edges, w_ptr = _slot_edges(buckets, checks[bad])
