@@ -169,7 +169,7 @@ def peel(
     # count of its unresolved variables, and acc = (their index sum <<
     # shift) + its target + its pinned ones, which at count 1 hold that
     # variable and the bit it takes; per variable its rows,
-    # var_row[var_ptr[v]:var_ptr[v] + n_rows[v]].
+    # var_row[var_end[v] - n_rows[v]:var_end[v]].
     acc += odd
     left = np.where(rounds, degree, 0)
     del degree, rounds
@@ -180,7 +180,7 @@ def peel(
     var_row = (np.sort(key) & (1 << row_bits) - 1).astype(np.intp)
     del key
     n_rows = np.bincount(var, minlength=n_var)
-    var_ptr = np.cumsum(n_rows) - n_rows
+    var_end = np.cumsum(n_rows)
     del var
     claim, slot = np.zeros(n_var, np.int32), np.zeros(len(hard), np.int32)
     front = np.flatnonzero(left == 1)
@@ -199,15 +199,15 @@ def peel(
         pinned[v], bits[v] = True, b
         count = n_rows[v]
         ends = np.cumsum(count)
-        rows = var_row[np.repeat(var_ptr[v] - ends + count, count) + np.arange(ends[-1])]
+        rows = var_row[np.repeat(var_end[v] - ends, count) + np.arange(ends[-1])]
         np.subtract.at(left, rows, 1)
         np.subtract.at(acc, rows, np.repeat((v << shift) - b, count))
         # The rows left with one unresolved variable, each once.
-        rows = rows[np.flatnonzero(left[rows] == 1)]
+        rows = np.compress(left[rows] == 1, rows)
         at = np.arange(len(rows))
         slot[rows] = at
         front = rows[slot[rows] == at]
-    del acc, left, var_row, n_rows, var_ptr, claim, slot
+    del acc, left, var_row, n_rows, var_end, claim, slot
 
     # Per factor ((the index sum of its unpinned variables << shift) +
     # their count) << shift + its count of pinned ones.  A row whose only
