@@ -224,7 +224,8 @@ def peel(
 
 
 def row_sums(code: np.ndarray, var: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Per CSR row (ptr, var) the int64 sum of code over its variables."""
+    """Per CSR row (ptr, var) the int64 sum of code over its variables.
+    The running total may wrap; a row's sum is exact when it fits."""
     total = np.zeros(len(var) + 1, np.int64)
     # In range, var never wraps; "wrap" fills total without a buffer.
     np.take(code.astype(np.int64, copy=False), var, out=total[1:], mode="wrap")
