@@ -105,7 +105,7 @@ def _sum_product(
     # The residual graph: each factor's unpinned variables, and its scale
     # times (-1)^(its pinned ones).
     pinned, bits, fac_degree, flip = peel(graph, fac_scale)
-    indices = np.compress(~pinned[graph.indices], graph.indices)
+    indices = _kept(~pinned[graph.indices], graph.indices)
     scale = fac_scale * np.where(flip, -1.0, 1.0)
     del flip
     # The checks' parity targets, taken before leaves fold into the scales.
@@ -135,13 +135,13 @@ def _sum_product(
     hosts = (row_sums(degree == 1, indices, indptr) == 1) & (fac_degree >= 3)
     del indptr
     lone &= np.repeat(hosts, fac_degree)
-    leaves, hosts = np.compress(lone, indices), np.flatnonzero(hosts)
+    leaves, hosts = _kept(lone, indices), np.flatnonzero(hosts)
     host_scale = scale[hosts]
     scale[hosts] *= np.tanh(np.clip(half[leaves], -HALF_CLAMP, HALF_CLAMP))
     degree[leaves] = 0
     fac_degree[hosts] -= 1
     indptr = np.concatenate(([0], np.cumsum(fac_degree)))
-    indices = np.compress(~lone, indices)
+    indices = _kept(~lone, indices)
     del lone, fac_degree
     # The loop's variables: the free pair ends, then the others with an edge.
     loop_var = np.concatenate([ends, np.flatnonzero(degree)])
@@ -243,6 +243,17 @@ def _sum_product(
             for ok, post, pins, edges in zip(oks, np.split(half, bounds),
                                              np.split(pinned, bounds),
                                              np.split(live_edges, bounds))]
+
+
+def _kept(keep: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """a[keep], gathered by index (several times faster than a boolean
+    mask that is hard to predict).  The result is allocated before the
+    index array, so the index array is freed from above it: allocated the
+    other way round, the successive workload's peak RSS rose by about
+    2 MiB."""
+    out = np.empty(np.count_nonzero(keep), a.dtype)
+    # In range, the indices never wrap; "wrap" fills out without a buffer.
+    return np.take(a, np.flatnonzero(keep), out=out, mode="wrap")
 
 
 def _slot_edges(buckets: tuple[Bucket, ...], facs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
