@@ -103,6 +103,18 @@ def variable_sums(
     return np.bincount(edge_var, weights=m_in, minlength=n_var)
 
 
+def row_runs(indptr: np.ndarray) -> tuple[Bucket, ...]:
+    """The check kernel's buckets over the CSR rows indptr in row order:
+    one (d, edges, factors, "F") per maximal run of consecutive factors of
+    equal degree d > 0, in factor order, with the slices of the run's
+    edges and factors.  A factor's messages depend on its own edges only,
+    so how a degree's factors split into runs changes no bit."""
+    degrees = np.diff(indptr)
+    starts = np.flatnonzero(np.diff(degrees, prepend=-1)).tolist()
+    return tuple((int(degrees[a]), slice(int(indptr[a]), int(indptr[b])), slice(a, b), "F")
+                 for a, b in zip(starts, starts[1:] + [len(degrees)]) if degrees[a] > 0)
+
+
 def slot_major(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[Bucket, ...]]:
     """The factors of the CSR rows indptr by ascending degree (stable) and
     their edges in one slot-major block per degree: returns perm (new edge

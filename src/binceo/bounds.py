@@ -1,6 +1,7 @@
 """Closed-form rate-distortion bounds under the BSC test-channel model,
-an exact mutual-information oracle, and constrained test-channel
-optimization (minimum distortion at a fixed sum-rate).
+an exact mutual-information oracle over the enumerated joint pmf, and
+constrained test-channel optimization (minimum distortion at a fixed
+sum-rate).
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracles
 from .binmath import _check_prob, binary_convolution, binary_entropy
 
 # Optimizer knobs: coarse grid over d1, root-finding for the sum-rate
@@ -22,6 +22,9 @@ REFINE_XTOL = 1e-9
 # Finite penalty for infeasible points (any true distortion is <= 1), so
 # the scalar minimizer never sees non-finite values.
 INFEASIBLE_PENALTY = 2.0
+
+# Axis order of the joint pmf table: (X, Y1, Y2, U1, U2).
+AXIS_X, AXIS_Y1, AXIS_Y2, AXIS_U1, AXIS_U2 = range(5)
 
 
 class InfeasibleRateError(ValueError):
@@ -82,21 +85,54 @@ def bsc_bounds(p1: float, p2: float, tc: TestChannelPair) -> RegionPoint:
     )
 
 
+def _bsc_kernel(crossover: float) -> np.ndarray:
+    """2x2 table k[a, b] = Pr{out = b | in = a} for a BSC."""
+    c = float(crossover)
+    return np.array([[1.0 - c, c], [c, 1.0 - c]])
+
+
+def enumerate_joint(p1: float, p2: float, d1: float, d2: float) -> np.ndarray:
+    """Exact 32-entry joint pmf of (X, Y1, Y2, U1, U2).
+
+    X is uniform, Y_i = X + Bernoulli(p_i), and U_i is the output of a BSC
+    test channel with crossover d_i fed with Y_i.
+    """
+    for name, v in (("p1", p1), ("p2", p2), ("d1", d1), ("d2", d2)):
+        _check_prob(v, name)
+    ky1 = _bsc_kernel(p1)
+    ky2 = _bsc_kernel(p2)
+    ku1 = _bsc_kernel(d1)
+    ku2 = _bsc_kernel(d2)
+    pmf = np.einsum("a,ab,ac,bd,ce->abcde", np.full(2, 0.5), ky1, ky2, ku1, ku2)
+    return pmf
+
+
+def entropy_bits(pmf: np.ndarray) -> float:
+    """Shannon entropy (bits) of a probability table of any shape."""
+    p = np.asarray(pmf, dtype=float).ravel()
+    nz = p[p > 0.0]
+    return float(-np.sum(nz * np.log2(nz)))
+
+
+def marginal(pmf: np.ndarray, keep_axes: tuple[int, ...]) -> np.ndarray:
+    """Marginal of a joint table over the axes *not* listed in keep_axes."""
+    drop = tuple(ax for ax in range(pmf.ndim) if ax not in keep_axes)
+    return pmf.sum(axis=drop)
+
+
+def marginal_entropy(pmf: np.ndarray, keep_axes: tuple[int, ...]) -> float:
+    return entropy_bits(marginal(pmf, keep_axes))
+
+
 def mi_region_oracle(p1: float, p2: float, tc: TestChannelPair) -> RegionPoint:
     """Same region point computed from the exact 32-entry joint pmf.
 
     r1 = I(Y1;U1|U2), r2 = I(Y2;U2|U1), sum_rate = I(Y1,Y2;U1,U2),
     distortion = H(X|U1,U2), all by direct summation.
     """
-    pmf = oracles.enumerate_joint(p1, p2, tc.d1, tc.d2)
-    H = lambda *axes: oracles.marginal_entropy(pmf, axes)
-    X, Y1, Y2, U1, U2 = (
-        oracles.AXIS_X,
-        oracles.AXIS_Y1,
-        oracles.AXIS_Y2,
-        oracles.AXIS_U1,
-        oracles.AXIS_U2,
-    )
+    pmf = enumerate_joint(p1, p2, tc.d1, tc.d2)
+    H = lambda *axes: marginal_entropy(pmf, axes)
+    X, Y1, Y2, U1, U2 = AXIS_X, AXIS_Y1, AXIS_Y2, AXIS_U1, AXIS_U2
     r1 = H(Y1, U2) + H(U1, U2) - H(Y1, U1, U2) - H(U2)
     r2 = H(Y2, U1) + H(U1, U2) - H(Y2, U1, U2) - H(U1)
     sum_rate = H(Y1, Y2) + H(U1, U2) - H(Y1, Y2, U1, U2)

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._msgpass import check_messages, extrinsic_messages, hoist_unit_block, variable_sums
+from ._msgpass import (check_messages, extrinsic_messages, hoist_unit_block, row_runs,
+                       variable_sums)
 from .bounds import TestChannelPair
 from .graphs import CompoundCode, LdgmCode, LdpcCode
 
@@ -61,7 +62,7 @@ def bias_propagation_quantize(
     # The systematic outputs lead; their messages never change.  The loop
     # runs on half LLRs in the graph's row order, so each variable adds its
     # messages in graph order.
-    p, buckets = hoist_unit_block(graph.buckets, channel_tanh, m_fv)
+    p, buckets = hoist_unit_block(row_runs(graph.indptr), channel_tanh, m_fv)
     m_vf = np.empty(graph.n_edges)
     fv_sums = np.zeros(k)
     fixed = np.full(k, -1, dtype=np.int8)

@@ -9,7 +9,6 @@ edges within a factor are repaired by socket swaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -67,8 +66,7 @@ def _balanced(total_edges: int, count: int) -> np.ndarray:
 class SparseBipartiteGraph:
     """CSR adjacency: factor f touches variables indices[indptr[f]:indptr[f + 1]].
 
-    Edges are numbered in that order.  The check kernel's buckets are
-    derived on first use.
+    Edges are numbered in that order.
     """
 
     n_var: int
@@ -85,19 +83,6 @@ class SparseBipartiteGraph:
             raise GraphConstructionError(f"variable index outside [0, {self.n_var})")
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
-
-    @cached_property
-    def buckets(self) -> tuple[tuple[int, slice, slice, str], ...]:
-        """The check kernel's buckets in row order: one (d, edges, factors,
-        "F") per maximal run of consecutive factors of equal degree d > 0,
-        in factor order, with the slices of the run's edges and factors.
-        A factor's messages depend on its own edges only, so how a
-        degree's factors split into runs changes no bit."""
-        degrees = np.diff(self.indptr)
-        starts = np.flatnonzero(np.diff(degrees, prepend=-1)).tolist()
-        return tuple((int(degrees[a]), slice(int(self.indptr[a]), int(self.indptr[b])),
-                      slice(a, b), "F")
-                     for a, b in zip(starts, starts[1:] + [len(degrees)]) if degrees[a] > 0)
 
     @property
     def n_fac(self) -> int:

@@ -2,13 +2,13 @@
 repetition, and CSV emission.
 
 Subcommands: bounds, optimize, simulate, sweep.  Exit codes: 0 success,
-2 configuration/validation error, 3 infeasible optimization, 4 capacity
-or runtime error.
+2 configuration/validation or I/O error, 3 infeasible optimization.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 import zlib
@@ -50,12 +50,10 @@ from .graphs import (
     compound_sizes,
     design_rates,
 )
-from .oracles import CapacityError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
-EXIT_CAPACITY = 4
 
 REFERENCE_TEST_CHANNEL_CASES = ((0.01, 0.01), (0.1, 0.1), (0.1, 0.3))
 
@@ -118,6 +116,11 @@ class ExperimentConfig:
                 DegreeDistribution(fac=dict(getattr(self, name)))
             except GraphConstructionError as exc:
                 raise ValueError(f"{name}={getattr(self, name)}: {exc}") from None
+        if self.output != "-":
+            if not os.path.basename(self.output) or os.path.isdir(self.output):
+                raise ValueError(f"output={self.output!r} is empty or a directory, not a file")
+            if not os.path.isdir(os.path.dirname(self.output) or "."):
+                raise ValueError(f"output={self.output!r}: its directory does not exist")
         self._validate_codes()
 
     def _validate_codes(self) -> None:
@@ -477,9 +480,6 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
     except (ValueError, GraphConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

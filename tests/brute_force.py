@@ -1,64 +1,42 @@
-"""Brute-force reference implementations used by tests and acceptance runs.
+"""Brute-force references for the tests: exhaustive quantization, exact
+marginals by enumeration, and the small hand-built codes they run on.
 
-These are deliberately independent of the message-passing code paths: they
-enumerate, they do not propagate.
+The references are deliberately independent of the message-passing code
+paths: they enumerate, they do not propagate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .binmath import _check_prob
+from binceo.graphs import LdpcCode, SparseBipartiteGraph
 
 # Enumeration caps: 2^k codewords / 2^n words stay comfortably sub-second.
 MAX_BRUTE_FORCE_INFO_BITS = 20
 MAX_EXACT_MARGINAL_BITS = 20
-
-# Axis order of the joint pmf table: (X, Y1, Y2, U1, U2).
-AXIS_X, AXIS_Y1, AXIS_Y2, AXIS_U1, AXIS_U2 = range(5)
 
 
 class CapacityError(ValueError):
     """Requested enumeration exceeds the hard size cap."""
 
 
-def _bsc_kernel(crossover: float) -> np.ndarray:
-    """2x2 table k[a, b] = Pr{out = b | in = a} for a BSC."""
-    c = float(crossover)
-    return np.array([[1.0 - c, c], [c, 1.0 - c]])
+def csr(n_var: int, adjs) -> SparseBipartiteGraph:
+    """The graph whose factor f touches the variables adjs[f], in order."""
+    indptr = np.cumsum([0] + [len(a) for a in adjs])
+    indices = np.array([v for a in adjs for v in a], dtype=np.int64)
+    return SparseBipartiteGraph(n_var=n_var, indptr=indptr, indices=indices)
 
 
-def enumerate_joint(p1: float, p2: float, d1: float, d2: float) -> np.ndarray:
-    """Exact 32-entry joint pmf of (X, Y1, Y2, U1, U2).
-
-    X is uniform, Y_i = X + Bernoulli(p_i), and U_i is the output of a BSC
-    test channel with crossover d_i fed with Y_i.
-    """
-    for name, v in (("p1", p1), ("p2", p2), ("d1", d1), ("d2", d2)):
-        _check_prob(v, name)
-    ky1 = _bsc_kernel(p1)
-    ky2 = _bsc_kernel(p2)
-    ku1 = _bsc_kernel(d1)
-    ku2 = _bsc_kernel(d2)
-    pmf = np.einsum("a,ab,ac,bd,ce->abcde", np.full(2, 0.5), ky1, ky2, ku1, ku2)
-    return pmf
-
-
-def entropy_bits(pmf: np.ndarray) -> float:
-    """Shannon entropy (bits) of a probability table of any shape."""
-    p = np.asarray(pmf, dtype=float).ravel()
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
-
-
-def marginal(pmf: np.ndarray, keep_axes: tuple[int, ...]) -> np.ndarray:
-    """Marginal of a joint table over the axes *not* listed in keep_axes."""
-    drop = tuple(ax for ax in range(pmf.ndim) if ax not in keep_axes)
-    return pmf.sum(axis=drop)
-
-
-def marginal_entropy(pmf: np.ndarray, keep_axes: tuple[int, ...]) -> float:
-    return entropy_bits(marginal(pmf, keep_axes))
+def tree_code(rng, n: int) -> LdpcCode:
+    """A random cycle-free syndrome code on n variables: every check joins
+    one variable already in the tree with one or two fresh ones."""
+    perm = rng.permutation(n)
+    adjs, used = [], 1
+    while used < n:
+        fresh = min(int(rng.integers(1, 3)), n - used)
+        adjs.append(np.sort([perm[int(rng.integers(used))], *perm[used : used + fresh]]))
+        used += fresh
+    return LdpcCode(csr(n, adjs))
 
 
 def _dense(graph) -> np.ndarray:

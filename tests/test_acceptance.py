@@ -11,36 +11,26 @@ import pytest
 
 from binceo.binmath import binary_entropy, chain_posterior_table
 from binceo.bounds import (
+    AXIS_U1,
+    AXIS_U2,
+    AXIS_X,
     TestChannelPair,
     bsc_bounds,
+    enumerate_joint,
+    marginal_entropy,
     mi_region_oracle,
     optimize_test_channels,
 )
 from binceo.codec import bias_propagation_quantize
 from binceo.decoders import sum_product_decode
-from binceo.graphs import (
-    DegreeDistribution,
-    LdgmCode,
-    LdpcCode,
-    SparseBipartiteGraph,
-    build_compound,
-    sample_graph,
-)
+from binceo.graphs import DegreeDistribution, LdgmCode, build_compound, sample_graph
 from binceo.harness import (
     ExperimentConfig,
     run_joint_trial,
     run_successive_trial,
     simulate,
 )
-from binceo.oracles import (
-    AXIS_U1,
-    AXIS_U2,
-    AXIS_X,
-    brute_force_quantize,
-    enumerate_joint,
-    exact_marginals,
-    marginal_entropy,
-)
+from brute_force import brute_force_quantize, exact_marginals, tree_code
 
 REFERENCE = dict(p1=0.15, p2=0.15, d1=0.1, d2=0.1)
 
@@ -98,30 +88,11 @@ def test_optimizer_recovers_reference_pairs():
 #    1e-9, in under 10 s.
 
 
-def _random_tree_code(rng) -> LdpcCode:
-    """A random cycle-free syndrome code: every check joins one variable
-    already in the tree with one or two fresh ones."""
-    n = int(rng.integers(4, 13))
-    perm = rng.permutation(n)
-    used = 1
-    adjs = []
-    while used < n:
-        fresh = min(int(rng.integers(1, 3)), n - used)
-        anchor = perm[int(rng.integers(used))]
-        adj = np.sort(np.concatenate(([anchor], perm[used : used + fresh])))
-        adjs.append(adj.astype(np.int64))
-        used += fresh
-    graph = SparseBipartiteGraph(
-        n_var=n, indptr=np.cumsum([0] + [len(a) for a in adjs]), indices=np.concatenate(adjs)
-    )
-    return LdpcCode(graph=graph)
-
-
 def test_sum_product_tree_exactness():
     start = time.monotonic()
     rng = np.random.default_rng(2024)
     for _ in range(200):
-        code = _random_tree_code(rng)
+        code = tree_code(rng, int(rng.integers(4, 13)))
         word = rng.integers(0, 2, code.n, dtype=np.uint8)
         syndrome = code.syndrome(word)
         prior = rng.normal(0.0, 1.2, code.n)

@@ -12,7 +12,7 @@ from binceo.binmath import (
     chain_posterior_table,
     log_loss,
 )
-from binceo.oracles import AXIS_U1, AXIS_U2, AXIS_X, enumerate_joint, marginal
+from binceo.bounds import AXIS_U1, AXIS_U2, AXIS_X, enumerate_joint, marginal
 
 
 def test_binary_entropy_endpoints():

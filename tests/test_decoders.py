@@ -20,7 +20,7 @@ from binceo.decoders import (
     sum_product_decode,
 )
 from binceo.graphs import CompoundCode, LdgmCode, LdpcCode, SparseBipartiteGraph, build_compound
-from binceo.oracles import exact_marginals
+from brute_force import csr, exact_marginals, tree_code
 
 
 @pytest.fixture(scope="module")
@@ -153,19 +153,6 @@ def test_decoders_stop_at_the_first_iteration_that_meets_the_syndromes(nested_co
         assert not all(r.syndrome_satisfied for r in decode(t - 1, False))
 
 
-def _tree_code(rng, n: int) -> LdpcCode:
-    """A random cycle-free syndrome code on n variables: every check joins
-    one variable already in the tree with one or two fresh ones."""
-    perm = rng.permutation(n)
-    adjs, used = [], 1
-    while used < n:
-        fresh = min(int(rng.integers(1, 3)), n - used)
-        adjs.append(np.sort([perm[int(rng.integers(used))], *perm[used : used + fresh]]))
-        used += fresh
-    indptr = np.cumsum([0] + [len(a) for a in adjs])
-    return LdpcCode(SparseBipartiteGraph(n_var=n, indptr=indptr, indices=np.concatenate(adjs)))
-
-
 @given(seed=st.integers(0, 2**32 - 1), q=st.floats(0.0, 0.5, exclude_min=True))
 def test_joint_decode_exact_on_coupled_trees(seed, q):
     # Two trees joined at the pair (u1_0, u2_0) form one tree, so the joint
@@ -173,8 +160,8 @@ def test_joint_decode_exact_on_coupled_trees(seed, q):
     # on (u1, u2, z) whose extra check u1_0 + u2_0 + z = 0 carries the
     # BSC(q) coupling through z's prior log((1 - q) / q).
     rng = np.random.default_rng(seed)
-    code1 = _tree_code(rng, int(rng.integers(3, 10)))
-    code2 = _tree_code(rng, int(rng.integers(3, 10)))
+    code1 = tree_code(rng, int(rng.integers(3, 10)))
+    code2 = tree_code(rng, int(rng.integers(3, 10)))
     n1, n2 = code1.n, code2.n
     words = [rng.integers(0, 2, c.n, dtype=np.uint8) for c in (code1, code2)]
     s1, s2 = code1.syndrome(words[0]), code2.syndrome(words[1])
@@ -196,9 +183,8 @@ def test_joint_decode_exact_on_coupled_trees(seed, q):
 
 def _random_code(rng, n: int, m: int) -> LdpcCode:
     """m checks on 2-4 distinct variables each, drawn at random (cycles allowed)."""
-    adjs = [np.sort(rng.choice(n, int(rng.integers(2, 5)), replace=False)) for _ in range(m)]
-    indptr = np.cumsum([0] + [len(a) for a in adjs])
-    return LdpcCode(SparseBipartiteGraph(n_var=n, indptr=indptr, indices=np.concatenate(adjs)))
+    return LdpcCode(csr(n, [np.sort(rng.choice(n, int(rng.integers(2, 5)), replace=False))
+                            for _ in range(m)]))
 
 
 def test_joint_decode_updates_coupling_before_link_checks():
@@ -318,10 +304,7 @@ def _residual_problem(graph, fac_scale, prior, pairs):
             leaves.append((lone[0], f, scale[f]))
             scale[f] *= np.tanh(np.clip(prior[lone[0]] / 2, -LLR_CLAMP / 2, LLR_CLAMP / 2))
             a.remove(lone[0])
-    residual = SparseBipartiteGraph(n_var=graph.n_var,
-                                    indptr=np.cumsum([0] + [len(a) for a in kept]),
-                                    indices=np.array([v for a in kept for v in a], dtype=np.int64))
-    return pinned, residual, scale, prior, res_pairs, leaves
+    return pinned, csr(graph.n_var, kept), scale, prior, res_pairs, leaves
 
 
 @given(seed=st.integers(0, 2**32 - 1), iters=st.integers(1, 8),
@@ -342,8 +325,7 @@ def test_sum_product_sets_unit_factor_messages_once_bit_for_bit(seed, iters, cou
     for _ in range(int(rng.integers(1, 6))):
         degrees += [1] * int(rng.integers(0, 4)) + list(rng.integers(0, 5, rng.integers(1, 5)))
     adjs = [rng.choice(n, d, replace=False) for d in degrees]
-    g = SparseBipartiteGraph(n_var=n, indptr=np.cumsum([0] + degrees),
-                             indices=np.concatenate(adjs))
+    g = csr(n, adjs)
     scale = np.where(rng.random(g.n_fac) < 0.5, rng.choice([-1.0, 1.0], g.n_fac),
                      rng.uniform(-1.0, 1.0, g.n_fac))
     pairs = {"none": None, "adjacent": (n1, n1, rng.uniform(-1.0, 1.0)),
@@ -377,8 +359,7 @@ def test_leaves_are_absorbed_alone_and_beside_two_edges(seed, n1):
             [1, 2, n1], [1, n1], [2, n1]]
     order = rng.permutation(len(adjs))
     adjs = [adjs[f] for f in order]
-    g = SparseBipartiteGraph(n_var=leaf + 4, indptr=np.cumsum([0] + [len(a) for a in adjs]),
-                             indices=np.concatenate(adjs))
+    g = csr(leaf + 4, adjs)
     scale, prior = rng.uniform(-0.9, 0.9, g.n_fac), rng.normal(0.0, 2.0, g.n_var)
     pairs = (1, n1, rng.uniform(-0.9, 0.9))
     (res,) = _sum_product(g, scale, prior, 3, [(g.n_var, 0)], pairs, stop=False)
@@ -394,8 +375,7 @@ def test_leaves_are_absorbed_alone_and_beside_two_edges(seed, n1):
 def test_conflicting_unit_checks_fail_both_decoders():
     # Checks 0 and 1 hold variable 0 alone with syndrome bits 0 and 1: no
     # word meets the syndrome, however strong the prior.
-    code = LdpcCode(SparseBipartiteGraph(n_var=4, indptr=[0, 1, 2, 4, 6],
-                                         indices=[0, 0, 1, 2, 2, 3]))
+    code = LdpcCode(csr(4, [[0], [0], [1, 2], [2, 3]]))
     syn = np.array([0, 1, 0, 1], dtype=np.uint8)
     prior = np.array([5.0, 5.0, 5.0, -5.0])
     res = sum_product_decode(code, syn, prior, max_iters=10)
@@ -432,13 +412,8 @@ def _compound(k: int, checks: list, mixed: list) -> CompoundCode:
     """Compound code whose LDGM copies its k information bits into outputs
     0..k-1 and computes one mixed output per entry of mixed, with LDPC
     checks on the information bits."""
-    def graph(n_var, adjs):
-        indptr = np.cumsum([0] + [len(a) for a in adjs])
-        return SparseBipartiteGraph(n_var=n_var, indptr=indptr,
-                                    indices=np.concatenate(adjs).astype(np.int64))
-
-    ldgm = LdgmCode(graph(k, [[i] for i in range(k)] + mixed))
-    return CompoundCode(ldgm=ldgm, ldpc=LdpcCode(graph(ldgm.n, checks)))
+    ldgm = LdgmCode(csr(k, [[i] for i in range(k)] + mixed))
+    return CompoundCode(ldgm=ldgm, ldpc=LdpcCode(csr(ldgm.n, checks)))
 
 
 def _leaf_decoders(cc, syn, prior, iters):
@@ -479,7 +454,7 @@ def test_leaf_absorption_exact_on_trees(seed):
     # graph is a tree, so both decoders give the exact marginals.
     rng = np.random.default_rng(seed)
     k = int(rng.integers(3, 10))
-    tree = _tree_code(rng, k).graph
+    tree = tree_code(rng, k).graph
     adjs = np.split(tree.indices, tree.indptr[1:-1])
     is_check = rng.random(len(adjs)) < 0.5
     is_check[0] = True

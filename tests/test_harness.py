@@ -396,6 +396,21 @@ def test_cli_simulate_to_file(tmp_path):
     assert out.read_text().startswith("# schema=binceo-run-v1")
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--empirical"]])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
+def test_cli_bad_output_fails_validation_before_any_trial(command, where, tmp_path,
+                                                          monkeypatch, capsys):
+    ran = []
+    for name in ("run_joint_trial", "run_successive_trial"):
+        monkeypatch.setattr(harness, name, lambda *a: ran.append(a))
+    out = {"missing-directory": str(tmp_path / "missing" / "x.csv"),
+           "directory": str(tmp_path), "empty": ""}[where]
+    rc = main([*command, "--n", "200", "--output", out])
+    assert rc == EXIT_CONFIG
+    assert f"error: output={out!r}" in capsys.readouterr().err
+    assert not ran
+
+
 @pytest.mark.parametrize("flag, named", [
     pytest.param(flag, flag[2:].replace("-", "_"), id=flag)
     for flag in ("--biasprop-sweeps", "--sp-iters", "--jsp-iters")

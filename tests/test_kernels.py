@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from binceo import decoders
 from binceo._msgpass import (HALF_CLAMP, LLR_CLAMP, check_messages, hoist_unit_block,
-                             leave_one_out_products, peel, slot_major)
+                             leave_one_out_products, peel, row_runs, row_sums, slot_major)
 from binceo.codec import DECIMATION_BIAS_FLOOR, _most_biased
-from binceo.graphs import DegreeDistribution, SparseBipartiteGraph, _apportion, sample_graph
+from binceo.graphs import DegreeDistribution, _apportion, sample_graph
 from binceo.harness import ExperimentConfig, run_joint_trial
+from brute_force import csr
 
 # The largest float below 1: the full-LLR reference kernel clips to it.
 TANH_CLIP = 1.0 - 1e-16
@@ -28,12 +29,6 @@ def adjacency(draw, max_degree=6):
     adjs = [draw(st.lists(st.integers(0, n_var - 1), min_size=d, max_size=d, unique=True))
             for d in degrees]
     return n_var, adjs
-
-
-def csr_graph(n_var, adjs):
-    indptr = np.cumsum([0] + [len(a) for a in adjs])
-    indices = np.array([v for a in adjs for v in a], dtype=np.int64)
-    return SparseBipartiteGraph(n_var=n_var, indptr=indptr, indices=indices)
 
 
 # Edge values of a tanh-domain message: exact zeros, signs, and magnitudes
@@ -95,11 +90,11 @@ def draw_messages(data, g):
 @given(adjacency(), st.data())
 def test_leave_one_out_matches_per_factor_loop(adj, data):
     n_var, adjs = adj
-    g = csr_graph(n_var, adjs)
+    g = csr(n_var, adjs)
     t = np.array(data.draw(st.lists(edge_values, min_size=g.n_edges, max_size=g.n_edges)))
     # Row-order views of the graph's runs, each written in place.
     got = np.full_like(t, np.nan)
-    for d, edges, _, order in g.buckets:
+    for d, edges, _, order in row_runs(g.indptr):
         leave_one_out_products(t[edges].reshape((d, -1), order=order),
                                got[edges].reshape((d, -1), order=order))
     np.testing.assert_allclose(got, naive_products(t, adjs), rtol=0, atol=1e-12)
@@ -108,9 +103,9 @@ def test_leave_one_out_matches_per_factor_loop(adj, data):
 @given(adjacency(), st.data())
 def test_check_messages_matches_per_factor_loop(adj, data):
     n_var, adjs = adj
-    g = csr_graph(n_var, adjs)
+    g = csr(n_var, adjs)
     m_in, scale = draw_messages(data, g)
-    got = check_messages(m_in, scale, g.buckets)
+    got = check_messages(m_in, scale, row_runs(g.indptr))
     edge_fac = np.repeat(np.arange(g.n_fac), np.diff(g.indptr))
     prod = naive_products(np.tanh(m_in), adjs) * scale[edge_fac]
     want = np.clip(np.arctanh(np.clip(prod, -TANH_CLIP, TANH_CLIP)), -HALF_CLAMP, HALF_CLAMP)
@@ -119,25 +114,25 @@ def test_check_messages_matches_per_factor_loop(adj, data):
     np.testing.assert_allclose(np.tanh(got), np.tanh(want), rtol=0, atol=1e-12)
     # Written into a given buffer, the messages are the same bits.
     out = np.empty_like(m_in)
-    check_messages(m_in.copy(), scale, g.buckets, out=out)
+    check_messages(m_in.copy(), scale, row_runs(g.indptr), out=out)
     np.testing.assert_array_equal(out, got)
 
 
 @given(adjacency(), st.data())
 def test_half_llr_kernel_matches_the_full_llr_reference_bit_for_bit(adj, data):
     n_var, adjs = adj
-    g = csr_graph(n_var, adjs)
+    g = csr(n_var, adjs)
     m_in, scale = draw_messages(data, g)
     edge_fac = np.repeat(np.arange(g.n_fac), np.diff(g.indptr))
-    want = reference_check_messages(m_in, scale[edge_fac], g.buckets)
-    got = 2.0 * check_messages(m_in / 2, scale, g.buckets)
+    want = reference_check_messages(m_in, scale[edge_fac], row_runs(g.indptr))
+    got = 2.0 * check_messages(m_in / 2, scale, row_runs(g.indptr))
     assert got.tobytes() == want.tobytes()
 
 
 @given(adjacency(), st.data())
 def test_slot_major_layout_permutes_the_row_order_messages_bit_for_bit(adj, data):
     n_var, adjs = adj
-    g = csr_graph(n_var, adjs)
+    g = csr(n_var, adjs)
     degrees = np.diff(g.indptr)
     perm, fac_order, buckets = slot_major(g.indptr)
     # The layout covers every edge once; factors go by ascending degree,
@@ -154,7 +149,7 @@ def test_slot_major_layout_permutes_the_row_order_messages_bit_for_bit(adj, data
         np.testing.assert_array_equal(perm[edges].reshape(d, -1),
                                       g.indptr[fac_order[facs]] + np.arange(d)[:, None])
     m_in, scale = draw_messages(data, g)
-    row = check_messages(m_in, scale, g.buckets)
+    row = check_messages(m_in, scale, row_runs(g.indptr))
     got = check_messages(m_in[perm], scale[fac_order], buckets)
     assert got.tobytes() == row[perm].tobytes()
 
@@ -173,9 +168,9 @@ def test_degree1_check_messages_do_not_depend_on_m_in(n, data):
 def test_hoist_unit_block_sets_the_leading_degree1_bucket_once(adj, data):
     n_var, adjs = adj
     lead = data.draw(st.lists(st.integers(0, n_var - 1).map(lambda v: [v]), max_size=6))
-    g = csr_graph(n_var, lead + adjs)
+    g = csr(n_var, lead + adjs)
     scale = np.array(data.draw(st.lists(scale_values, min_size=g.n_fac, max_size=g.n_fac)))
-    for buckets in (g.buckets, slot_major(g.indptr)[2]):
+    for buckets in (row_runs(g.indptr), slot_major(g.indptr)[2]):
         messages = np.full(g.n_edges, np.nan)
         p, live = hoist_unit_block(buckets, scale, messages)
         # Only the leading degree-1 bucket, if any, is written and dropped.
@@ -234,7 +229,7 @@ def test_peel_matches_per_factor_loop(adj, data):
     adjs.insert(alone, [n_var + 3])
     one, two = (f + (f >= alone) for f in (one, two))
     n_var += 4
-    g = csr_graph(n_var, adjs)
+    g = csr(n_var, adjs)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     hard = rng.random(g.n_fac) < 0.7
     hard[[one, two, alone]] = True
@@ -273,21 +268,54 @@ def test_peel_matches_per_factor_loop_on_a_joint_decoder_graph(monkeypatch):
 @given(adjacency())
 def test_buckets_are_ordered_runs_of_equal_degree_covering_every_edge(adj):
     n_var, adjs = adj
-    g = csr_graph(n_var, adjs)
+    g = csr(n_var, adjs)
+    runs = row_runs(g.indptr)
     degrees = [len(a) for a in adjs]
     # The slices tile the edges in order, each once.
-    assert all(isinstance(e, slice) and e.step is None for _, e, _, _ in g.buckets)
-    covered = [i for _, e, _, _ in g.buckets for i in range(e.start, e.stop)]
+    assert all(isinstance(e, slice) and e.step is None for _, e, _, _ in runs)
+    covered = [i for _, e, _, _ in runs for i in range(e.start, e.stop)]
     assert covered == list(range(g.n_edges))
     # Every factor of a bucket's factor slice has degree d, and owns its
     # edges in row order.
-    for d, e, facs, order in g.buckets:
+    for d, e, facs, order in runs:
         assert order == "F" and d > 0 and degrees[facs] == [d] * (facs.stop - facs.start)
         assert (g.indptr[facs.start], g.indptr[facs.stop]) == (e.start, e.stop)
     # Neighbouring buckets are distinct runs: a degree-0 factor lies
     # between them, or their degrees differ.
-    for (d_a, _, f_a, _), (d_b, _, f_b, _) in zip(g.buckets, g.buckets[1:]):
+    for (d_a, _, f_a, _), (d_b, _, f_b, _) in zip(runs, runs[1:]):
         assert 0 in degrees[f_a.stop : f_b.start] or d_a != d_b
+
+
+@given(adjacency(), st.data())
+def test_row_sums_match_a_per_row_sum(adj, data):
+    n_var, adjs = adj
+    g = csr(n_var, adjs)
+    code = np.array(data.draw(st.lists(st.integers(-2**40, 2**40), min_size=n_var,
+                                       max_size=n_var)))
+    got = row_sums(code, g.indices, g.indptr)
+    assert got.dtype == np.int64
+    assert got.tolist() == [sum(int(code[v]) for v in a) for a in adjs]
+
+
+def test_row_sums_of_rows_without_edges_are_zero():
+    empty = np.zeros(0, np.int64)
+    assert row_sums(np.arange(3), empty, np.zeros(4, np.int64)).tolist() == [0, 0, 0]
+    assert row_sums(np.arange(3), empty, np.zeros(1, np.int64)).tolist() == []
+
+
+@given(adjacency(), st.data())
+def test_slot_edges_are_each_factors_slot_major_edges(adj, data):
+    n_var, adjs = adj
+    g = csr(n_var, adjs)
+    perm, fac_order, buckets = slot_major(g.indptr)
+    slot = np.argsort(perm)  # graph edge -> slot-major edge
+    # Any factors with edges, in any order; the degree-0 ones lead.
+    live = range(buckets[0][2].start if buckets else g.n_fac, g.n_fac)
+    facs = data.draw(st.permutations(live))[: data.draw(st.integers(0, len(live)))]
+    edges, ptr = decoders._slot_edges(buckets, np.array(facs, dtype=np.intp))
+    want = [slot[g.indptr[fac_order[f]] : g.indptr[fac_order[f] + 1]].tolist() for f in facs]
+    assert edges.tolist() == [e for w in want for e in w]
+    assert ptr.tolist() == np.cumsum([0] + [len(w) for w in want])[:-1].tolist()
 
 
 # Bias magnitudes from a small pool, so that ties (including dead biases
@@ -309,7 +337,7 @@ def test_most_biased_matches_full_lexsort(mags, data):
 @given(adjacency(), st.data())
 def test_factor_parity_matches_dense_matmul(adj, data):
     n_var, adjs = adj
-    g = csr_graph(n_var, adjs)
+    g = csr(n_var, adjs)
     bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_var, max_size=n_var)),
                     dtype=np.uint8)
     dense = np.zeros((len(adjs), n_var), dtype=np.int64)

@@ -8,17 +8,15 @@ from binceo.graphs import (
     SparseBipartiteGraph,
     sample_graph,
 )
-from binceo.oracles import (
+from binceo.bounds import (
     AXIS_X,
     AXIS_Y1,
-    CapacityError,
-    brute_force_quantize,
     entropy_bits,
     enumerate_joint,
-    exact_marginals,
     marginal,
     marginal_entropy,
 )
+from brute_force import CapacityError, brute_force_quantize, exact_marginals
 
 
 def test_enumerate_joint_is_a_pmf():
