@@ -4,20 +4,25 @@ The loops carry every message, prior, posterior and clamp as half a
 natural-log LLR (positive favoring bit 0), so a check update is
 atanh(scale * prod tanh(m)); halving a float is exact, so every sign and
 comparison is that of the full-LLR loop.  The buckets of one update tile
-one contiguous run of edges; tanh, atanh and the clamp are elementwise
-and run once over that run, and the products run per bucket
+one contiguous run of edges, and the products run per bucket
 (d, edges, factors, order): factors of equal degree d whose edge slice,
 viewed as a (d, n) array, holds slot j of every factor in row j, either
 slot-major ("C", rows contiguous: the decoders' layout) or in the graph's
 row order ("F": the quantizer's, so that its variable sums add in graph
-order).  Each edge's leave-one-out product is its prefix product times
-its suffix product along the slots (the standard tanh-rule layout,
-Richardson & Urbanke, Modern Coding Theory, 2008), so exact zeros need
-no special case.  The factor term that is never left out (syndrome sign,
-quantizer channel tanh, coupling 1 - 2q) is one scale per factor,
-multiplied into a block as one row broadcast.  The decoders first peel
-the hard factors (scale +-1), fold the leaves left into their factors'
-scales and lay out only the residual graph of the other variables.
+order).  For "C" buckets tanh and atanh run once over the run, and m_in
+is spent as the tanh buffer.  "F" views are strided, so tanh and atanh
+run per bucket and transpose: tanh writes a contiguous block into the
+bucket's span of the output, the products go to m_in's span, and atanh
+writes them back in row order; m_in ends up holding the products.  The
+clamp runs once over the run.  Each edge's leave-one-out product is its
+prefix product times its suffix product along the slots (the standard
+tanh-rule layout, Richardson & Urbanke, Modern Coding Theory, 2008), so
+exact zeros need no special case.  The factor term that is never left
+out (syndrome sign, quantizer channel tanh, coupling 1 - 2q) is one
+scale per factor, multiplied into a block as one row broadcast.  The
+decoders first peel the hard factors (scale +-1), fold the leaves left
+into their factors' scales and lay out only the residual graph of the
+other variables.
 """
 
 from __future__ import annotations
@@ -73,26 +78,37 @@ def check_messages(
 
     fac_scale[f] is the term of factor f that is never left out: the
     syndrome sign (1 - 2s) for parity checks, or tanh of the channel half
-    LLR for quantizer factors.  Given out, the messages are written there
-    (its other edges are left alone) and m_in is spent as the tanh buffer,
-    so a loop that reuses both allocates no per-edge array.
+    LLR for quantizer factors.  The buckets of one call share one order.
+    Given out, the messages are written there (its other edges are left
+    alone) and m_in is spent as scratch, so a loop that reuses both
+    allocates no per-edge array: for "C" buckets m_in ends up holding the
+    tanh values, for "F" buckets the scaled products.
     """
-    t = np.empty_like(m_in) if out is None else m_in
+    scratch = np.empty_like(m_in) if out is None else m_in
     out = np.empty_like(m_in) if out is None else out
     if not buckets:
         return out
-    # tanh, atanh and the clamp are elementwise: one pass each over the run.
     run = slice(buckets[0][1].start, buckets[-1][1].stop)
-    np.tanh(m_in[run], out=t[run])
-    for d, edges, facs, order in buckets:
-        res = out[edges].reshape((d, -1), order=order)  # a view: written in place in out
-        leave_one_out_products(t[edges].reshape((d, -1), order=order), res)
-        res *= fac_scale[facs]
-    msg = out[run]
     # |scale * product| <= 1, and atanh(+-1) = +-inf is clamped to +-HALF_CLAMP.
     with np.errstate(divide="ignore"):
-        np.arctanh(msg, out=msg)
-    np.clip(msg, -HALF_CLAMP, HALF_CLAMP, out=msg)
+        if buckets[0][3] == "C":
+            # tanh and atanh are elementwise: one pass each over the run.
+            np.tanh(m_in[run], out=scratch[run])
+            for d, edges, facs, _ in buckets:
+                res = out[edges].reshape(d, -1)  # a view: written in place in out
+                leave_one_out_products(scratch[edges].reshape(d, -1), res)
+                res *= fac_scale[facs]
+            np.arctanh(out[run], out=out[run])
+        else:
+            # Row-order blocks are strided; tanh transposes each into a
+            # contiguous block of out and atanh transposes it back.
+            for d, edges, facs, _ in buckets:
+                blk, res = out[edges].reshape(d, -1), scratch[edges].reshape(d, -1)
+                np.tanh(m_in[edges].reshape((d, -1), order="F"), out=blk)
+                leave_one_out_products(blk, res)
+                res *= fac_scale[facs]
+                np.arctanh(res, out=out[edges].reshape((d, -1), order="F"))
+    np.clip(out[run], -HALF_CLAMP, HALF_CLAMP, out=out[run])
     return out
 
 

@@ -25,6 +25,11 @@ def _check_prob(value: float, name: str = "probability", upper: float = 1.0) -> 
     return value
 
 
+def _check_bits(bits: np.ndarray, name: str) -> None:
+    if ((bits != 0) & (bits != 1)).any():
+        raise ValueError(f"{name} must hold bits (0 or 1) only")
+
+
 def binary_entropy(q: float) -> float:
     """h_b(q) in bits, with the convention 0*log2(0) = 0."""
     q = _check_prob(q, "entropy argument")

@@ -10,6 +10,7 @@ import numpy as np
 
 from ._msgpass import (check_messages, extrinsic_messages, hoist_unit_block, row_runs,
                        variable_sums)
+from .binmath import _check_bits
 from .bounds import TestChannelPair
 from .graphs import CompoundCode, LdgmCode, LdpcCode
 
@@ -48,6 +49,7 @@ def bias_propagation_quantize(
     y = np.asarray(y)
     if y.shape != (code.n,):
         raise ValueError(f"observation length {y.shape} does not match n={code.n}")
+    _check_bits(y, "y")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     rng = np.random.default_rng(seed)

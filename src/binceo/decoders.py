@@ -17,7 +17,7 @@ import numpy as np
 
 from ._msgpass import (HALF_CLAMP, LLR_CLAMP, Bucket, check_messages, extrinsic_messages,
                        hoist_unit_block, peel, row_sums, slot_major, variable_sums)
-from .binmath import ChainParams, chain_posterior_table
+from .binmath import ChainParams, _check_bits, chain_posterior_table
 from .graphs import CompoundCode, LdpcCode, SparseBipartiteGraph
 
 
@@ -57,6 +57,7 @@ def sum_product_decode(
     m = code.m - len(leaf_scale)
     if syndrome.shape != (m,):
         raise ValueError(f"syndrome length {syndrome.shape} does not match m={m}")
+    _check_bits(syndrome, "syndrome")
     if prior.shape != (code.n,):
         raise ValueError(f"prior length {prior.shape} does not match n={code.n}")
     if max_iters < 1:
@@ -323,6 +324,8 @@ def joint_sum_product_decode(
     s1, s2 = np.asarray(s1), np.asarray(s2)
     if s1.shape != (code1.m,) or s2.shape != (code2.m,):
         raise ValueError("syndrome lengths do not match the codes")
+    _check_bits(s1, "s1")
+    _check_bits(s2, "s2")
 
     # Coupling check i is (i, code1.n + i) with scale 1 - 2q.  The link
     # graph holds link 1's checks, then link 2's on variables shifted by

@@ -10,7 +10,8 @@ from binceo.codec import (
     encode_successive,
     syndrome_generate,
 )
-from binceo.graphs import build_anchor_compound, build_compound, design_rates
+from binceo.graphs import (DegreeDistribution, build_anchor_compound, build_compound,
+                           design_rates)
 from binceo.harness import ExperimentConfig
 
 
@@ -57,6 +58,50 @@ def test_quantize_info_bits_are_pinned(n, seed):
     assert hashlib.sha256(q.info_bits.tobytes()).hexdigest() == QUANTIZE_INFO_SHA256[n, seed]
 
 
+# Off the reference point, per case: (LDGM degree distribution or "anchor"
+# for the joint anchor code's LDGM, target_d or None for d1, sweeps).  Two
+# degrees give two row runs after the systematic block; at d = 0.5 every
+# bias is dead, so the bits are coin flips in selection order.
+QUANTIZE_CASES = {
+    "two-degree": ({3: 0.5, 5: 0.5}, None, 25),
+    "degree6-100-sweeps": ({6: 1.0}, None, 100),
+    "anchor": ("anchor", None, 25),
+    "d0.01": ({4: 1.0}, 0.01, 25),
+    "d0.5": ({4: 1.0}, 0.5, 25),
+}
+# sha256 of the information bits followed by the converged flag as one
+# byte, at n = 2000, per (case, seed).
+QUANTIZE_CASE_SHA256 = {
+    ("two-degree", 1): "0832311e06a1bfdf2da218c28b8250283ec431bfb8f55eef29ec31dd9008cc2b",
+    ("two-degree", 2): "b9c7a1d9b41a3f8ced9c8985d26127b297ccae527dfae3f9d03de79894a33d5c",
+    ("degree6-100-sweeps", 1): "a158b7c343019a39585781d0caae1d677fe772c66b7d38d23e55121681f98b39",
+    ("degree6-100-sweeps", 2): "d78fe9f3eae76553d49a15c1e7cffd2e9eb782aa825555a9b578886e6b9722d0",
+    ("anchor", 1): "074daebb7e3961d91d326e643079ee06116b9f4c2c3aa115b0aa4ef0043b2af5",
+    ("anchor", 2): "d619993070f512853cb724910015f8b9dbc5ac11f9ccb015e9deabef2c56bde4",
+    ("d0.01", 1): "4004dcb144bd8f451d5db740021f2daa9f30d04bdf748b29232e5259b1fba882",
+    ("d0.01", 2): "6aae90151669dc8a9089df944568161f709fbda31463a436e4895f4805754640",
+    ("d0.5", 1): "155ccd58b1222fb974055e07804dd5ab1c6a47c6a858522a172fe10c8652b5ab",
+    ("d0.5", 2): "1396c0e465d412459f9d29959879749dbe7dc3ad6eb09b6df093b28414c592be",
+}
+
+
+def _quantize_case_digest(case, seed, n=2000):
+    ldgm, target_d, sweeps = QUANTIZE_CASES[case]
+    cfg = ExperimentConfig()
+    g1, _, s1, _ = design_rates(cfg.p1, cfg.p2, cfg.d1, cfg.d2, cfg.ldgm_margin,
+                                cfg.syndrome_margin)
+    cc = (build_anchor_compound(n, g1, cfg.anchor_gamma, seed=seed) if ldgm == "anchor"
+          else build_compound(n, g1, s1, DegreeDistribution(ldgm), seed=seed))
+    q = bias_propagation_quantize(cc.ldgm, _observation(n, seed),
+                                  cfg.d1 if target_d is None else target_d, sweeps, seed=seed)
+    return hashlib.sha256(q.info_bits.tobytes() + bytes([q.converged])).hexdigest()
+
+
+@pytest.mark.parametrize("case, seed", sorted(QUANTIZE_CASE_SHA256))
+def test_quantize_info_bits_are_pinned_off_the_reference_point(case, seed):
+    assert _quantize_case_digest(case, seed) == QUANTIZE_CASE_SHA256[case, seed]
+
+
 def test_quantize_output_consistency(compound_pair):
     cc, _ = compound_pair
     y = _observation(cc.n, 32)
@@ -83,6 +128,14 @@ def test_quantize_validation(compound_pair):
         bias_propagation_quantize(
             cc.ldgm, np.zeros(cc.n, dtype=np.uint8), 0.1, max_iters=0
         )
+
+
+def test_quantize_rejects_a_non_binary_observation(compound_pair):
+    cc, _ = compound_pair
+    y = _observation(cc.n, 39)
+    y[5] = 2
+    with pytest.raises(ValueError, match="y must hold bits"):
+        bias_propagation_quantize(cc.ldgm, y, 0.1)
 
 
 def test_quantizer_distortion_monotone_in_rate():

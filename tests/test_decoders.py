@@ -82,6 +82,23 @@ def test_sum_product_decode_reports_nonconvergence(nested_code, quantized):
     assert not res.syndrome_satisfied
 
 
+def test_sum_product_decode_rejects_a_non_binary_syndrome(nested_code):
+    comb = combined_syndrome_code(nested_code)
+    s = np.zeros(comb.m, dtype=np.uint8)
+    s[3] = 2
+    with pytest.raises(ValueError, match="syndrome"):
+        sum_product_decode(comb, s, np.zeros(comb.n))
+
+
+@pytest.mark.parametrize("arg", ["s1", "s2"])
+def test_joint_decode_rejects_a_non_binary_syndrome(nested_code, arg):
+    comb = combined_syndrome_code(nested_code)
+    s = {"s1": np.zeros(comb.m, dtype=np.uint8), "s2": np.zeros(comb.m, dtype=np.uint8)}
+    s[arg][3] = 2
+    with pytest.raises(ValueError, match=arg):
+        joint_sum_product_decode(comb, comb, s["s1"], s["s2"], q=0.3)
+
+
 def test_joint_decode_validation(nested_code):
     comb = combined_syndrome_code(nested_code)
     s = np.zeros(comb.m, dtype=np.uint8)

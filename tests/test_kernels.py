@@ -2,16 +2,17 @@
 per-factor loops and dense GF(2) arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from binceo import decoders
 from binceo._msgpass import (HALF_CLAMP, LLR_CLAMP, check_messages, hoist_unit_block,
                              leave_one_out_products, peel, row_runs, row_sums, slot_major)
 from binceo.codec import DECIMATION_BIAS_FLOOR, _most_biased
-from binceo.graphs import DegreeDistribution, _apportion, sample_graph
+from binceo.graphs import DegreeDistribution, SparseBipartiteGraph, _apportion, sample_graph
 from binceo.harness import ExperimentConfig, run_joint_trial
 from brute_force import csr
 
@@ -181,6 +182,76 @@ def test_hoist_unit_block_sets_the_leading_degree1_bucket_once(adj, data):
         want = check_messages(np.zeros(g.n_edges), scale, hoisted)
         np.testing.assert_array_equal(messages[:p], want[:p])
         assert np.isnan(messages[p:]).all()
+
+
+@given(adjacency(), st.data())
+def test_slot_major_check_messages_leave_tanh_in_the_spent_m_in(adj, data):
+    # decoders._sum_product's leaf posteriors read these tanh values back.
+    n_var, adjs = adj
+    g = csr(n_var, adjs)
+    m_in, scale = draw_messages(data, g)
+    spent = m_in.copy()
+    check_messages(spent, scale, slot_major(g.indptr)[2], out=np.empty_like(m_in))
+    assert spent.tobytes() == np.tanh(m_in).tobytes()
+
+
+@given(adjacency(), st.data())
+def test_row_order_check_messages_write_only_their_buckets_edges(adj, data):
+    n_var, adjs = adj
+    g = csr(n_var, adjs)
+    m_in, scale = draw_messages(data, g)
+    buckets = row_runs(g.indptr)
+    a = data.draw(st.integers(0, len(buckets)))
+    part = buckets[a : data.draw(st.integers(a, len(buckets)))]
+    inside = np.zeros(g.n_edges, bool)
+    for _, edges, *_ in part:
+        inside[edges] = True
+    # The sentinel lies outside the clamp, so a stray clip would move it.
+    out, spent = np.full_like(m_in, 99.0), m_in.copy()
+    check_messages(spent, scale, part, out=out)
+    assert (out[~inside] == 99.0).all()
+    assert spent[~inside].tobytes() == m_in[~inside].tobytes()
+    want = check_messages(m_in, scale, buckets)
+    assert out[inside].tobytes() == want[inside].tobytes()
+
+
+@given(adjacency(), st.data())
+def test_check_messages_without_out_leave_m_in_alone(adj, data):
+    n_var, adjs = adj
+    g = csr(n_var, adjs)
+    m_in, scale = draw_messages(data, g)
+    for buckets in (row_runs(g.indptr), slot_major(g.indptr)[2]):
+        kept = m_in.copy()
+        got = check_messages(kept, scale, buckets)
+        assert kept.tobytes() == m_in.tobytes()
+        out = np.empty_like(m_in)
+        check_messages(m_in.copy(), scale, buckets, out=out)
+        assert out.tobytes() == got.tobytes()
+
+
+@given(adjacency(), st.data())
+def test_row_order_check_messages_into_out_allocate_no_edge_array(adj, data):
+    n_var, adjs = adj
+    g = csr(n_var, adjs)
+    assume(g.n_edges)
+    # Each factor repeated in place, for the same runs over 2 * 10^5 edges
+    # or more: numpy's ufunc buffers (at most 8192 elements) then stay far
+    # below a tenth of an edge array.
+    reps = -(-200_000 // g.n_edges)
+    degrees = np.repeat(np.diff(g.indptr), reps)
+    rows = np.split(g.indices, g.indptr[1:-1])
+    g = SparseBipartiteGraph(n_var, np.concatenate(([0], np.cumsum(degrees))),
+                             np.concatenate([np.tile(r, reps) for r in rows]))
+    m_in, scale = draw_messages(data, g)
+    buckets, out = row_runs(g.indptr), np.empty_like(m_in)
+    check_messages(m_in.copy(), scale, buckets, out=out)
+    tracemalloc.start()
+    try:
+        check_messages(m_in, scale, buckets, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m_in.nbytes / 10
 
 
 def brute_force_peel(adjs, hard, target):
