@@ -38,17 +38,16 @@ Bucket = tuple[int, slice, slice, str]  # (degree, edges, factors, order)
 
 
 def extrinsic_messages(
-    total: np.ndarray, edge_var: np.ndarray, m_in: np.ndarray, limit: float = HALF_CLAMP,
-    out: np.ndarray | None = None,
+    total: np.ndarray, edge_var: np.ndarray, m_in: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-edge message total[v] - m_in[e] out of each variable, clamped to
-    +-limit; m_in holds the messages that came in along the same edges.
-    Written into out when given (a new array by default)."""
+    +-HALF_CLAMP; m_in holds the messages that came in along the same
+    edges.  Written into out when given (a new array by default)."""
     # The indices are in range, so "wrap" never wraps; unlike the default
     # "raise", it fills out without an intermediate buffer.
     out = np.take(total, edge_var, out=out, mode="wrap")
     out -= m_in
-    return np.clip(out, -limit, limit, out=out)
+    return np.clip(out, -HALF_CLAMP, HALF_CLAMP, out=out)
 
 
 def leave_one_out_products(blk: np.ndarray, res: np.ndarray) -> None:

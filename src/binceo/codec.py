@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._msgpass import (check_messages, extrinsic_messages, hoist_unit_block, row_runs,
-                       variable_sums)
+from ._msgpass import check_messages, hoist_unit_block, row_runs, variable_sums
 from .binmath import _check_bits
 from .bounds import TestChannelPair
 from .graphs import CompoundCode, LdgmCode, LdpcCode
@@ -65,33 +64,49 @@ def bias_propagation_quantize(
     # runs on half LLRs in the graph's row order, so each variable adds its
     # messages in graph order.
     p, buckets = hoist_unit_block(row_runs(graph.indptr), channel_tanh, m_fv)
+    # The other messages start at 0, so sweep 0's check update sends +-0
+    # out of a factor of degree >= 2, and a sum that adds +-0 to +0.0 is
+    # unchanged; a degree-1 factor would send atanh of its scale.
+    skip_first_update = all(d > 1 for d, *_ in buckets)
     m_vf = np.empty(graph.n_edges)
-    fv_sums = np.zeros(k)
-    fixed = np.full(k, -1, dtype=np.int8)
+    # Per bit, its fixed LLR plus the messages into it: the bias after a
+    # check update, and the total the next sweep's messages leave from.
+    total = np.zeros(k)
     fix_llr = np.zeros(k)
+    unfixed = np.arange(k)
     converged = True
 
     for sweep in range(max_iters):
-        unfixed = np.flatnonzero(fixed < 0)
         if len(unfixed) == 0:
             break
-        var_tot = fix_llr + fv_sums
-        extrinsic_messages(var_tot, edge_var[p:], m_fv[p:], FIXED_LLR / 2, out=m_vf[p:])
-        check_messages(m_vf, channel_tanh, buckets, out=m_fv)
-        fv_sums = variable_sums(m_fv, edge_var, k)
-        bias = fix_llr + fv_sums
+        if sweep or not skip_first_update:
+            # Unclipped: only their tanh is read, and float64 tanh is
+            # exactly +-1 from 19.06 up, so a clip at a fixed bit's 25
+            # would change no tanh.
+            np.take(total, edge_var[p:], out=m_vf[p:], mode="wrap")
+            m_vf[p:] -= m_fv[p:]
+            check_messages(m_vf, channel_tanh, buckets, out=m_fv)
+        total = variable_sums(m_fv, edge_var, k)
+        total += fix_llr
 
         batch = -(-len(unfixed) // (max_iters - sweep))  # ceil division
-        chosen = _most_biased(unfixed, np.abs(bias[unfixed]), batch)
-        dead = np.abs(bias[chosen]) < DECIMATION_BIAS_FLOOR / 2
-        values = (bias[chosen] < 0).astype(np.int8)
+        mag = np.abs(total[unfixed])
+        pick, cut = _strongest(mag, batch)
+        # A dead bias is chosen only if the cut is dead; then the batch is
+        # put in selection order, in which its coins are drawn.
+        chosen = (_most_biased(unfixed, mag, batch) if cut < DECIMATION_BIAS_FLOOR / 2
+                  else unfixed[pick])
+        unfixed = np.delete(unfixed, pick)
+        values = total[chosen] < 0
+        dead = np.abs(total[chosen]) < DECIMATION_BIAS_FLOOR / 2
         if np.any(dead):
             values[dead] = rng.integers(0, 2, size=int(dead.sum()), dtype=np.int8)
             converged = False
-        fixed[chosen] = values
-        fix_llr[chosen] = np.where(values == 0, FIXED_LLR / 2, -FIXED_LLR / 2)
+        llr = np.where(values, -FIXED_LLR / 2, FIXED_LLR / 2)
+        fix_llr[chosen] = llr
+        total[chosen] += llr
 
-    info = fixed.astype(np.uint8)
+    info = (fix_llr < 0).astype(np.uint8)
     quantized = code.encode(info)
     distortion = float(np.mean(quantized != y))
     return QuantizationResult(
@@ -102,20 +117,28 @@ def bias_propagation_quantize(
     )
 
 
-def _most_biased(unfixed: np.ndarray, mag: np.ndarray, batch: int) -> np.ndarray:
-    """The batch entries of unfixed (ascending) with the largest mag, most
-    biased first and ties to the lower index.
+def _strongest(mag: np.ndarray, batch: int) -> tuple[np.ndarray, float]:
+    """The positions of the batch largest entries of mag, ties to the lower
+    position, in no set order, and the batch-th largest entry.
 
-    Equal to unfixed[np.lexsort((unfixed, -mag))[:batch]], but sorts only
-    the chosen entries: a partition finds the batch-th largest magnitude,
-    every entry above it is taken, then the lowest-indexed entries equal
-    to it.
+    A partition finds the batch-th largest magnitude; every entry above it
+    is taken, then the lowest-positioned entries equal to it.
     """
     kth = len(mag) - batch
     cut = np.partition(mag, kth)[kth]
     above = np.flatnonzero(mag > cut)
     tied = np.flatnonzero(mag == cut)[: batch - len(above)]
-    pick = np.concatenate([above, tied])
+    return np.concatenate([above, tied]), cut
+
+
+def _most_biased(unfixed: np.ndarray, mag: np.ndarray, batch: int) -> np.ndarray:
+    """The batch entries of unfixed (ascending) with the largest mag, most
+    biased first and ties to the lower index.
+
+    Equal to unfixed[np.lexsort((unfixed, -mag))[:batch]], but sorts only
+    the chosen entries.
+    """
+    pick, _ = _strongest(mag, batch)
     return unfixed[pick[np.lexsort((pick, -mag[pick]))]]
 
 

@@ -297,7 +297,9 @@ def run_successive_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
         seed=component_seed(cfg.base_seed, "quant", trial),
         biasprop_sweeps=cfg.biasprop_sweeps,
     )
-    u2 = ldgm2.encode(q2.info_bits)  # bit-exact reconstruction of u2
+    # The receiver re-encodes q2.info_bits; the quantizer already has, so
+    # q2.quantized is that bit-exact reconstruction of u2.
+    u2 = q2.quantized
     # Link 1's mixed outputs are leaves here: decode the information bits
     # with the leaves absorbed, then re-encode u1.
     comb1 = combined_syndrome_code(cc1, absorb_leaves=True)

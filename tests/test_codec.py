@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from binceo import codec
+from binceo._msgpass import check_messages
 from binceo.bounds import TestChannelPair
 from binceo.codec import (
     bias_propagation_quantize,
@@ -10,9 +12,10 @@ from binceo.codec import (
     encode_successive,
     syndrome_generate,
 )
-from binceo.graphs import (DegreeDistribution, build_anchor_compound, build_compound,
-                           design_rates)
+from binceo.graphs import (DegreeDistribution, LdgmCode, build_anchor_compound,
+                           build_compound, design_rates)
 from binceo.harness import ExperimentConfig
+from brute_force import csr
 
 
 @pytest.fixture(scope="module")
@@ -58,16 +61,59 @@ def test_quantize_info_bits_are_pinned(n, seed):
     assert hashlib.sha256(q.info_bits.tobytes()).hexdigest() == QUANTIZE_INFO_SHA256[n, seed]
 
 
-# Off the reference point, per case: (LDGM degree distribution or "anchor"
-# for the joint anchor code's LDGM, target_d or None for d1, sweeps).  Two
-# degrees give two row runs after the systematic block; at d = 0.5 every
-# bias is dead, so the bits are coin flips in selection order.
+def _reference_ldgm(n, seed):
+    cfg = ExperimentConfig()
+    g1, _, s1, _ = design_rates(cfg.p1, cfg.p2, cfg.d1, cfg.d2, cfg.ldgm_margin,
+                                cfg.syndrome_margin)
+    return build_compound(n, g1, s1, seed=seed).ldgm
+
+
+def _rows(code):
+    g = code.graph
+    return [g.indices[a:b].tolist() for a, b in zip(g.indptr[:-1], g.indptr[1:])]
+
+
+def _bits_without_factors(n, seed):
+    """The reference LDGM with three more information bits that no factor
+    touches, spread over the index range: their biases stay exactly 0."""
+    code = _reference_ldgm(n, seed)
+    new_index = np.delete(np.arange(code.k + 3), [5, code.k // 2, code.k + 1])
+    return LdgmCode(csr(code.k + 3, [new_index[r].tolist() for r in _rows(code)]))
+
+
+def _unit_rows_after_mixed_rows(n, seed):
+    """The reference LDGM with every tenth systematic row moved behind the
+    mixed rows, one after each of the first mixed rows."""
+    code = _reference_ldgm(n, seed)
+    rows = _rows(code)
+    units, mixed = rows[: code.k], rows[code.k :]
+    moved = units[::10]
+    head = [r for i, r in enumerate(units) if i % 10]
+    tail = [r for pair in zip(mixed, moved) for r in pair] + mixed[len(moved) :]
+    return LdgmCode(csr(code.k, head + tail))
+
+
+# Off the reference point, per case: (LDGM degree distribution, "anchor"
+# for the joint anchor code's LDGM, or a builder of the LDGM from (n,
+# seed); target_d or None for d1; sweeps).  Two degrees give two row runs
+# after the systematic block; at d = 0.5 every bias is dead, so the bits
+# are coin flips in selection order.  One sweep runs sweep 0 alone.  Bits
+# without a factor are dead when chosen.  At d = 0.5 - 1.2e-10 a factor
+# sends at most about 2.4e-10, so a bias is live only if a few factors
+# agree: a batch holds live and dead biases, and the dead ones, not all
+# equal, go in selection order, not index order.  A unit row behind a
+# mixed row sends a message on sweep 0, so that sweep's check update must
+# run.
 QUANTIZE_CASES = {
     "two-degree": ({3: 0.5, 5: 0.5}, None, 25),
     "degree6-100-sweeps": ({6: 1.0}, None, 100),
     "anchor": ("anchor", None, 25),
     "d0.01": ({4: 1.0}, 0.01, 25),
     "d0.5": ({4: 1.0}, 0.5, 25),
+    "one-sweep": ({4: 1.0}, None, 1),
+    "bits-without-factors": (_bits_without_factors, None, 25),
+    "bits-without-factors-near-d0.5": (_bits_without_factors, 0.5 - 1.2e-10, 25),
+    "unit-rows-after-mixed-rows": (_unit_rows_after_mixed_rows, None, 25),
 }
 # sha256 of the information bits followed by the converged flag as one
 # byte, at n = 2000, per (case, seed).
@@ -82,6 +128,18 @@ QUANTIZE_CASE_SHA256 = {
     ("d0.01", 2): "6aae90151669dc8a9089df944568161f709fbda31463a436e4895f4805754640",
     ("d0.5", 1): "155ccd58b1222fb974055e07804dd5ab1c6a47c6a858522a172fe10c8652b5ab",
     ("d0.5", 2): "1396c0e465d412459f9d29959879749dbe7dc3ad6eb09b6df093b28414c592be",
+    ("one-sweep", 1): "3a3ea0963bca34104a476a600190e52eb02fba4cd60d1e8503e315bd8c9c4433",
+    ("one-sweep", 2): "bbb93165f819ae9816537694c46957fa4ce48637d5250a91939d244d19d36170",
+    ("bits-without-factors", 1): "265f564e8d42d1aa295916e7d084963209f9ef01be31b5c445209d198dfa982f",
+    ("bits-without-factors", 2): "0d63f9c5f160c3b01fc03ee6375d5e8675b5e27cd2ffcb621c00710fe78d84c9",
+    ("bits-without-factors-near-d0.5", 1):
+        "a9f4647cec5ff518d942240a34ea7afe00e899d756ddfe83b1969f79e03c4ae3",
+    ("bits-without-factors-near-d0.5", 2):
+        "27daf4d6ecfae252474fa4f3e24f31f1a3697c30dc672587e8f591c8e6451bb6",
+    ("unit-rows-after-mixed-rows", 1):
+        "25af6f05760172b58b87c40caa56e3b540e707816020c976ff9f64d4ec9fc05e",
+    ("unit-rows-after-mixed-rows", 2):
+        "98042a8bf71d59d522b5edbb54ca6f146d22cb0b7492d94d545da48aab16373c",
 }
 
 
@@ -90,9 +148,13 @@ def _quantize_case_digest(case, seed, n=2000):
     cfg = ExperimentConfig()
     g1, _, s1, _ = design_rates(cfg.p1, cfg.p2, cfg.d1, cfg.d2, cfg.ldgm_margin,
                                 cfg.syndrome_margin)
-    cc = (build_anchor_compound(n, g1, cfg.anchor_gamma, seed=seed) if ldgm == "anchor"
-          else build_compound(n, g1, s1, DegreeDistribution(ldgm), seed=seed))
-    q = bias_propagation_quantize(cc.ldgm, _observation(n, seed),
+    if callable(ldgm):
+        code = ldgm(n, seed)
+    elif ldgm == "anchor":
+        code = build_anchor_compound(n, g1, cfg.anchor_gamma, seed=seed).ldgm
+    else:
+        code = build_compound(n, g1, s1, DegreeDistribution(ldgm), seed=seed).ldgm
+    q = bias_propagation_quantize(code, _observation(n, seed),
                                   cfg.d1 if target_d is None else target_d, sweeps, seed=seed)
     return hashlib.sha256(q.info_bits.tobytes() + bytes([q.converged])).hexdigest()
 
@@ -100,6 +162,24 @@ def _quantize_case_digest(case, seed, n=2000):
 @pytest.mark.parametrize("case, seed", sorted(QUANTIZE_CASE_SHA256))
 def test_quantize_info_bits_are_pinned_off_the_reference_point(case, seed):
     assert _quantize_case_digest(case, seed) == QUANTIZE_CASE_SHA256[case, seed]
+
+
+@pytest.mark.parametrize("ldgm, updates", [(_reference_ldgm, 24),
+                                             (_unit_rows_after_mixed_rows, 25)])
+def test_quantize_runs_a_check_update_per_sweep_but_a_silent_first(monkeypatch, ldgm,
+                                                                   updates):
+    # Every message starts at 0, so sweep 0's check update changes nothing
+    # unless a unit row outside the leading block sends atanh of its scale.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_messages(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "check_messages", counted)
+    code = ldgm(2000, 1)
+    bias_propagation_quantize(code, _observation(code.n, 1), 0.1)
+    assert len(calls) == updates
 
 
 def test_quantize_output_consistency(compound_pair):
