@@ -14,18 +14,23 @@ is spent as the tanh buffer.  "F" views are strided, so tanh and atanh
 run per bucket and transpose: tanh writes a contiguous block into the
 bucket's span of the output, the products go to m_in's span, and atanh
 writes them back in row order; m_in ends up holding the products.  The
-clamp runs once over the run.  Each edge's leave-one-out product is its
-prefix product times its suffix product along the slots (the standard
-tanh-rule layout, Richardson & Urbanke, Modern Coding Theory, 2008), so
-exact zeros need no special case.  The factor term that is never left
-out (syndrome sign, quantizer channel tanh, coupling 1 - 2q) is one
-scale per factor, multiplied into a block as one row broadcast.  The
-decoders first peel the hard factors (scale +-1), fold the leaves left
-into their factors' scales and lay out only the residual graph of the
-other variables.
+clamp runs once over the run.  The decoders' loop runs the same "C"
+update as bounded_check_update, on views built once per decode and
+without the clamp: its inputs are clipped and its scales lie in
+[-1, 1], so no message can reach the clamp.  Each edge's leave-one-out
+product is its prefix product times its suffix product along the slots
+(the standard tanh-rule layout, Richardson & Urbanke, Modern Coding
+Theory, 2008), so exact zeros need no special case.  The factor term
+that is never left out (syndrome sign, quantizer channel tanh, coupling
+1 - 2q) is one scale per factor, multiplied into a block as one row
+broadcast.  The decoders first peel the hard factors (scale +-1), fold
+the leaves left into their factors' scales and lay out only the
+residual graph of the other variables.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -54,16 +59,21 @@ def leave_one_out_products(blk: np.ndarray, res: np.ndarray) -> None:
     """Write into res[j] the product of blk's rows other than row j, for a
     (d, n) block whose row j holds slot j of n factors (res is not blk)."""
     d = len(blk)
-    # res[j] = prod(blk[:j]) * prod(blk[j + 1:]); res[0] holds the suffix
-    # product until it is its own.
-    if d > 1:
-        res[1] = blk[0]
+    if d < 3:
+        # Row by row: assigning a row-reversed "F" view buffers a copy.
+        res[0] = blk[1] if d == 2 else 1.0
+        if d == 2:
+            res[1] = blk[0]
+        return
+    # res[j] = prod(blk[:j]) * prod(blk[j + 1:]): the prefix products run
+    # forward from blk[0], then the suffix products backward from blk[d - 1],
+    # in res[0] until it is its own; 3d - 6 multiplies and no copy.
     for j in range(2, d):
-        np.multiply(res[j - 1], blk[j - 1], out=res[j])
-    res[0] = blk[d - 1] if d > 1 else 1.0
+        np.multiply(res[j - 1] if j > 2 else blk[0], blk[j - 1], out=res[j])
     for j in range(d - 2, 0, -1):
-        res[j] *= res[0]
-        res[0] *= blk[j]
+        suffix = res[0] if j < d - 2 else blk[d - 1]
+        np.multiply(res[j] if j > 1 else blk[0], suffix, out=res[j])
+        np.multiply(suffix, blk[j], out=res[0])
 
 
 def check_messages(
@@ -81,7 +91,10 @@ def check_messages(
     Given out, the messages are written there (its other edges are left
     alone) and m_in is spent as scratch, so a loop that reuses both
     allocates no per-edge array: for "C" buckets m_in ends up holding the
-    tanh values, for "F" buckets the scaled products.
+    tanh values, for "F" buckets the scaled products.  Any m_in and any
+    scale are allowed: every message is clamped to +-HALF_CLAMP, and
+    atanh(+-1) = +-inf is left to that clamp without a divide warning.
+    For bounded inputs the clamp cannot act (bounded_check_update).
     """
     scratch = np.empty_like(m_in) if out is None else m_in
     out = np.empty_like(m_in) if out is None else out
@@ -91,13 +104,9 @@ def check_messages(
     # |scale * product| <= 1, and atanh(+-1) = +-inf is clamped to +-HALF_CLAMP.
     with np.errstate(divide="ignore"):
         if buckets[0][3] == "C":
-            # tanh and atanh are elementwise: one pass each over the run.
-            np.tanh(m_in[run], out=scratch[run])
-            for d, edges, facs, _ in buckets:
-                res = out[edges].reshape(d, -1)  # a view: written in place in out
-                leave_one_out_products(scratch[edges].reshape(d, -1), res)
-                res *= fac_scale[facs]
-            np.arctanh(out[run], out=out[run])
+            if scratch is not m_in:
+                scratch[run] = m_in[run]
+            bounded_check_update(scratch, out, fac_scale, buckets)()
         else:
             # Row-order blocks are strided; tanh transposes each into a
             # contiguous block of out and atanh transposes it back.
@@ -109,6 +118,37 @@ def check_messages(
                 np.arctanh(res, out=out[edges].reshape((d, -1), order="F"))
     np.clip(out[run], -HALF_CLAMP, HALF_CLAMP, out=out[run])
     return out
+
+
+def bounded_check_update(
+    m_in: np.ndarray, out: np.ndarray, fac_scale: np.ndarray, buckets: tuple[Bucket, ...]
+) -> Callable[[], None]:
+    """check_messages(m_in, fac_scale, buckets, out=out) on slot-major
+    buckets, without the clamp, as a function that runs it on the current
+    values of m_in and out through views built here once; m_in is spent
+    as the tanh buffer.
+
+    The clamp cannot act when every |m_in| <= HALF_CLAMP and every
+    |fac_scale| <= 1: each |tanh| <= T = tanh(HALF_CLAMP), and a product
+    of floats of magnitude <= 1 rounds to no more than any of them, so a
+    factor of degree 2 or more sends at most atanh(T) = 14.99992.  A
+    degree-1 factor sends atanh(scale) and needs |scale| <= T; the
+    decoders set those messages once (hoist_unit_block)."""
+    if not buckets:
+        return lambda: None
+    run = slice(buckets[0][1].start, buckets[-1][1].stop)
+    tanh_run, msg_run = m_in[run], out[run]
+    blocks = [(m_in[edges].reshape(d, -1), out[edges].reshape(d, -1), fac_scale[facs])
+              for d, edges, facs, _ in buckets]
+
+    def update() -> None:
+        np.tanh(tanh_run, out=tanh_run)
+        for blk, res, scale in blocks:
+            leave_one_out_products(blk, res)
+            res *= scale
+        np.arctanh(msg_run, out=msg_run)
+
+    return update
 
 
 def variable_sums(

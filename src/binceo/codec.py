@@ -25,6 +25,9 @@ class QuantizationResult:
     info_bits: np.ndarray
     quantized: np.ndarray
     empirical_distortion: float
+    # False whenever a coin decided a bit, even one whose bias was an exact
+    # tie (a mixed factor's message cancelling the systematic one), which
+    # happens in almost every call at the reference point.
     converged: bool
 
 
@@ -43,7 +46,9 @@ def bias_propagation_quantize(
     bits are fixed within the sweep budget.  Equal biases go to the lower
     index first.  A chosen bit with a dead bias (below 1e-9) is set by a
     seeded coin flip, drawn in selection order, which also clears the
-    converged flag.
+    converged flag.  The flag is therefore False whenever a coin decided an
+    exact tie, which at the reference point is almost every call: it does
+    not tell a quantizer that settled from one that did not.
     """
     y = np.asarray(y)
     if y.shape != (code.n,):

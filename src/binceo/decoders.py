@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._msgpass import (HALF_CLAMP, LLR_CLAMP, Bucket, check_messages, extrinsic_messages,
-                       hoist_unit_block, peel, row_sums, slot_major, variable_sums)
+# perfbench's tracer wraps check_messages here, so the name stays.
+from ._msgpass import (HALF_CLAMP, LLR_CLAMP, Bucket, bounded_check_update,
+                       check_messages, extrinsic_messages, hoist_unit_block, peel, row_sums,
+                       slot_major, variable_sums)
 from .binmath import ChainParams, _check_bits, chain_posterior_table
 from .graphs import CompoundCode, LdpcCode, SparseBipartiteGraph
 
@@ -62,6 +64,9 @@ def sum_product_decode(
         raise ValueError(f"prior length {prior.shape} does not match n={code.n}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    # Also the loop's premise: every factor scale lies in [-1, 1].
+    if not (np.abs(leaf_scale) <= 1.0).all():
+        raise ValueError("leaf_scale must hold finite values in [-1, 1] only")
 
     # Check f's parity target as a sign (1 - 2s_f), then the leaf scales.
     fac_scale = np.concatenate([1.0 - 2.0 * syndrome.astype(float), leaf_scale])
@@ -165,7 +170,8 @@ def _sum_product(
     del position, fac_order
     order = np.argsort(hosts)
     hosts, leaves, host_scale = hosts[order], leaves[order], host_scale[order]
-    host_edges, host_ptr = _slot_edges(buckets, hosts)
+    table = _bucket_table(buckets)
+    host_edges, host_ptr = _slot_edges(buckets, hosts, table)
     leaf_prior = half[leaves]
     link = np.repeat(np.arange(len(links)), [m for _, m in links])
     # A witness is a check with edges and no leaf.
@@ -196,32 +202,39 @@ def _sum_product(
             bad = np.flatnonzero(parity[checks] != target)
         bad_links = np.bincount(link[bad], minlength=len(links))
         bad = bad[witness_ok[checks[bad]]][:WITNESSES]
-        w_edges, w_ptr = _slot_edges(buckets, checks[bad])
+        w_edges, w_ptr = _slot_edges(buckets, checks[bad], table)
         return bad_links == 0, (edge_var[w_edges], w_ptr, target[bad])
 
     m_cv = np.zeros(len(edge_var))
     p, live = hoist_unit_block(buckets, scale, m_cv)
     m_vc = np.empty(len(edge_var))
+    # Every input is clipped to +-HALF_CLAMP and every scale lies in
+    # [-1, 1], so no message needs a clamp or meets atanh(+-1).
+    check_update = bounded_check_update(m_vc, m_cv, scale, live)
     base = half[loop_var]
     posterior, sums = base.copy(), np.zeros(n_loop)
     if nf:
         # The messages into the free pairs' first ends, then their second
-        # ends, are one slot-major degree-2 block.
+        # ends; each end's message is the coupling times the tanh of the
+        # other end's.  (One multiply over a row-reversed view would make
+        # numpy buffer a copy of it.)
         pair_prior = base[: 2 * nf].copy()
-        pair_buckets = ((2, slice(0, 2 * nf), slice(0, nf), "C"),)
-        pair_scale = np.full(nf, coupling)
         cross, ext = np.zeros(2 * nf), np.empty(2 * nf)
+        halves = ((ext[nf:], cross[:nf]), (ext[:nf], cross[nf:]))
     w_var = np.zeros(0, np.intp)
     for it in range(1, budget + 1):
         if nf:
             np.subtract(posterior[: 2 * nf], cross, out=ext)
             np.clip(ext, -HALF_CLAMP, HALF_CLAMP, out=ext)
-            check_messages(ext, pair_scale, pair_buckets, out=cross)
+            np.tanh(ext, out=ext)
+            for other, into in halves:
+                np.multiply(other, coupling, out=into)
+            np.arctanh(cross, out=cross)
             np.add(pair_prior, cross, out=base[: 2 * nf])
             np.add(base[: 2 * nf], sums[: 2 * nf], out=posterior[: 2 * nf])
         # posterior holds base plus the sums of the current factor messages.
         extrinsic_messages(posterior, edge_var[p:], m_cv[p:], out=m_vc[p:])
-        check_messages(m_vc, scale, live, out=m_cv)
+        check_update()
         sums = variable_sums(m_cv, edge_var, n_loop)
         np.add(base, sums, out=posterior)
         # Before the last iteration, a witness that still fails spares the
@@ -234,7 +247,7 @@ def _sum_product(
             break
     half[loop_var] = posterior
     half[leaves] = leaf_posterior()
-    del m_cv, m_vc
+    del m_cv, m_vc, check_update
     live_edges = np.zeros(n_var, np.int64)
     live_edges[loop_var] = np.bincount(edge_var[p:], minlength=n_loop)
     live_edges[ends] += 1
@@ -257,17 +270,27 @@ def _kept(keep: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.take(a, np.flatnonzero(keep), out=out, mode="wrap")
 
 
-def _slot_edges(buckets: tuple[Bucket, ...], facs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bucket_table(buckets: tuple[Bucket, ...]) -> np.ndarray:
+    """Per slot-major bucket its first factor, degree, factor count and
+    first edge less first factor, as the rows of a (4, len(buckets))
+    array: slot j of its factor f is edge f + that offset + j * count."""
+    return np.array([(f.start, d, f.stop - f.start, e.start - f.start)
+                     for d, e, f, _ in buckets], np.intp).reshape(-1, 4).T
+
+
+def _slot_edges(
+    buckets: tuple[Bucket, ...], facs: np.ndarray, table: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The edges of the slot-major factors facs, factor by factor in slot
-    order, and the offset at which each factor's run starts."""
-    first = np.array([f.start for _, _, f, _ in buckets], np.intp)
+    order, and the offset at which each factor's run starts; table is the
+    buckets' _bucket_table, built here when not given."""
+    first, degree, count, offset = _bucket_table(buckets) if table is None else table
     b = np.searchsorted(first, facs, side="right") - 1
-    degree = np.array([d for d, *_ in buckets], np.intp)[b]
-    count = np.array([f.stop - f.start for _, _, f, _ in buckets], np.intp)[b]
-    start = np.array([e.start for _, e, _, _ in buckets], np.intp)[b] + facs - first[b]
+    degree, count = degree[b], count[b]
     ptr = np.cumsum(degree) - degree
-    slot = np.arange(degree.sum()) - np.repeat(ptr, degree)
-    return np.repeat(start, degree) + np.repeat(count, degree) * slot, ptr
+    # Run entry i of factor f is its slot i - ptr[f].
+    return (np.repeat(facs + offset[b] - count * ptr, degree)
+            + np.repeat(count, degree) * np.arange(degree.sum())), ptr
 
 
 def side_info_prior(u2: np.ndarray, q: float) -> np.ndarray:

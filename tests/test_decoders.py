@@ -90,6 +90,22 @@ def test_sum_product_decode_rejects_a_non_binary_syndrome(nested_code):
         sum_product_decode(comb, s, np.zeros(comb.n))
 
 
+@pytest.mark.parametrize("value", [3.0, -1.0 - 2**-52, np.nan, -np.inf])
+def test_sum_product_decode_rejects_a_leaf_scale_outside_the_unit_interval(nested_code, value):
+    # Leaf scales tripled once gave NaN posteriors and a syndrome that read
+    # as satisfied.
+    absorbed = combined_syndrome_code(nested_code, absorb_leaves=True)
+    side = np.random.default_rng(59).integers(0, 2, nested_code.n, dtype=np.uint8)
+    info_prior, leaf_scale = combined_prior(nested_code, side_info_prior(side, 0.12))
+    s = np.zeros(nested_code.ldpc.m, dtype=np.uint8)
+    bad = leaf_scale.copy()
+    bad[7] = value
+    with pytest.raises(ValueError, match="leaf_scale"):
+        sum_product_decode(absorbed, s, info_prior, 2, leaf_scale=bad)
+    # The ends of the interval are leaves that are known exactly.
+    sum_product_decode(absorbed, s, info_prior, 2, leaf_scale=np.sign(leaf_scale))
+
+
 @pytest.mark.parametrize("arg", ["s1", "s2"])
 def test_joint_decode_rejects_a_non_binary_syndrome(nested_code, arg):
     comb = combined_syndrome_code(nested_code)

@@ -272,15 +272,21 @@ def test_joint_decode_work_is_pinned(p, live_edges, iterations_used):
 
 
 def test_simulate_raises_no_floating_point_fault():
-    # Every floating-point fault is an error here.  The check kernel's
-    # atanh(+-1) = +-inf, which its clamp absorbs, is the one place that
-    # opts out, locally.
+    # Every floating-point fault is an error here.  Where a clamp absorbs
+    # atanh(+-1) = +-inf, the code opts out locally: check_messages (the
+    # quantizer's update, the decoders' degree-1 messages), the decoders'
+    # leaf posteriors and their pairs with one pinned end.  The decoders'
+    # per-iteration updates do not, so both decoders run a failing budget
+    # below.
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         simulate(ExperimentConfig(n=2000, trials=1, scheme="both", base_seed=11))
         cfg = ExperimentConfig(p1=0.05, p2=0.05, n=2000, trials=1, scheme="joint",
                                base_seed=11)
         with pytest.warns(RuntimeWarning, match="link 2 "):
             run_joint_trial(cfg, 0)
+        cfg = ExperimentConfig(n=2000, scheme="successive", base_seed=3)
+        with pytest.warns(RuntimeWarning, match="link 1 "):
+            run_successive_trial(cfg, 1)
 
 
 def test_simulate_csv_structure():

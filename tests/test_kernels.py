@@ -5,12 +5,14 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from binceo import decoders
-from binceo._msgpass import (HALF_CLAMP, LLR_CLAMP, check_messages, hoist_unit_block,
-                             leave_one_out_products, peel, row_runs, row_sums, slot_major)
+from binceo._msgpass import (HALF_CLAMP, LLR_CLAMP, bounded_check_update, check_messages,
+                             hoist_unit_block, leave_one_out_products, peel, row_runs, row_sums,
+                             slot_major)
 from binceo.codec import DECIMATION_BIAS_FLOOR, _most_biased
 from binceo.graphs import DegreeDistribution, SparseBipartiteGraph, _apportion, sample_graph
 from binceo.harness import ExperimentConfig, run_joint_trial
@@ -193,6 +195,61 @@ def test_slot_major_check_messages_leave_tanh_in_the_spent_m_in(adj, data):
     spent = m_in.copy()
     check_messages(spent, scale, slot_major(g.indptr)[2], out=np.empty_like(m_in))
     assert spent.tobytes() == np.tanh(m_in).tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_leave_one_out_products_of_degree_2_and_3_keep_zeros_and_units_exact(order):
+    # Columns of exact zeros of both signs, +-1 and halves, whose products
+    # are exact, so a wrong pair of operands shows in a value or a sign.
+    cols = [(0.0, -1.0, 0.5), (-0.0, 1.0, -1.0), (1.0, -0.0, -0.0), (-1.0, -1.0, 0.25),
+            (0.5, 0.0, -1.0), (-1.0, 1.0, 1.0)]
+    for d in (2, 3):
+        blk = np.array([c[:d] for c in cols]).T.copy(order=order)
+        res = np.full_like(blk, np.nan)
+        leave_one_out_products(blk, res)
+        if d == 2:
+            want = [[c[1] for c in cols], [c[0] for c in cols]]
+        else:
+            want = [[c[2] * c[1] for c in cols], [c[0] * c[2] for c in cols],
+                    [c[0] * c[1] for c in cols]]
+        assert res.tobytes(order="C") == np.array(want).tobytes()
+
+
+def test_tanh_of_the_message_clamp_maps_back_inside_it():
+    # The premise that lets the decoder loop drop its clamp.
+    t = np.tanh(HALF_CLAMP)
+    assert t < 1.0 and np.arctanh(t) < HALF_CLAMP
+
+
+# Loop inputs: half LLRs within the clamp and factor scales within [-1, 1].
+bounded_llrs = st.one_of(st.sampled_from([HALF_CLAMP, -HALF_CLAMP, 0.0, -0.0]),
+                         st.floats(-HALF_CLAMP, HALF_CLAMP))
+unit_scales = st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]), st.floats(-1.0, 1.0))
+
+
+@given(adjacency(max_degree=8), st.data())
+def test_bounded_check_update_matches_check_messages_bit_for_bit(adj, data):
+    n_var, adjs = adj
+    g = csr(n_var, adjs)
+    _, fac_order, buckets = slot_major(g.indptr)
+    m_in = np.array(data.draw(st.lists(bounded_llrs, min_size=g.n_edges, max_size=g.n_edges)))
+    scale = np.array(data.draw(st.lists(unit_scales, min_size=g.n_fac, max_size=g.n_fac)))
+    # A degree-1 factor sends atanh(scale), within the clamp only while
+    # |scale| <= tanh(HALF_CLAMP).
+    t = np.tanh(HALF_CLAMP)
+    unit = np.diff(g.indptr)[fac_order] == 1
+    scale[unit] = np.clip(scale[unit], -t, t)
+    want = check_messages(m_in, scale, buckets)
+    spent, out = np.full_like(m_in, np.nan), np.full_like(m_in, np.nan)
+    update = bounded_check_update(spent, out, scale, buckets)
+    # The update reads the buffers' values at each call, and raises no
+    # floating-point fault on bounded inputs.
+    for _ in range(2):
+        spent[:] = m_in
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            update()
+        assert out.tobytes() == want.tobytes()
+        assert spent.tobytes() == np.tanh(m_in).tobytes()
 
 
 @given(adjacency(), st.data())
