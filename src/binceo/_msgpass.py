@@ -312,5 +312,6 @@ def hoist_unit_block(
     run the kernels on the other edges only."""
     if not buckets or buckets[0][0] != 1:
         return 0, buckets
-    check_messages(np.zeros(len(messages)), fac_scale, buckets[:1], out=messages)
+    # The update reads its input on the bucket's edges only.
+    check_messages(np.zeros(buckets[0][1].stop), fac_scale, buckets[:1], out=messages)
     return buckets[0][1].stop, buckets[1:]

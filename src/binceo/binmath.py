@@ -126,6 +126,7 @@ def average_log_loss(prob_of_one: np.ndarray, source: np.ndarray) -> float:
         )
     if prob_of_one.size == 0:
         raise ValueError("need at least one symbol")
+    _check_bits(source, "source")
     q = np.where(source == 1, prob_of_one, 1.0 - prob_of_one)
     q = np.clip(q, LOG_LOSS_EPS, 1.0)
     return float(np.mean(-np.log2(q)))

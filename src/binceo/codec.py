@@ -58,8 +58,9 @@ def bias_propagation_quantize(
         raise ValueError("max_iters must be >= 1")
     rng = np.random.default_rng(seed)
     td = min(max(float(target_d), MIN_TARGET_D), 0.5)
-    channel_llr = (1.0 - 2.0 * y.astype(float)) * np.log((1.0 - td) / td)
-    channel_tanh = np.tanh(0.5 * channel_llr)
+    # tanh of the channel half LLR, +-t by the observed bit (tanh is odd).
+    t = np.tanh(0.5 * np.log((1.0 - td) / td))
+    channel_tanh = np.where(y, -t, t)
 
     k = code.k
     graph = code.graph

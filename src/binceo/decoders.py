@@ -413,6 +413,8 @@ def reconstruct_soft(
         raise ValueError(
             f"length mismatch: {u1_hat.shape} vs {u2_hat.shape}"
         )
+    _check_bits(u1_hat, "u1_hat")
+    _check_bits(u2_hat, "u2_hat")
     table = chain_posterior_table(params)
     return table[u1_hat.astype(int), u2_hat.astype(int)]
 

@@ -117,15 +117,6 @@ def _degrees(
     return var_degs, fac_degs
 
 
-def _sort_within_factors(
-    edge_fac: np.ndarray, indices: np.ndarray, n_var: int
-) -> np.ndarray:
-    """indices with each factor's variables in increasing order; edges are
-    grouped by factor, in factor order."""
-    base = edge_fac.astype(np.int64) * n_var
-    return np.sort(base + indices) - base
-
-
 def sample_graph(
     dist: DegreeDistribution, n_var: int, n_fac: int, seed: int
 ) -> SparseBipartiteGraph:
@@ -137,10 +128,15 @@ def sample_graph(
     rng = np.random.default_rng(seed)
     sockets = rng.permutation(np.repeat(np.arange(n_var), var_degs))
     ptr = np.concatenate([[0], np.cumsum(fac_degs)])
-    fac = np.repeat(np.arange(n_fac), fac_degs)
-    adj_sorted = _sort_within_factors(fac, sockets, n_var)
-    dup = (adj_sorted[1:] == adj_sorted[:-1]) & (fac[1:] == fac[:-1])
-    dup_facs = np.unique(fac[1:][dup])
+    # Sorting the keys factor * n_var + variable, in place, puts each
+    # factor's variables in increasing order within its edges; a repeated
+    # key is a duplicate edge.
+    base = np.repeat(np.arange(0, n_fac * n_var, n_var), fac_degs)
+    adj_sorted = base + sockets
+    adj_sorted.sort()
+    dup_facs = np.unique(adj_sorted[1:][adj_sorted[1:] == adj_sorted[:-1]] // n_var)
+    adj_sorted -= base
+    del base
 
     # Duplicate repair: swap an offending socket with a random socket of
     # another factor, accepting only swaps that create no new duplicates.
@@ -280,22 +276,24 @@ def compound_sizes(
     ldpc_dist: DegreeDistribution,
 ) -> tuple[int, int, int]:
     """(k, m, n_doped) of the code build_compound builds from these
-    arguments; raises GraphConstructionError if it cannot build it."""
+    arguments; raises GraphConstructionError if it cannot build it.  A
+    syndrome_rate of 0 gives m = 0: a code without checks."""
     if not 0.0 < ldgm_rate <= 1.0:
         raise GraphConstructionError(f"ldgm_rate must be in (0, 1], got {ldgm_rate}")
-    if not 0.0 < syndrome_rate < 1.0:
+    if not 0.0 <= syndrome_rate < 1.0:
         raise GraphConstructionError(
-            f"syndrome_rate must be in (0, 1), got {syndrome_rate}"
+            f"syndrome_rate must be in [0, 1), got {syndrome_rate}"
         )
     k = round(n * ldgm_rate)
     m = round(n * syndrome_rate)
     n_doped = int(round(DOPED_CHECK_FRACTION * m))
-    if k < 1 or m < 1 or m >= n or k >= n or n_doped > k:
+    if k < 1 or (m < 1 and syndrome_rate > 0) or m >= n or k >= n or n_doped > k:
         raise GraphConstructionError(
             f"degenerate code sizes: n={n}, k={k}, m={m}, doped={n_doped}"
         )
     _degrees(ldgm_dist, k, n - k)
-    _degrees(ldpc_dist, k, m - n_doped)
+    if m:
+        _degrees(ldpc_dist, k, m - n_doped)
     return k, m, n_doped
 
 
@@ -317,10 +315,17 @@ def build_compound(
     decodable by belief propagation under the weak pairwise correlation of
     this problem; checks placed on arbitrary codeword positions have no
     workable BP basin there.
+
+    A syndrome_rate of 0 builds the same LDGM and an LDPC without checks,
+    drawing nothing for it: the code of a link that sends its information
+    bits, at rate k / n.
     """
     k, m, n_doped = compound_sizes(n, ldgm_rate, syndrome_rate, ldgm_dist, ldpc_dist)
     sub = np.random.SeedSequence(seed).generate_state(3)
     ldgm = _systematic_ldgm(n, k, k, ldgm_dist, seed=int(sub[0]))
+    if not m:
+        no_checks = SparseBipartiteGraph(n_var=n, indptr=np.zeros(1), indices=np.zeros(0))
+        return CompoundCode(ldgm=ldgm, ldpc=LdpcCode(graph=no_checks))
 
     rng = np.random.default_rng(int(sub[1]))
     doped = rng.choice(k, size=n_doped, replace=False) if n_doped else np.empty(0, int)

@@ -126,24 +126,29 @@ class ExperimentConfig:
     def _validate_codes(self) -> None:
         """Each d_i must give code rates whose graphs the builders can
         realize for every link the configured schemes build.  The message
-        names the link's d_i and the two other keys its code's sizes come from."""
+        names the link's d_i and the other keys its code's sizes come from."""
         g1, g2, s1, s2 = design_rates(self.p1, self.p2, self.d1, self.d2,
                                       self.ldgm_margin, self.syndrome_margin)
         ldgm, ldpc = self.ldgm_dist(), self.ldpc_dist()
         checks = []
         if self.scheme != "successive":
-            checks.append(("d1", "anchor_gamma", anchor_sizes, (g1, self.anchor_gamma, ldgm)))
+            checks.append(("d1", ("anchor_gamma",), anchor_sizes,
+                           (g1, self.anchor_gamma, ldgm)))
         if self.scheme != "joint":
-            checks.append(("d1", "syndrome_margin", compound_sizes, (g1, s1, ldgm, ldpc)))
-        checks.append(("d2", "syndrome_margin", compound_sizes, (g2, s2, ldgm, ldpc)))
-        for key, other, sizes, args in checks:
+            checks.append(("d1", ("syndrome_margin",), compound_sizes, (g1, s1, ldgm, ldpc)))
+        # Successive link 2 sends its information bits: its code has no checks.
+        if self.scheme == "successive":
+            checks.append(("d2", (), compound_sizes, (g2, 0.0, ldgm, ldpc)))
+        else:
+            checks.append(("d2", ("syndrome_margin",), compound_sizes, (g2, s2, ldgm, ldpc)))
+        for key, others, sizes, args in checks:
             try:
                 sizes(self.n, *args)
             except GraphConstructionError as exc:
-                raise ValueError(
-                    f"{key}={getattr(self, key)} with ldgm_margin={self.ldgm_margin} and "
-                    f"{other}={getattr(self, other)} gives a link code that cannot be "
-                    f"built: {exc}") from None
+                keys = " and ".join(f"{k}={getattr(self, k)}"
+                                    for k in ("ldgm_margin", *others))
+                raise ValueError(f"{key}={getattr(self, key)} with {keys} gives a link "
+                                 f"code that cannot be built: {exc}") from None
 
     def ldgm_dist(self) -> DegreeDistribution:
         return DegreeDistribution(fac=dict(self.ldgm_fac_dist))
@@ -282,18 +287,17 @@ def run_successive_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
     x, y1, y2 = _generate_source(cfg, trial)
     chain = cfg.chain()
     tc = TestChannelPair(cfg.d1, cfg.d2)
-    g1, g2, s1_rate, s2_rate = design_rates(cfg.p1, cfg.p2, cfg.d1, cfg.d2,
-                                            cfg.ldgm_margin, cfg.syndrome_margin)
+    g1, g2, s1_rate, _ = design_rates(cfg.p1, cfg.p2, cfg.d1, cfg.d2,
+                                      cfg.ldgm_margin, cfg.syndrome_margin)
     cc1 = build_compound(cfg.n, g1, s1_rate, cfg.ldgm_dist(), cfg.ldpc_dist(),
                          seed=component_seed(cfg.base_seed, "succ-code1", trial))
-    # Link 2 conveys its information bits directly; reuse the joint
-    # scheme's link-2 quantizer so matched trials share u2 exactly.
-    ldgm2 = build_compound(
-        cfg.n, g2, s2_rate, cfg.ldgm_dist(), cfg.ldpc_dist(),
-        seed=component_seed(cfg.base_seed, "code2", trial),
-    ).ldgm
+    # Link 2 conveys its information bits directly, so its code has no
+    # checks; its LDGM is the joint scheme's link-2 quantizer, so matched
+    # trials share u2 exactly.
+    cc2 = build_compound(cfg.n, g2, 0.0, cfg.ldgm_dist(), cfg.ldpc_dist(),
+                         seed=component_seed(cfg.base_seed, "code2", trial))
     syn1, q1, q2 = encode_successive(
-        cc1, ldgm2, y1, y2, tc,
+        cc1, cc2.ldgm, y1, y2, tc,
         seed=component_seed(cfg.base_seed, "quant", trial),
         biasprop_sweeps=cfg.biasprop_sweeps,
     )
@@ -308,7 +312,7 @@ def run_successive_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
                              leaf_scale=leaf_scale)
     u1_hat = cc1.ldgm.encode(res.u_hat)
     recons = reconstruct_soft_successive(u1_hat, u2, chain)
-    rates = empirical_rates_successive(cc1.ldpc.m, ldgm2.k, cfg.n)
+    rates = empirical_rates_successive(cc1.ldpc.m, cc2.ldgm.k, cfg.n)
     report = report_run(
         "successive", trial, x, recons, rates, tc, cfg.p1, cfg.p2,
         u1_hat, q1.quantized, u2, q2.quantized,

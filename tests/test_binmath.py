@@ -128,3 +128,10 @@ def test_average_log_loss_shape_errors():
         average_log_loss(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError):
         average_log_loss(np.zeros(0), np.zeros(0))
+
+
+@pytest.mark.parametrize("source", [[1, 2], [1, -1], [0.5, 1]])
+def test_average_log_loss_rejects_non_binary_source(source):
+    # A 2 or a -1 would otherwise be scored as a 0.
+    with pytest.raises(ValueError, match="source must hold bits"):
+        average_log_loss([0.9, 0.9], source)

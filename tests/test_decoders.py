@@ -515,3 +515,14 @@ def test_reconstruct_soft_length_mismatch():
     params = ChainParams(d1=0.1, p1=0.15, p2=0.15, d2=0.1)
     with pytest.raises(ValueError):
         reconstruct_soft(np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8), params)
+
+
+@pytest.mark.parametrize("u1, u2, name", [
+    ([-1, 0], [0, 0], "u1_hat"),  # would wrap to row 1
+    ([2, 0], [0, 0], "u1_hat"),
+    ([0, 1], [1, 3], "u2_hat"),
+])
+def test_reconstruct_soft_rejects_non_binary_bits(u1, u2, name):
+    params = ChainParams(d1=0.1, p1=0.15, p2=0.15, d2=0.1)
+    with pytest.raises(ValueError, match=f"{name} must hold bits"):
+        reconstruct_soft(np.array(u1), np.array(u2), params)

@@ -6,6 +6,7 @@ import pytest
 from binceo.binmath import binary_convolution, binary_entropy
 from binceo.decoders import combined_syndrome_code
 from binceo.graphs import (
+    DEFAULT_LDGM,
     DEFAULT_LDPC,
     CompoundCode,
     DegreeDistribution,
@@ -15,6 +16,7 @@ from binceo.graphs import (
     SparseBipartiteGraph,
     build_anchor_compound,
     build_compound,
+    compound_sizes,
     design_rates,
     sample_graph,
 )
@@ -134,6 +136,29 @@ def test_build_compound_rejects_bad_rates():
         build_compound(1000, ldgm_rate=0.0, syndrome_rate=0.5)
     with pytest.raises(GraphConstructionError):
         build_compound(1000, ldgm_rate=0.5, syndrome_rate=1.0)
+
+
+@pytest.mark.parametrize("n", [2000, 10_000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_build_compound_without_checks_keeps_the_ldgm(n, seed):
+    # A link that sends its information bits gets the LDGM that the same
+    # seed gives with checks, so matched trials share its quantizer.
+    bare = build_compound(n, ldgm_rate=0.56, syndrome_rate=0.0, seed=seed)
+    full = build_compound(n, ldgm_rate=0.56, syndrome_rate=0.5, seed=seed)
+    np.testing.assert_array_equal(bare.ldgm.graph.indptr, full.ldgm.graph.indptr)
+    np.testing.assert_array_equal(bare.ldgm.graph.indices, full.ldgm.graph.indices)
+    assert (bare.ldpc.m, bare.ldpc.n, bare.ldpc.graph.n_edges) == (0, n, 0)
+    assert len(bare.ldpc.syndrome(np.zeros(n, np.uint8))) == 0
+
+
+def test_compound_sizes_at_syndrome_rate_zero():
+    assert compound_sizes(2000, 0.56, 0.0, DEFAULT_LDGM, DEFAULT_LDPC) == (1120, 0, 0)
+    for rate in (-0.1, 1.0, 1.5):
+        with pytest.raises(GraphConstructionError, match=r"syndrome_rate must be in \[0, 1\)"):
+            compound_sizes(2000, 0.56, rate, DEFAULT_LDGM, DEFAULT_LDPC)
+    # A positive rate still needs at least one check.
+    with pytest.raises(GraphConstructionError, match="degenerate code sizes"):
+        compound_sizes(2000, 0.56, 1e-4, DEFAULT_LDGM, DEFAULT_LDPC)
 
 
 def test_build_anchor_compound_structure():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import binceo
-from binceo import decoders, harness
+from binceo import decoders, graphs, harness
 from binceo.bounds import TestChannelPair, bsc_bounds, optimize_test_channels
 from binceo.evaluate import CSV_COLUMNS
 from binceo.harness import (
@@ -317,6 +317,34 @@ def test_run_successive_trial_reports_rates():
     assert 1 <= rep.iterations_used[1] <= cfg.sp_iters
     assert rep.pinned.keys() == rep.live_edges.keys() == {1}
     assert rep.pinned[1] > 0 and rep.live_edges[1] > 0
+
+
+@pytest.mark.parametrize("runner", [run_joint_trial, run_successive_trial])
+def test_trial_samples_three_graphs(runner, monkeypatch):
+    # Joint: link 1's mixed outputs, link 2's LDGM and LDPC.  Successive:
+    # each link's LDGM and link 1's LDPC; link 2 sends its information bits
+    # and draws no checks.
+    calls = []
+    real = graphs.sample_graph
+    monkeypatch.setattr(graphs, "sample_graph", lambda *a, **k: calls.append(1) or real(*a, **k))
+    runner(ExperimentConfig(n=2000, base_seed=11), 0)
+    assert len(calls) == 3
+
+
+def test_successive_link2_is_validated_without_checks():
+    # d1 = 0.3 needs few checks on link 1: its sizes are (249, 404, 40).
+    # Link 2's syndrome rate at d2 = 0.1 is 1.026, which only the schemes
+    # that send link 2's syndrome build; successive link 2 at rate 0 gives
+    # (1115, 0, 0).
+    kwargs = dict(n=2000, d1=0.3, d2=0.1, syndrome_margin=1.0)
+    ExperimentConfig(scheme="successive", **kwargs).validate()
+    for scheme in ("joint", "both"):
+        with pytest.raises(ValueError, match=r"^d2=0\.1 with ldgm_margin=0\.05 and "
+                                             r"syndrome_margin=1\.0 gives"):
+            ExperimentConfig(scheme=scheme, **kwargs).validate()
+    # Successive link 2's sizes come from d2 and ldgm_margin alone.
+    with pytest.raises(ValueError, match=r"^d2=0\.0 with ldgm_margin=0\.05 gives"):
+        ExperimentConfig(n=2000, scheme="successive", d2=0.0).validate()
 
 
 def test_pinned_bits_are_the_encoders_bits(monkeypatch):
