@@ -15,15 +15,17 @@ run per bucket and transpose: tanh writes a contiguous block into the
 bucket's span of the output, the products go to m_in's span, and atanh
 writes them back in row order; m_in ends up holding the products.  The
 clamp runs once over the run.  The decoders' loop runs the same "C"
-update as bounded_check_update, on views built once per decode and
-without the clamp: its inputs are clipped and its scales lie in
-[-1, 1], so no message can reach the clamp.  Each edge's leave-one-out
-product is its prefix product times its suffix product along the slots
-(the standard tanh-rule layout, Richardson & Urbanke, Modern Coding
-Theory, 2008), so exact zeros need no special case.  The factor term
-that is never left out (syndrome sign, quantizer channel tanh, coupling
-1 - 2q) is one scale per factor, multiplied into a block as one row
-broadcast.  The decoders first peel the hard factors (scale +-1), fold
+update as bounded_check_update, without the clamp (its inputs are
+clipped and its scales lie in [-1, 1], so no message can reach it): one
+tanh, the row-level multiplies of every bucket (product_ops) bound to
+their views once per decode, and one arctanh.  Each edge's
+leave-one-out product is its prefix product times its suffix product
+along the slots (the standard tanh-rule layout, Richardson & Urbanke,
+Modern Coding Theory, 2008), so exact zeros need no special case.  The
+factor term that is never left out (syndrome sign, quantizer channel
+tanh, coupling 1 - 2q) is one scale per factor, multiplied into a block
+as one row broadcast, or into each row of a degree-2 block as it is
+swapped.  The decoders first peel the hard factors (scale +-1), fold
 the leaves left into their factors' scales and lay out only the
 residual graph of the other variables.
 """
@@ -55,25 +57,35 @@ def extrinsic_messages(
     return np.clip(out, -HALF_CLAMP, HALF_CLAMP, out=out)
 
 
-def leave_one_out_products(blk: np.ndarray, res: np.ndarray) -> None:
-    """Write into res[j] the product of blk's rows other than row j, for a
-    (d, n) block whose row j holds slot j of n factors (res is not blk)."""
+def product_ops(blk: np.ndarray, res: np.ndarray, scale: np.ndarray | float) -> list[tuple]:
+    """The row-level multiplies (x, y, out), on views bound here, that
+    write into res[j] scale times the product of blk's rows other than
+    row j, for a (d, n) block whose row j holds slot j of n factors (res
+    is not blk) and one scale per factor.  A row of degree 1 gets
+    1 * scale and one of degree 2 the other row times scale, one multiply
+    each with the bits of a copy and a scale multiply."""
     d = len(blk)
     if d < 3:
-        # Row by row: assigning a row-reversed "F" view buffers a copy.
-        res[0] = blk[1] if d == 2 else 1.0
-        if d == 2:
-            res[1] = blk[0]
-        return
+        # Row by row: one multiply over a row-reversed view is slower, and
+        # buffers a copy of an "F" one.
+        return [(blk[1 - j] if d == 2 else 1.0, scale, res[j]) for j in range(d)]
     # res[j] = prod(blk[:j]) * prod(blk[j + 1:]): the prefix products run
     # forward from blk[0], then the suffix products backward from blk[d - 1],
     # in res[0] until it is its own; 3d - 6 multiplies and no copy.
-    for j in range(2, d):
-        np.multiply(res[j - 1] if j > 2 else blk[0], blk[j - 1], out=res[j])
+    ops = [(res[j - 1] if j > 2 else blk[0], blk[j - 1], res[j]) for j in range(2, d)]
     for j in range(d - 2, 0, -1):
         suffix = res[0] if j < d - 2 else blk[d - 1]
-        np.multiply(res[j] if j > 1 else blk[0], suffix, out=res[j])
-        np.multiply(suffix, blk[j], out=res[0])
+        ops += [(res[j] if j > 1 else blk[0], suffix, res[j]), (suffix, blk[j], res[0])]
+    return ops + [(res, scale, res)]
+
+
+def leave_one_out_products(
+    blk: np.ndarray, res: np.ndarray, scale: np.ndarray | float = 1.0
+) -> None:
+    """Write into res[j] scale times the product of blk's rows other than
+    row j, by running product_ops(blk, res, scale) once."""
+    for x, y, out in product_ops(blk, res, scale):
+        np.multiply(x, y, out)
 
 
 def check_messages(
@@ -113,8 +125,7 @@ def check_messages(
             for d, edges, facs, _ in buckets:
                 blk, res = out[edges].reshape(d, -1), scratch[edges].reshape(d, -1)
                 np.tanh(m_in[edges].reshape((d, -1), order="F"), out=blk)
-                leave_one_out_products(blk, res)
-                res *= fac_scale[facs]
+                leave_one_out_products(blk, res, fac_scale[facs])
                 np.arctanh(res, out=out[edges].reshape((d, -1), order="F"))
     np.clip(out[run], -HALF_CLAMP, HALF_CLAMP, out=out[run])
     return out
@@ -125,8 +136,9 @@ def bounded_check_update(
 ) -> Callable[[], None]:
     """check_messages(m_in, fac_scale, buckets, out=out) on slot-major
     buckets, without the clamp, as a function that runs it on the current
-    values of m_in and out through views built here once; m_in is spent
-    as the tanh buffer.
+    values of m_in and out; m_in is spent as the tanh buffer.  Every
+    bucket's product_ops are bound here once, so a call is one tanh, those
+    row-level multiplies and one arctanh.
 
     The clamp cannot act when every |m_in| <= HALF_CLAMP and every
     |fac_scale| <= 1: each |tanh| <= T = tanh(HALF_CLAMP), and a product
@@ -138,14 +150,15 @@ def bounded_check_update(
         return lambda: None
     run = slice(buckets[0][1].start, buckets[-1][1].stop)
     tanh_run, msg_run = m_in[run], out[run]
-    blocks = [(m_in[edges].reshape(d, -1), out[edges].reshape(d, -1), fac_scale[facs])
-              for d, edges, facs, _ in buckets]
+    ops = [op for d, edges, facs, _ in buckets
+           for op in product_ops(m_in[edges].reshape(d, -1), out[edges].reshape(d, -1),
+                                 fac_scale[facs])]
+    multiply = np.multiply  # looked up once per decode, not once per row
 
     def update() -> None:
         np.tanh(tanh_run, out=tanh_run)
-        for blk, res, scale in blocks:
-            leave_one_out_products(blk, res)
-            res *= scale
+        for x, y, res in ops:
+            multiply(x, y, res)
         np.arctanh(msg_run, out=msg_run)
 
     return update

@@ -29,9 +29,17 @@ class DecodeResult:
     syndrome_satisfied: bool
     iterations_used: int
     posterior: np.ndarray
-    # Bits peeled; edges on this link's variables updated every iteration.
+    # Bits peeled; edges on this link's variables updated every iteration,
+    # as in sum-product on the union graph: a pair leaf's ends count one
+    # each, though the loop computes the leaf end's posterior only once.
     pinned: int
     live_edges: int
+
+
+def _check_not_nan(prior: np.ndarray, name: str) -> None:
+    # The loop clips +-inf, but a NaN passes the clip and spreads.
+    if np.isnan(prior).any():
+        raise ValueError(f"{name} must not hold NaN")
 
 
 def sum_product_decode(
@@ -62,6 +70,7 @@ def sum_product_decode(
     _check_bits(syndrome, "syndrome")
     if prior.shape != (code.n,):
         raise ValueError(f"prior length {prior.shape} does not match n={code.n}")
+    _check_not_nan(prior, "prior")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     # Also the loop's premise: every factor scale lies in [-1, 1].
@@ -92,15 +101,21 @@ def _sum_product(
     factors (|scale| == 1) are peeled, and the loop runs on the residual
     graph: unpinned variables' edges, each factor's scale times
     (-1)^(its pinned bits); pinned variables hold +-HALF_CLAMP.  A pair
-    with one pinned end is a constant in the other end's prior.  A leaf is
-    an unpinned variable with one residual edge that is no end of a pair
-    left, alone as such on a factor with at least two more edges.  It
-    always sends that factor tanh of its clamped prior, so that term
-    folds into the factor's scale, and its posterior is computed from the
-    factor's other tanh values when needed.  The loop runs on the other
-    variables with an edge, the free pair ends first.  Every iteration
-    updates the pairs from the extrinsic beliefs, then all residual
-    factors from the refreshed beliefs (without pairs, flooding).  With
+    with one pinned end is a constant in the other end's prior.  A free
+    pair whose first end has no residual edge and a prior of +-0 is a
+    pair leaf: that end sends +-0 and then exactly +0, so its partner's
+    base is its prior + 0 and the pair leaves the loop; the end's
+    posterior is the last iteration's pair update, computed once from its
+    partner's posterior at that iteration's start.  A leaf is an unpinned
+    variable with one residual edge that is no end of a pair left, alone
+    as such on a factor with at least two more edges.  It always sends
+    that factor tanh of its clamped prior, so that term folds into the
+    factor's scale, and its posterior is computed from the factor's other
+    tanh values when needed.  The loop runs on the other variables with
+    an edge, the two-way pairs' ends first, then the pair leaves'
+    partners.  Every iteration updates the two-way pairs from the
+    extrinsic beliefs, then all residual factors from the refreshed
+    beliefs (without pairs, flooding).  With
     stop, the checks are tested on the hard decision after every
     iteration (else after the last), and the loop ends at the first
     iteration at which every link's checks hold.  Before a full test the
@@ -119,7 +134,8 @@ def _sum_product(
     target = scale[:n_checks] < 0
     # The loop runs on half LLRs.
     half = np.where(pinned, HALF_CLAMP * (1.0 - 2.0 * bits), 0.5 * prior)
-    ends = np.zeros(0, np.int64)
+    degree = np.bincount(indices, minlength=n_var)
+    ends = two_way = partners = np.zeros(0, np.int64)
     if pairs is not None:
         nc, n1, coupling = pairs
         first, second = pinned[:nc], pinned[n1 : n1 + nc]
@@ -131,10 +147,16 @@ def _sum_product(
                                  -HALF_CLAMP, HALF_CLAMP)
         free = np.flatnonzero(~(first | second))
         ends = np.concatenate([free, n1 + free])
-    nf = len(ends) // 2
+        # A pair leaf's first end has no residual edge and a prior of +-0,
+        # so from the second iteration on its extrinsic is +0 and it sends
+        # +0: its partner's base is its prior + 0 (the first iteration's
+        # +-0 changes no posterior) and the pair leaves the loop.
+        leaf = (degree[free] == 0) & (half[free] == 0.0)
+        two_way, partners = np.concatenate([free[~leaf], n1 + free[~leaf]]), n1 + free[leaf]
+        half[partners] += 0.0
+    nf = len(two_way) // 2
 
     # Each leaf folds into its host's scale and leaves the graph.
-    degree = np.bincount(indices, minlength=n_var)
     degree[ends] = 0
     lone = degree[indices] == 1
     indptr = np.concatenate(([0], np.cumsum(fac_degree)))
@@ -149,8 +171,9 @@ def _sum_product(
     indptr = np.concatenate(([0], np.cumsum(fac_degree)))
     indices = _kept(~lone, indices)
     del lone, fac_degree
-    # The loop's variables: the free pair ends, then the others with an edge.
-    loop_var = np.concatenate([ends, np.flatnonzero(degree)])
+    # The loop's variables: the two-way pair ends, the pair leaves'
+    # partners, then the others with an edge.
+    loop_var = np.concatenate([two_way, partners, np.flatnonzero(degree)])
     del degree
     n_loop = len(loop_var)
     loop_id = np.zeros(n_var, np.int32)
@@ -211,10 +234,14 @@ def _sum_product(
     # Every input is clipped to +-HALF_CLAMP and every scale lies in
     # [-1, 1], so no message needs a clamp or meets atanh(+-1).
     check_update = bounded_check_update(m_vc, m_cv, scale, live)
+    # The edges past the degree-1 block, viewed once.  The posteriors are
+    # double-buffered, so that after the loop `before` holds those at the
+    # start of the last iteration.
+    live_var, live_in, live_out = edge_var[p:], m_cv[p:], m_vc[p:]
     base = half[loop_var]
-    posterior, sums = base.copy(), np.zeros(n_loop)
+    posterior, before, sums = base.copy(), np.empty(n_loop), np.zeros(n_loop)
     if nf:
-        # The messages into the free pairs' first ends, then their second
+        # The messages into the two-way pairs' first ends, then their second
         # ends; each end's message is the coupling times the tanh of the
         # other end's.  (One multiply over a row-reversed view would make
         # numpy buffer a copy of it.)
@@ -233,10 +260,10 @@ def _sum_product(
             np.add(pair_prior, cross, out=base[: 2 * nf])
             np.add(base[: 2 * nf], sums[: 2 * nf], out=posterior[: 2 * nf])
         # posterior holds base plus the sums of the current factor messages.
-        extrinsic_messages(posterior, edge_var[p:], m_cv[p:], out=m_vc[p:])
+        extrinsic_messages(posterior, live_var, live_in, out=live_out)
         check_update()
         sums = variable_sums(m_cv, edge_var, n_loop)
-        np.add(base, sums, out=posterior)
+        posterior, before = np.add(base, sums, out=before), posterior
         # Before the last iteration, a witness that still fails spares the
         # full test.
         if it < budget and (not stop or len(w_var) and (
@@ -247,9 +274,18 @@ def _sum_product(
             break
     half[loop_var] = posterior
     half[leaves] = leaf_posterior()
-    del m_cv, m_vc, check_update
+    if len(partners):
+        # The pair leaves' first ends take the pair update of the last
+        # iteration, from their partners' posteriors at its start.
+        msg = np.clip(before[2 * nf : 2 * nf + len(partners)], -HALF_CLAMP, HALF_CLAMP)
+        np.tanh(msg, out=msg)
+        msg *= coupling
+        np.arctanh(msg, out=msg)
+        # Plus the prior, then the +0 of the end's empty bincount.
+        half[partners - n1] = (half[partners - n1] + msg) + 0.0
+    del m_cv, m_vc, live_in, live_out, check_update, before
     live_edges = np.zeros(n_var, np.int64)
-    live_edges[loop_var] = np.bincount(edge_var[p:], minlength=n_loop)
+    live_edges[loop_var] = np.bincount(live_var, minlength=n_loop)
     live_edges[ends] += 1
     bounds = np.cumsum([n for n, _ in links[:-1]])
     return [DecodeResult((post < 0).astype(np.uint8), bool(ok), it, 2.0 * post,
@@ -302,6 +338,7 @@ def side_info_prior(u2: np.ndarray, q: float) -> np.ndarray:
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"crossover must be in [0, 0.5], got {q!r}")
     u2 = np.asarray(u2)
+    _check_bits(u2, "u2")
     if q == 0.0:
         magnitude = LLR_CLAMP
     else:
@@ -341,6 +378,8 @@ def joint_sum_product_decode(
     prior2 = np.zeros(code2.n) if prior2 is None else np.asarray(prior2, dtype=float)
     if prior1.shape != (code1.n,) or prior2.shape != (code2.n,):
         raise ValueError("prior lengths do not match the codes")
+    _check_not_nan(prior1, "prior1")
+    _check_not_nan(prior2, "prior2")
     nc = min(code1.n, code2.n) if n_coupled is None else n_coupled
     if not 0 <= nc <= min(code1.n, code2.n):
         raise ValueError(f"n_coupled={nc} must be in [0, {min(code1.n, code2.n)}]")

@@ -49,6 +49,13 @@ def test_side_info_prior_rejects_bad_crossover():
         side_info_prior(np.zeros(3, dtype=np.uint8), 0.7)
 
 
+@pytest.mark.parametrize("u2", [[2, -1], [0, 1, 3], [0.5, 0.0]])
+def test_side_info_prior_rejects_non_binary_bits(u2):
+    # [2, -1] once gave -6.59 and +6.59, three times the BSC(0.1) LLR.
+    with pytest.raises(ValueError, match="u2"):
+        side_info_prior(np.array(u2), 0.1)
+
+
 def test_sum_product_decode_validation(nested_code):
     comb = combined_syndrome_code(nested_code)
     with pytest.raises(ValueError):
@@ -104,6 +111,37 @@ def test_sum_product_decode_rejects_a_leaf_scale_outside_the_unit_interval(neste
         sum_product_decode(absorbed, s, info_prior, 2, leaf_scale=bad)
     # The ends of the interval are leaves that are known exactly.
     sum_product_decode(absorbed, s, info_prior, 2, leaf_scale=np.sign(leaf_scale))
+
+
+def _nan_prior(n: int) -> np.ndarray:
+    prior = np.zeros(n)
+    prior[[0, 7, n - 1]] = np.nan
+    return prior
+
+
+def test_sum_product_decode_rejects_a_nan_prior(nested_code, quantized):
+    # NaN passes the loop's clip: 50 NaN entries on a 2000-bit code once
+    # gave 833 NaN posteriors without an error.
+    comb = combined_syndrome_code(nested_code)
+    s = combined_syndrome(nested_code, nested_code.ldpc.syndrome(quantized))
+    with pytest.raises(ValueError, match="prior"):
+        sum_product_decode(comb, s, _nan_prior(comb.n))
+    # Infinite priors are clipped by the loop, so they stay allowed.
+    prior = side_info_prior(quantized, 0.1)
+    prior[prior > 0] = np.inf
+    res = sum_product_decode(comb, s, prior, max_iters=5)
+    assert not np.isnan(res.posterior).any() and res.syndrome_satisfied
+
+
+@pytest.mark.parametrize("arg", ["prior1", "prior2"])
+def test_joint_decode_rejects_a_nan_prior(nested_code, arg):
+    comb = combined_syndrome_code(nested_code)
+    s = np.zeros(comb.m, dtype=np.uint8)
+    priors = {"prior1": np.zeros(comb.n), "prior2": np.full(comb.n, -np.inf)}
+    joint_sum_product_decode(comb, comb, s, s, q=0.3, max_iters=3, **priors)
+    priors[arg] = _nan_prior(comb.n)
+    with pytest.raises(ValueError, match=arg):
+        joint_sum_product_decode(comb, comb, s, s, q=0.3, **priors)
 
 
 @pytest.mark.parametrize("arg", ["s1", "s2"])
@@ -403,6 +441,76 @@ def test_leaves_are_absorbed_alone_and_beside_two_edges(seed, n1):
     assert (res.pinned, res.live_edges) == (0, g.n_edges - 1 + 2)
     want = _reference_sum_product(residual, res_scale, res_prior, 3, res_pairs, leaves)
     assert np.array_equal(res.posterior, want)
+
+
+def _checks_hold(graph, scale, n_checks, posterior):
+    """Whether the hard decision of posterior meets the parity target
+    (scale < 0) of each of graph's first n_checks factors."""
+    bits = (posterior < 0).astype(int)
+    return all(bits[graph.indices[graph.indptr[f] : graph.indptr[f + 1]]].sum() % 2
+               == (scale[f] < 0) for f in range(n_checks))
+
+
+@given(seed=st.integers(0, 2**32 - 1), iters=st.integers(1, 8), stop=st.booleans(),
+       coupling=st.sampled_from(["soft", "negative", "hard", "zero"]))
+def test_pair_leaves_match_the_generic_pair_update_bit_for_bit(seed, iters, stop, coupling):
+    # Two links of n1 and n2 variables, pairs (i, n1 + i) for i < nc.  Some
+    # first ends sit on no factor, most of those with a prior of +0 or -0
+    # (pair leaves, which leave the loop), the others with a nonzero one;
+    # some ends with a factor also have a zero prior, some second ends sit
+    # on no factor, and unit checks pin some ends, so that two-way pairs,
+    # pinned partners and pair leaves mix.  Each link has hard checks
+    # (scale +-1) and the graph soft factors after them.  The posteriors,
+    # leaf ends included, must be those of the generic loop that runs every
+    # pair update, bit for bit, after the iterations the decoder used: all
+    # of them without stop, else the first after which every check holds.
+    rng = np.random.default_rng(seed)
+    n1, n2 = int(rng.integers(6, 14)), int(rng.integers(6, 14))
+    n, nc = n1 + n2, int(rng.integers(1, min(n1, n2) + 1))
+    bare = np.zeros(n, bool)
+    bare[:nc] = rng.random(nc) < 0.5
+    bare[n1 : n1 + nc] = ~bare[:nc] & (rng.random(nc) < 0.2)
+    prior = rng.normal(0.0, 2.0, n)
+    zero = np.zeros(n, bool)
+    zero[:nc] = rng.random(nc) < np.where(bare[:nc], 0.8, 0.2)
+    prior[zero] = rng.choice([0.0, -0.0], zero.sum())
+
+    def factors(pool, count, max_degree):
+        return [rng.choice(pool, int(rng.integers(1, min(max_degree, len(pool)) + 1)),
+                           replace=False) for _ in range(count)]
+
+    pool1, pool2 = np.flatnonzero(~bare[:n1]), n1 + np.flatnonzero(~bare[n1:])
+    m1, m2 = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    adjs = (factors(pool1, m1, 3) + factors(pool2, m2, 4)
+            + factors(np.concatenate([pool1, pool2]), int(rng.integers(2, 9)), 5))
+    g = csr(n, adjs)
+    scale = np.concatenate([rng.choice([-1.0, 1.0], m1 + m2),
+                            rng.uniform(-1.0, 1.0, g.n_fac - m1 - m2)])
+    pairs = (nc, n1, {"soft": rng.uniform(0.0, 1.0), "negative": rng.uniform(-1.0, 0.0),
+                      "hard": 1.0, "zero": 0.0}[coupling])
+    res = _sum_product(g, scale, prior, iters, [(n1, m1), (n2, m2)], pairs, stop=stop)
+    used = res[0].iterations_used
+    assert res[1].iterations_used == used
+    pinned, residual, res_scale, res_prior, res_pairs, leaves = _residual_problem(
+        g, scale, prior, pairs)
+
+    def reference(k):
+        return _reference_sum_product(residual, res_scale, res_prior, k, res_pairs, leaves)
+
+    want = reference(used)
+    assert np.concatenate([r.posterior for r in res]).tobytes() == want.tobytes()
+    if stop:
+        met = [_checks_hold(g, scale, m1 + m2, reference(k)) for k in range(1, iters + 1)]
+        assert used == (met.index(True) + 1 if True in met else iters)
+    else:
+        assert used == iters
+    # Live edges per link: the residual ones outside degree-1 factors, and
+    # one for each end of every pair left, pair leaves included.
+    degree = np.diff(residual.indptr)
+    live = np.bincount(residual.indices[np.repeat(degree > 1, degree)], minlength=n)
+    live[np.concatenate(res_pairs[:2])] += 1
+    assert [r.live_edges for r in res] == [live[:n1].sum(), live[n1:].sum()]
+    assert [r.pinned for r in res] == [pinned[:n1].sum(), pinned[n1:].sum()]
 
 
 def test_conflicting_unit_checks_fail_both_decoders():

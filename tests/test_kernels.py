@@ -252,6 +252,29 @@ def test_bounded_check_update_matches_check_messages_bit_for_bit(adj, data):
         assert spent.tobytes() == np.tanh(m_in).tobytes()
 
 
+def test_bounded_check_update_allocates_no_edge_array():
+    # Slot-major blocks of degrees 1-8 over 2 * 10^5 edges or more, with
+    # inputs and scales within the update's bounds: one update runs its
+    # prebuilt row-level calls in place, so it allocates no per-edge array.
+    rng = np.random.default_rng(3)
+    degrees = rng.integers(1, 9, 50_000)
+    _, _, buckets = slot_major(np.concatenate(([0], np.cumsum(degrees))))
+    m_in = rng.uniform(-HALF_CLAMP, HALF_CLAMP, int(degrees.sum()))
+    assert len(m_in) >= 200_000
+    t = np.tanh(HALF_CLAMP)
+    spent, out = m_in.copy(), np.empty_like(m_in)
+    update = bounded_check_update(spent, out, rng.uniform(-t, t, len(degrees)), buckets)
+    update()
+    spent[:] = m_in
+    tracemalloc.start()
+    try:
+        update()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m_in.nbytes / 10
+
+
 @given(adjacency(), st.data())
 def test_row_order_check_messages_write_only_their_buckets_edges(adj, data):
     n_var, adjs = adj
