@@ -24,6 +24,7 @@ from .bounds import (
 )
 from .codec import (
     bias_propagation_quantize,
+    encode,
     encode_joint,
     encode_successive,
     syndrome_generate,

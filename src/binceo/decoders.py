@@ -19,7 +19,7 @@ import numpy as np
 from ._msgpass import (HALF_CLAMP, LLR_CLAMP, Bucket, bounded_check_update,
                        check_messages, extrinsic_messages, hoist_unit_block, peel, row_sums,
                        slot_major, variable_sums)
-from .binmath import ChainParams, _check_bits, chain_posterior_table
+from .binmath import ChainParams, _check_bits, _check_prob, chain_posterior_table
 from .graphs import CompoundCode, LdpcCode, SparseBipartiteGraph
 
 
@@ -36,10 +36,23 @@ class DecodeResult:
     live_edges: int
 
 
-def _check_not_nan(prior: np.ndarray, name: str) -> None:
+def _link_inputs(
+    code: LdpcCode, m: int, syndrome: np.ndarray, prior: np.ndarray | None,
+    s_name: str, p_name: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One link's syndrome (m bits) and prior (code.n LLRs, zeros when
+    None) as arrays, each checked; the errors name them s_name and p_name."""
+    syndrome = np.asarray(syndrome)
+    if syndrome.shape != (m,):
+        raise ValueError(f"{s_name} length {syndrome.shape} does not match m={m}")
+    _check_bits(syndrome, s_name)
+    prior = np.zeros(code.n) if prior is None else np.asarray(prior, dtype=float)
+    if prior.shape != (code.n,):
+        raise ValueError(f"{p_name} length {prior.shape} does not match n={code.n}")
     # The loop clips +-inf, but a NaN passes the clip and spreads.
     if np.isnan(prior).any():
-        raise ValueError(f"{name} must not hold NaN")
+        raise ValueError(f"{p_name} must not hold NaN")
+    return syndrome, prior
 
 
 def sum_product_decode(
@@ -61,16 +74,9 @@ def sum_product_decode(
     always runs max_iters rounds.  Non-convergence is reported through the
     flag, not an error.
     """
-    syndrome = np.asarray(syndrome)
-    prior = np.asarray(prior, dtype=float)
     leaf_scale = np.zeros(0) if leaf_scale is None else np.asarray(leaf_scale, dtype=float)
     m = code.m - len(leaf_scale)
-    if syndrome.shape != (m,):
-        raise ValueError(f"syndrome length {syndrome.shape} does not match m={m}")
-    _check_bits(syndrome, "syndrome")
-    if prior.shape != (code.n,):
-        raise ValueError(f"prior length {prior.shape} does not match n={code.n}")
-    _check_not_nan(prior, "prior")
+    syndrome, prior = _link_inputs(code, m, syndrome, prior, "syndrome", "prior")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     # Also the loop's premise: every factor scale lies in [-1, 1].
@@ -335,8 +341,7 @@ def side_info_prior(u2: np.ndarray, q: float) -> np.ndarray:
     q is the end-to-end crossover between the two quantized sequences,
     conv(d1, p1, p2, d2) along the chain.  q = 0 clamps to the LLR bound.
     """
-    if not 0.0 <= q <= 0.5:
-        raise ValueError(f"crossover must be in [0, 0.5], got {q!r}")
+    q = _check_prob(q, "crossover", upper=0.5)
     u2 = np.asarray(u2)
     _check_bits(u2, "u2")
     if q == 0.0:
@@ -370,24 +375,14 @@ def joint_sum_product_decode(
     iteration whose hard decisions satisfy both syndromes;
     early_stop=False always runs the whole budget.
     """
-    if not 0.0 <= q <= 0.5:
-        raise ValueError(f"crossover must be in [0, 0.5], got {q!r}")
+    q = _check_prob(q, "crossover", upper=0.5)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    prior1 = np.zeros(code1.n) if prior1 is None else np.asarray(prior1, dtype=float)
-    prior2 = np.zeros(code2.n) if prior2 is None else np.asarray(prior2, dtype=float)
-    if prior1.shape != (code1.n,) or prior2.shape != (code2.n,):
-        raise ValueError("prior lengths do not match the codes")
-    _check_not_nan(prior1, "prior1")
-    _check_not_nan(prior2, "prior2")
+    s1, prior1 = _link_inputs(code1, code1.m, s1, prior1, "s1", "prior1")
+    s2, prior2 = _link_inputs(code2, code2.m, s2, prior2, "s2", "prior2")
     nc = min(code1.n, code2.n) if n_coupled is None else n_coupled
     if not 0 <= nc <= min(code1.n, code2.n):
         raise ValueError(f"n_coupled={nc} must be in [0, {min(code1.n, code2.n)}]")
-    s1, s2 = np.asarray(s1), np.asarray(s2)
-    if s1.shape != (code1.m,) or s2.shape != (code2.m,):
-        raise ValueError("syndrome lengths do not match the codes")
-    _check_bits(s1, "s1")
-    _check_bits(s2, "s2")
 
     # Coupling check i is (i, code1.n + i) with scale 1 - 2q.  The link
     # graph holds link 1's checks, then link 2's on variables shifted by
@@ -458,8 +453,6 @@ def reconstruct_soft(
     return table[u1_hat.astype(int), u2_hat.astype(int)]
 
 
-def reconstruct_soft_successive(
-    u1_hat: np.ndarray, u2: np.ndarray, params: ChainParams
-) -> np.ndarray:
-    """Same kernel; u2 is the exactly re-encoded link-2 quantization."""
-    return reconstruct_soft(u1_hat, u2, params)
+# perfbench/layers.py wraps this name in harness; successive u2 is the
+# exactly re-encoded link-2 quantization, so the kernel is the same.
+reconstruct_soft_successive = reconstruct_soft

@@ -8,6 +8,8 @@ edges within a factor are repaired by socket swaps.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +37,13 @@ class DegreeDistribution:
     def __post_init__(self) -> None:
         if not self.fac:
             raise GraphConstructionError("degree distribution is empty")
-        if any(d < 1 or d != int(d) for d in self.fac):
-            raise GraphConstructionError("factor degrees must be integers >= 1")
+        for d, frac in self.fac.items():
+            # A bool is an Integral, but True is no degree.
+            if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+                raise GraphConstructionError(f"factor degree {d!r} is not an integer >= 1")
+            if not (isinstance(frac, numbers.Real) and math.isfinite(frac) and frac >= 0):
+                raise GraphConstructionError(
+                    f"degree {d} has fraction {frac!r}, expected a finite number >= 0")
         total = sum(self.fac.values())
         if abs(total - 1.0) > FRACTION_TOL:
             raise GraphConstructionError(f"fractions sum to {total}, expected 1")

@@ -8,6 +8,7 @@ Subcommands: bounds, optimize, simulate, sweep.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import numbers
 import os
 import sys
 import warnings
@@ -89,6 +90,10 @@ class ExperimentConfig:
     output: str = "-"
 
     def validate(self) -> None:
+        for name in ("n", "trials", "base_seed", "biasprop_sweeps", "sp_iters", "jsp_iters"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         for name in ("p1", "p2", "d1", "d2"):
             v = getattr(self, name)
             if not 0.0 <= v <= 0.5:
@@ -235,22 +240,22 @@ def _args_config(args: argparse.Namespace) -> ExperimentConfig:
 # Simulation pipeline
 
 
-def _generate_source(cfg: ExperimentConfig, trial: int):
+def _trial_front(cfg: ExperimentConfig, trial: int):
+    """What both schemes' trials start from: the source x, the observations
+    y1 and y2, the chain, the design test channels and design_rates'
+    (g1, g2, s1, s2).  Matched trials draw the same x, y1 and y2."""
     rng_x = np.random.default_rng(component_seed(cfg.base_seed, "source", trial))
     rng_n1 = np.random.default_rng(component_seed(cfg.base_seed, "noise1", trial))
     rng_n2 = np.random.default_rng(component_seed(cfg.base_seed, "noise2", trial))
     x = rng_x.integers(0, 2, size=cfg.n, dtype=np.uint8)
     y1 = x ^ (rng_n1.random(cfg.n) < cfg.p1).astype(np.uint8)
     y2 = x ^ (rng_n2.random(cfg.n) < cfg.p2).astype(np.uint8)
-    return x, y1, y2
+    return x, y1, y2, cfg.chain(), TestChannelPair(cfg.d1, cfg.d2), design_rates(
+        cfg.p1, cfg.p2, cfg.d1, cfg.d2, cfg.ldgm_margin, cfg.syndrome_margin)
 
 
 def run_joint_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
-    x, y1, y2 = _generate_source(cfg, trial)
-    chain = cfg.chain()
-    tc = TestChannelPair(cfg.d1, cfg.d2)
-    g1, g2, _, s2_rate = design_rates(cfg.p1, cfg.p2, cfg.d1, cfg.d2,
-                                      cfg.ldgm_margin, cfg.syndrome_margin)
+    x, y1, y2, chain, tc, (g1, g2, _, s2_rate) = _trial_front(cfg, trial)
     cc1 = build_anchor_compound(
         cfg.n, g1, cfg.anchor_gamma, cfg.ldgm_dist(),
         seed=component_seed(cfg.base_seed, "anchor-code1", trial))
@@ -284,20 +289,16 @@ def run_joint_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
 
 
 def run_successive_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
-    x, y1, y2 = _generate_source(cfg, trial)
-    chain = cfg.chain()
-    tc = TestChannelPair(cfg.d1, cfg.d2)
-    g1, g2, s1_rate, _ = design_rates(cfg.p1, cfg.p2, cfg.d1, cfg.d2,
-                                      cfg.ldgm_margin, cfg.syndrome_margin)
+    x, y1, y2, chain, tc, (g1, g2, s1_rate, _) = _trial_front(cfg, trial)
     cc1 = build_compound(cfg.n, g1, s1_rate, cfg.ldgm_dist(), cfg.ldpc_dist(),
                          seed=component_seed(cfg.base_seed, "succ-code1", trial))
     # Link 2 conveys its information bits directly, so its code has no
-    # checks; its LDGM is the joint scheme's link-2 quantizer, so matched
-    # trials share u2 exactly.
+    # checks and its syndrome is empty; its LDGM is the joint scheme's
+    # link-2 quantizer, so matched trials share u2 exactly.
     cc2 = build_compound(cfg.n, g2, 0.0, cfg.ldgm_dist(), cfg.ldpc_dist(),
                          seed=component_seed(cfg.base_seed, "code2", trial))
-    syn1, q1, q2 = encode_successive(
-        cc1, cc2.ldgm, y1, y2, tc,
+    syn1, _, q1, q2 = encode_successive(
+        cc1, cc2, y1, y2, tc,
         seed=component_seed(cfg.base_seed, "quant", trial),
         biasprop_sweeps=cfg.biasprop_sweeps,
     )

@@ -252,16 +252,20 @@ def test_encode_joint_pipeline(compound_pair):
 
 def test_matched_seed_u2_shared_between_schemes(compound_pair):
     # The successive scheme reuses the joint scheme's link-2 quantizer, so
-    # with the same seed and code both schemes produce the same u2.
+    # with the same seed and code both schemes produce the same u2.  As in
+    # the runner, successive link 2 is built at syndrome rate 0 from the
+    # joint link 2's seed: the same LDGM and no checks.
     cc2 = compound_pair[1]
+    cc2_succ = build_compound(2000, ldgm_rate=0.558, syndrome_rate=0.0, seed=22)
     cc1_joint = build_anchor_compound(cc2.n, 0.558, 0.025, seed=23)
     cc1_succ = compound_pair[0]
     y1 = _observation(cc2.n, 37)
     y2 = _observation(cc2.n, 38)
     tc = TestChannelPair(0.1, 0.1)
     _, _, _, qj2 = encode_joint(cc1_joint, cc2, y1, y2, tc, seed=41)
-    syn1, qs1, qs2 = encode_successive(cc1_succ, cc2.ldgm, y1, y2, tc, seed=41)
+    syn1, syn2, qs1, qs2 = encode_successive(cc1_succ, cc2_succ, y1, y2, tc, seed=41)
     np.testing.assert_array_equal(syn1, cc1_succ.ldpc.syndrome(qs1.quantized))
+    assert syn2.shape == (0,)
     np.testing.assert_array_equal(qj2.quantized, qs2.quantized)
     # The receiver can rebuild u2 exactly from the transmitted info bits.
     np.testing.assert_array_equal(cc2.ldgm.encode(qs2.info_bits), qs2.quantized)

@@ -36,6 +36,24 @@ def test_degree_distribution_validation():
     DegreeDistribution(fac={4: 1.0})  # valid
 
 
+@pytest.mark.parametrize("fac, message", [
+    ({4: float("nan")}, "degree 4 has fraction nan"),
+    ({4: 1.5, 5: -0.5}, "degree 5 has fraction -0.5"),
+    ({4: 0.5, 5: float("inf")}, "degree 5 has fraction inf"),
+    ({4.0: 1.0}, "factor degree 4.0 is not an integer"),
+    ({True: 1.0}, "factor degree True is not an integer"),
+    ({np.int64(0): 1.0}, "is not an integer >= 1"),
+])
+def test_degree_distribution_rejects_bad_keys_and_fractions(fac, message):
+    with pytest.raises(GraphConstructionError, match=message):
+        DegreeDistribution(fac=fac)
+
+
+def test_degree_distribution_allows_zero_fractions_and_numpy_integers():
+    DegreeDistribution(fac={4: 1.0, 6: 0.0})
+    DegreeDistribution(fac={np.int64(4): np.float64(1.0)})
+
+
 def test_sample_graph_deterministic():
     dist = DegreeDistribution(fac={3: 0.5, 4: 0.5})
     g1 = sample_graph(dist, n_var=60, n_fac=100, seed=5)

@@ -119,6 +119,11 @@ def test_config_validation():
         ExperimentConfig(scheme="other").validate()
     with pytest.raises(ValueError):
         ExperimentConfig(anchor_gamma=0.5).validate()
+    # An integer key must hold an integer (not a bool); its message names the key.
+    for key, value in (("n", 2000.0), ("trials", 1.0), ("base_seed", 1.5),
+                       ("biasprop_sweeps", True), ("sp_iters", 2.5), ("jsp_iters", "7")):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+            ExperimentConfig(**{key: value}).validate()
     ExperimentConfig().validate()
 
 
@@ -237,6 +242,18 @@ def test_simulate_csv_digest_is_pinned_at_n1e4():
     cfg = ExperimentConfig(n=10_000, trials=1, scheme="both", base_seed=7)
     text = simulate(cfg)
     assert hashlib.sha256(text.encode()).hexdigest() == SIMULATE_N1E4_SEED7_SHA256
+
+
+def test_both_schemes_rows_equal_the_single_scheme_runs():
+    # Matched trials share their inputs, not their state: a scheme's rows
+    # are the same whether or not the other scheme runs beside it.
+    kwargs = dict(n=2000, trials=2, base_seed=11)
+    both = simulate(ExperimentConfig(scheme="both", **kwargs)).splitlines()
+    for scheme in ("joint", "successive"):
+        alone = simulate(ExperimentConfig(scheme=scheme, **kwargs)).splitlines()
+        assert len(alone) == 2 + kwargs["trials"] + 1
+        assert alone == both[:2] + [row for row in both[2:]
+                                    if row.split(",")[0] in (scheme, f"{scheme}-summary")]
 
 
 def test_failed_decode_warns():
@@ -358,7 +375,7 @@ def test_pinned_bits_are_the_encoders_bits(monkeypatch):
                             encoded.append(_f(*a, **k)) or encoded[-1])
     cfg = ExperimentConfig(n=2000, base_seed=11)
     joint, successive = run_joint_trial(cfg, 0), run_successive_trial(cfg, 0)
-    (_, _, q1, q2), (_, q1_succ, _) = encoded
+    (_, _, q1, q2), (_, _, q1_succ, _) = encoded
     words = [np.concatenate([q1.quantized, q2.quantized]), q1_succ.info_bits]
     for (pinned, bits, _, _), word in zip(peeled, words):
         assert pinned.sum() > 500
@@ -498,6 +515,10 @@ def test_cli_simulate_unbuildable_code_names_the_key_set(args, named, capsys):
      "error: config key 'ldpc_fac_dist': degree 2 is given twice in '2:0.5,2:0.5'"),
     ([], "n = 2000\nn = 3000\n", "run.cfg:2: key 'n' is already set on line 1"),
     ([], "jsp_local = 40\n", "error: unknown config key 'jsp_local'"),
+    (["--scheme", "joint", "--ldgm-fac-dist", "4:nan"], None,
+     "error: ldgm_fac_dist={4: nan}: degree 4 has fraction nan"),
+    (["--ldpc-fac-dist", "4:1.5,5:-0.5"], None,
+     "error: ldpc_fac_dist={4: 1.5, 5: -0.5}: degree 5 has fraction -0.5"),
 ])
 def test_cli_simulate_bad_values_name_their_key(args, cfg_text, message, tmp_path, capsys):
     if cfg_text is not None:
