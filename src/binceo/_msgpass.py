@@ -171,16 +171,25 @@ def variable_sums(
     return np.bincount(edge_var, weights=m_in, minlength=n_var)
 
 
-def row_runs(indptr: np.ndarray) -> tuple[Bucket, ...]:
+def row_runs(indptr: np.ndarray, most: int | None = None) -> tuple[Bucket, ...] | None:
     """The check kernel's buckets over the CSR rows indptr in row order:
     one (d, edges, factors, "F") per maximal run of consecutive factors of
     equal degree d > 0, in factor order, with the slices of the run's
     edges and factors.  A factor's messages depend on its own edges only,
-    so how a degree's factors split into runs changes no bit."""
+    so how a degree's factors split into runs changes no bit.  Given most,
+    None where the rows make more than most runs."""
     degrees = np.diff(indptr)
-    starts = np.flatnonzero(np.diff(degrees, prepend=-1)).tolist()
-    return tuple((int(degrees[a]), slice(int(indptr[a]), int(indptr[b])), slice(a, b), "F")
-                 for a, b in zip(starts, starts[1:] + [len(degrees)]) if degrees[a] > 0)
+    # (np.diff with prepend is several times slower.)
+    change = np.empty(len(degrees), bool)
+    change[:1] = True
+    np.not_equal(degrees[1:], degrees[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    if most is not None and len(starts) > most:
+        return None
+    ends = [*starts[1:].tolist(), len(degrees)]
+    return tuple((d, slice(e0, e1), slice(a, b), "F") for d, e0, e1, a, b in zip(
+        degrees[starts].tolist(), indptr[starts].tolist(), indptr[ends].tolist(),
+        starts.tolist(), ends) if d > 0)
 
 
 def slot_major(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[Bucket, ...]]:
@@ -189,9 +198,10 @@ def slot_major(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[Bucket
     -> graph edge), fac_order (new factor -> graph factor) and the blocks'
     buckets, over factors and edges in the new order."""
     degrees = np.diff(indptr)
-    # A stable sort of 16-bit keys is a radix sort.
-    fac_order = np.argsort(degrees.astype(np.uint16) if degrees.max(initial=0) < 1 << 16
-                           else degrees, kind="stable")
+    # A stable sort of 8- or 16-bit keys is a radix sort, one pass per byte.
+    top = degrees.max(initial=0)
+    fac_order = np.argsort(degrees.astype(np.uint8) if top < 1 << 8 else
+                           degrees.astype(np.uint16) if top < 1 << 16 else degrees, kind="stable")
     perm, buckets, fac, edge = np.empty(indptr[-1], np.int64), [], 0, 0
     for d, count in enumerate(np.bincount(degrees).tolist()):
         if d and count:
@@ -221,94 +231,116 @@ def peel(
     factors without one, and the pass over all factors that counts free
     and flip pins the private variables of the factors with one.
     """
-    n_var, degree = graph.n_var, np.diff(graph.indptr)
+    n_var, indptr, indices = graph.n_var, graph.indptr, graph.indices
+    degree = np.diff(indptr)
     # Sums over a factor pack counts below 2**shift under sums of indices.
     shift = int(degree.max(initial=0)).bit_length()
     mask = (1 << shift) - 1
-    # The hard factors' rows, numbered in order.
-    is_hard = np.abs(fac_scale) == 1.0
-    hard = np.flatnonzero(is_hard)
-    var = graph.indices
-    if len(hard) < graph.n_fac:
-        # The edges of each run of consecutive hard rows.
-        run = graph.indptr[np.flatnonzero(np.diff(is_hard, prepend=False, append=False))]
-        var = np.concatenate([var[:0]] + [var[a:b] for a, b in run.reshape(-1, 2)])
-    odd, degree = fac_scale[hard] < 0, degree[hard]
-    private = np.bincount(graph.indices, minlength=n_var) == 1
-    # Per row (its index sum << shift) + its count of private variables.
-    acc = row_sums((np.arange(n_var) << shift) + private, var,
-                   np.concatenate(([0], np.cumsum(degree))))
+    # Sums run by run while the runs are few (16) or long (1,024 edges on average).
+    runs = row_runs(indptr, most=max(16, len(indices) >> 10))
+    is_hard, odd = np.abs(fac_scale) == 1.0, fac_scale < 0
+    private = np.bincount(indices, minlength=n_var) == 1
+    # Per hard factor (its index sum << shift) + its count of private variables.
+    acc = row_sums((np.arange(n_var) << shift) + private, indices, indptr,
+                   runs and [r for r in runs if is_hard[r[2]].any()])
     n_private = acc & mask
-    rounds, deferred = n_private == 0, n_private == 1
-    del n_private, private
-    if not rounds.all():
-        var = np.compress(np.repeat(rounds, degree), var)
-    pinned, bits = np.zeros(n_var, bool), np.zeros(n_var, np.uint8)
+    rounds, deferred = is_hard & (n_private == 0), is_hard & (n_private == 1)
+    del private, n_private, is_hard
+    # Per variable its bit once pinned, 2 before.
+    bits = np.full(n_var, 2, np.int64)
 
-    # The rounds, on the rows without a private variable.  Per row the
-    # count of its unresolved variables, and acc = (their index sum <<
-    # shift) + its target + its pinned ones, which at count 1 hold that
-    # variable and the bit it takes; per variable its rows,
-    # var_row[var_end[v] - n_rows[v]:var_end[v]].
-    acc += odd
-    left = np.where(rounds, degree, 0)
-    del degree, rounds
+    # The rounds, on the hard rows without a private variable, numbered in
+    # order.  Per row acc = (the count of its unresolved variables << top)
+    # + (their index sum << shift) + its target + its pinned ones, which
+    # at count 1 hold that variable and the bit it takes; per variable its
+    # rows of degree 2 or more, var_row[var_end[v] - n_rows[v]:var_end[v]].
+    # (A row of degree 1 is in the first round's front and needs no
+    # update: it never joins a later front.)
+    linked = rounds & (degree > 1)
+    var = indices[linked.repeat(degree)] if runs is None else np.concatenate(
+        [indices[e] if linked[f].all() else indices[e].reshape(-1, d)[linked[f]].ravel()
+         for d, e, f, _ in runs if d > 1 and linked[f].any()] or [indices[:0]])
+    rounds = np.flatnonzero(rounds)
+    top = 2 * shift + int(n_var).bit_length() + 1
+    left = degree[rounds]
+    acc = (left << top) + acc[rounds] + odd[rounds]
+    del degree, linked
     # Sorted (var << row_bits | row) keys, 32-bit ones where they fit.
-    row_bits = len(hard).bit_length()
+    row_bits = len(rounds).bit_length()
     key_type = np.uint32 if n_var << row_bits <= 1 << 32 else np.uint64
-    key = var.astype(key_type) << row_bits | np.repeat(np.arange(len(hard), dtype=key_type), left)
+    key = var.astype(key_type) << row_bits | np.arange(len(rounds), dtype=key_type).repeat(
+        np.where(left > 1, left, 0))
     var_row = (np.sort(key) & (1 << row_bits) - 1).astype(np.intp)
-    del key
+    del key, left
     n_rows = np.bincount(var, minlength=n_var)
-    var_end = np.cumsum(n_rows)
+    var_end = np.add.accumulate(n_rows)
     del var
-    claim, slot = np.zeros(n_var, np.int32), np.zeros(len(hard), np.int32)
-    front = np.flatnonzero(left == 1)
+    claim, slot = np.zeros(n_var, np.intp), np.zeros(len(rounds), np.intp)
+    front = np.flatnonzero(acc >> top == 1)
     while len(front):
         a = acc[front]
-        v = a >> shift
+        # hi << shift = (1 << top) + (v << shift), what pinning v takes off
+        # each of its rows, with its bit added.
+        hi = a >> shift
+        v = hi - (1 << top - shift)
         # The lowest row's claim on a variable wins.
         claim[v] = front
         won = claim[v] == front
         if not won.all():
             lost = np.flatnonzero(~won)
-            np.minimum.at(claim, v[lost], front[lost].astype(np.int32))
-            won = np.flatnonzero(claim[v] == front)
-            v, a = v[won], a[won]
+            np.minimum.at(claim, v[lost], front[lost])
+            won = claim[v] == front
+            v, a, hi = v[won], a[won], hi[won]
         b = a & 1
-        pinned[v], bits[v] = True, b
+        bits[v] = b
         count = n_rows[v]
-        ends = np.cumsum(count)
-        rows = var_row[np.repeat(var_end[v] - ends, count) + np.arange(ends[-1])]
-        np.subtract.at(left, rows, 1)
-        np.subtract.at(acc, rows, np.repeat((v << shift) - b, count))
+        ends = np.add.accumulate(count)
+        rows = var_row[(var_end[v] - ends).repeat(count) + np.arange(ends[-1])]
+        np.subtract.at(acc, rows, ((hi << shift) - b).repeat(count))
         # The rows left with one unresolved variable, each once.
-        rows = np.compress(left[rows] == 1, rows)
+        rows = rows[acc[rows] >> top == 1]
         at = np.arange(len(rows))
         slot[rows] = at
         front = rows[slot[rows] == at]
-    del acc, left, var_row, n_rows, var_end, claim, slot
+    del acc, var_row, n_rows, var_end, claim, slot
 
     # Per factor ((the index sum of its unpinned variables << shift) +
     # their count) << shift + its count of pinned ones.  A row whose only
     # unpinned variable is private pins it.
-    sums = row_sums(np.where(pinned, bits, ((np.arange(n_var) << shift) + 1) << shift),
-                    graph.indices, graph.indptr)
-    row = np.flatnonzero(deferred & (sums[hard] >> shift & mask == 1))
-    ready = hard[row]
-    own = sums[ready] >> 2 * shift
-    pinned[own], bits[own] = True, (odd[row] ^ sums[ready]) & 1
+    sums = row_sums(np.where(bits > 1, ((np.arange(n_var) << shift) + 1) << shift, bits),
+                    indices, indptr, runs)
     free, flip = sums >> shift & mask, (sums & 1).astype(bool)
-    free[ready], flip[ready] = 0, odd[row]
-    return pinned, bits, free, flip
+    ready = np.flatnonzero(deferred & (free == 1))
+    own = sums[ready] >> 2 * shift
+    bits[own] = odd[ready] ^ flip[ready]
+    free[ready], flip[ready] = 0, odd[ready]
+    return bits < 2, (bits & 1).astype(np.uint8), free, flip
 
 
-def row_sums(code: np.ndarray, var: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+def row_sums(
+    code: np.ndarray, var: np.ndarray, ptr: np.ndarray, runs: tuple[Bucket, ...] | None = None
+) -> np.ndarray:
     """Per CSR row (ptr, var) the int64 sum of code over its variables.
-    The running total may wrap; a row's sum is exact when it fits."""
+    Given runs (row_runs(ptr), or some of them), each run's rows are summed
+    column by column and the rows outside them are 0; else a running total
+    over every edge gives the sums, which may wrap (a row's sum is exact
+    when it fits).  Per run is the faster when the runs are few and long."""
+    code = code.astype(np.int64, copy=False)
+    if runs is not None:
+        sums = np.zeros(len(ptr) - 1, np.int64)
+        for d, edges, facs, _ in runs:
+            col = code[var[edges]].reshape(-1, d).T
+            if d == 1:
+                sums[facs] = col[0]
+                continue
+            out = sums[facs]
+            np.add(col[0], col[1], out=out)
+            for row in col[2:]:
+                out += row
+        return sums
     total = np.zeros(len(var) + 1, np.int64)
     # In range, var never wraps; "wrap" fills total without a buffer.
-    np.take(code.astype(np.int64, copy=False), var, out=total[1:], mode="wrap")
+    np.take(code, var, out=total[1:], mode="wrap")
     np.cumsum(total, out=total)
     sums = total[ptr[1:]]
     sums -= total[ptr[:-1]]

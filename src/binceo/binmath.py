@@ -8,6 +8,7 @@ to symbol 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,15 @@ def _check_prob(value: float, name: str = "probability", upper: float = 1.0) -> 
     if not 0.0 <= value <= upper:
         raise ValueError(f"{name} must be in [0, {upper}], got {value!r}")
     return value
+
+
+def _check_int(value, name: str) -> int:
+    """value as an int, if it is an integer; a bool or another number is
+    an error that names it."""
+    # A bool is an Integral, but True is no count.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_bits(bits: np.ndarray, name: str) -> None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._msgpass import check_messages, hoist_unit_block, row_runs, variable_sums
-from .binmath import _check_bits
+from .binmath import _check_bits, _check_int
 from .bounds import TestChannelPair
 from .graphs import CompoundCode, LdgmCode, LdpcCode
 
@@ -54,7 +54,7 @@ def bias_propagation_quantize(
     if y.shape != (code.n,):
         raise ValueError(f"observation length {y.shape} does not match n={code.n}")
     _check_bits(y, "y")
-    if max_iters < 1:
+    if _check_int(max_iters, "max_iters") < 1:
         raise ValueError("max_iters must be >= 1")
     rng = np.random.default_rng(seed)
     td = min(max(float(target_d), MIN_TARGET_D), 0.5)
@@ -100,17 +100,20 @@ def bias_propagation_quantize(
         pick, cut = _strongest(mag, batch)
         # A dead bias is chosen only if the cut is dead; then the batch is
         # put in selection order, in which its coins are drawn.
-        chosen = (_most_biased(unfixed, mag, batch) if cut < DECIMATION_BIAS_FLOOR / 2
-                  else unfixed[pick])
-        unfixed = np.delete(unfixed, pick)
-        values = total[chosen] < 0
-        dead = np.abs(total[chosen]) < DECIMATION_BIAS_FLOOR / 2
-        if np.any(dead):
+        dead_cut = cut < DECIMATION_BIAS_FLOOR / 2
+        chosen = _most_biased(unfixed, mag, batch) if dead_cut else unfixed[pick]
+        bias = total[chosen]
+        values = bias < 0
+        # Otherwise every chosen |bias| is at least the cut, so none is dead.
+        if dead_cut and (dead := np.abs(bias) < DECIMATION_BIAS_FLOOR / 2).any():
             values[dead] = rng.integers(0, 2, size=int(dead.sum()), dtype=np.int8)
             converged = False
+        keep = np.ones(len(unfixed), bool)
+        keep[pick] = False
+        unfixed = unfixed[keep]
         llr = np.where(values, -FIXED_LLR / 2, FIXED_LLR / 2)
         fix_llr[chosen] = llr
-        total[chosen] += llr
+        total[chosen] = bias + llr
 
     info = (fix_llr < 0).astype(np.uint8)
     quantized = code.encode(info)

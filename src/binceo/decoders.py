@@ -17,9 +17,9 @@ import numpy as np
 
 # perfbench's tracer wraps check_messages here, so the name stays.
 from ._msgpass import (HALF_CLAMP, LLR_CLAMP, Bucket, bounded_check_update,
-                       check_messages, extrinsic_messages, hoist_unit_block, peel, row_sums,
-                       slot_major, variable_sums)
-from .binmath import ChainParams, _check_bits, _check_prob, chain_posterior_table
+                       check_messages, extrinsic_messages, hoist_unit_block, peel, slot_major,
+                       variable_sums)
+from .binmath import ChainParams, _check_bits, _check_int, _check_prob, chain_posterior_table
 from .graphs import CompoundCode, LdpcCode, SparseBipartiteGraph
 
 
@@ -77,7 +77,7 @@ def sum_product_decode(
     leaf_scale = np.zeros(0) if leaf_scale is None else np.asarray(leaf_scale, dtype=float)
     m = code.m - len(leaf_scale)
     syndrome, prior = _link_inputs(code, m, syndrome, prior, "syndrome", "prior")
-    if max_iters < 1:
+    if _check_int(max_iters, "max_iters") < 1:
         raise ValueError("max_iters must be >= 1")
     # Also the loop's premise: every factor scale lies in [-1, 1].
     if not (np.abs(leaf_scale) <= 1.0).all():
@@ -126,31 +126,46 @@ def _sum_product(
     iteration (else after the last), and the loop ends at the first
     iteration at which every link's checks hold.  Before a full test the
     loop re-tests a few checks the last one found violated and skips the
-    full test while any of them still is.
+    full test while any of them still is; a full test before the last
+    iteration stops at the first degree block, highest degree first, with
+    a violated check that has no leaf, and keeps a few of that block's as
+    the next witnesses.
     """
     n_var = graph.n_var
     # The residual graph: each factor's unpinned variables, and its scale
-    # times (-1)^(its pinned ones).
+    # times (-1)^(its pinned ones).  Only the factors with such variables
+    # (alive ones) reach the loop, so only their scales are taken.
     pinned, bits, fac_degree, flip = peel(graph, fac_scale)
-    indices = _kept(~pinned[graph.indices], graph.indices)
-    scale = fac_scale * np.where(flip, -1.0, 1.0)
-    del flip
-    # The checks' parity targets, taken before leaves fold into the scales.
-    n_checks = sum(m for _, m in links)
-    target = scale[:n_checks] < 0
+    indices = _kept((~pinned)[graph.indices], graph.indices)
+    alive = np.flatnonzero(fac_degree)
+    sign = 1.0 - 2.0 * flip
+    scale, degree_of = fac_scale[alive] * sign[alive], fac_degree[alive]
+    # A check without edges holds when its scale so flipped is positive;
+    # the alive checks' parity targets are taken before leaves fold into
+    # their scales.  Check f is on link searchsorted(check_end, f, "right").
+    check_end = np.cumsum([m for _, m in links])
+    n_checks = int(check_end[-1])
+    stuck = (fac_degree[:n_checks] == 0) & (fac_scale[:n_checks] * sign[:n_checks] < 0)
+    stuck = np.array([np.count_nonzero(stuck[b - m : b]) for (_, m), b in zip(links, check_end)])
+    target = scale < 0
+    del fac_degree, flip, sign
     # The loop runs on half LLRs.
-    half = np.where(pinned, HALF_CLAMP * (1.0 - 2.0 * bits), 0.5 * prior)
+    half = 0.5 * prior
+    fixed = np.flatnonzero(pinned)
+    half[fixed] = HALF_CLAMP * (1.0 - 2.0 * bits[fixed])
+    del fixed
     degree = np.bincount(indices, minlength=n_var)
     ends = two_way = partners = np.zeros(0, np.int64)
     if pairs is not None:
         nc, n1, coupling = pairs
         first, second = pinned[:nc], pinned[n1 : n1 + nc]
-        # A pair with one pinned end sends the other end a constant message.
+        # A pair with one pinned end sends the other end a constant message,
+        # one of two by the pinned bit.
         i = np.flatnonzero(first != second)
         src, dst = np.where(first[i], i, n1 + i), np.where(first[i], n1 + i, i)
         with np.errstate(divide="ignore"):
-            half[dst] += np.clip(np.arctanh(coupling * (1.0 - 2.0 * bits[src])),
-                                 -HALF_CLAMP, HALF_CLAMP)
+            msg = np.clip(np.arctanh(coupling * np.array([1.0, -1.0])), -HALF_CLAMP, HALF_CLAMP)
+        half[dst] += msg[bits[src]]
         free = np.flatnonzero(~(first | second))
         ends = np.concatenate([free, n1 + free])
         # A pair leaf's first end has no residual edge and a prior of +-0,
@@ -162,77 +177,90 @@ def _sum_product(
         half[partners] += 0.0
     nf = len(two_way) // 2
 
-    # Each leaf folds into its host's scale and leaves the graph.
+    # Each leaf folds into its host's scale and leaves the graph: a host is
+    # an alive factor of degree 3 or more with one edge to a lone variable.
     degree[ends] = 0
-    lone = degree[indices] == 1
-    indptr = np.concatenate(([0], np.cumsum(fac_degree)))
-    hosts = (row_sums(degree == 1, indices, indptr) == 1) & (fac_degree >= 3)
-    del indptr
-    lone &= np.repeat(hosts, fac_degree)
-    leaves, hosts = _kept(lone, indices), np.flatnonzero(hosts)
+    lone = np.flatnonzero(degree[indices] == 1)
+    fac = np.repeat(np.arange(len(alive)), degree_of)[lone]
+    at_host = ((np.bincount(fac, minlength=len(alive)) == 1) & (degree_of >= 3))[fac]
+    hosts, lone = fac[at_host], lone[at_host]
+    leaves = indices[lone]
+    del fac, at_host
     host_scale = scale[hosts]
     scale[hosts] *= np.tanh(np.clip(half[leaves], -HALF_CLAMP, HALF_CLAMP))
+    degree_of[hosts] -= 1
     degree[leaves] = 0
-    fac_degree[hosts] -= 1
-    indptr = np.concatenate(([0], np.cumsum(fac_degree)))
-    indices = _kept(~lone, indices)
-    del lone, fac_degree
+    if len(leaves):
+        keep = np.ones(len(indices), bool)
+        keep[lone] = False
+        indices = _kept(keep, indices)
+        del keep
+    del lone
     # The loop's variables: the two-way pair ends, the pair leaves'
     # partners, then the others with an edge.
     loop_var = np.concatenate([two_way, partners, np.flatnonzero(degree)])
     del degree
     n_loop = len(loop_var)
-    loop_id = np.zeros(n_var, np.int32)
-    loop_id[loop_var] = np.arange(n_loop, dtype=np.int32)
+    loop_id = np.zeros(n_var, np.intp)
+    loop_id[loop_var] = np.arange(n_loop)
+    # In place: indices is this decode's own array.
+    np.take(loop_id, indices, out=indices, mode="wrap")
+    del loop_id
 
-    # Residual factors by degree, each degree one slot-major block, degree 1 first.
-    perm, fac_order, buckets = slot_major(indptr)
-    edge_var = loop_id[indices[perm]].astype(np.intp)
-    del perm, indptr, indices, loop_id
-    scale = scale[fac_order]
-    # Slot-major positions of the checks and of the leaves' hosts, and the
-    # hosts' edges; a leaf's message is atanh(host scale * the product of
-    # the tanh values on them), taken slot by slot.
-    position = np.empty(graph.n_fac, np.intp)
-    position[fac_order] = np.arange(graph.n_fac)
-    checks, hosts = position[:n_checks], position[hosts]
-    del position, fac_order
-    order = np.argsort(hosts)
-    hosts, leaves, host_scale = hosts[order], leaves[order], host_scale[order]
-    table = _bucket_table(buckets)
-    host_edges, host_ptr = _slot_edges(buckets, hosts, table)
+    # The alive factors by degree, each degree one slot-major block, degree
+    # 1 first; the hosts' slot-major positions, and their edges (a leaf's
+    # message is atanh(host scale * the product of the tanh values on
+    # them), taken slot by slot).
+    perm, order, buckets = slot_major(np.concatenate(([0], np.add.accumulate(degree_of))))
+    edge_var = np.take(indices, perm, out=perm, mode="wrap")
+    del perm, indices, degree_of
+    position = np.empty(len(order), np.intp)
+    position[order] = np.arange(len(order))
+    hosts = position[hosts]
+    del position
+    host_edges, host_ptr = _slot_edges(buckets, hosts)
     leaf_prior = half[leaves]
-    link = np.repeat(np.arange(len(links)), [m for _, m in links])
-    # A witness is a check with edges and no leaf.
-    witness_ok = np.ones(graph.n_fac, bool)
-    witness_ok[: buckets[0][2].start if buckets else graph.n_fac] = False
-    witness_ok[hosts] = False
+    # The checks' positions, links and targets; a witness is a check with
+    # no leaf.
+    scale, target, witness = scale[order], target[order], alive[order] < n_checks
+    checks = np.flatnonzero(witness)
+    link = np.searchsorted(check_end, alive[order[checks]], side="right")
+    target_of_check = target[checks]
+    del alive, order
+    witness[hosts] = False
+    # The full test reads the blocks highest degree first, where a violated
+    # check is likeliest.
+    blocks = [(edge_var[e].reshape(d, -1), f, target[f], witness[f])
+              for d, e, f, _ in reversed(buckets)]
+    del witness
+    parity = np.empty(len(scale), bool)
+    no_witness = np.zeros((1, 0), np.intp), np.zeros(0, bool)
 
     def leaf_posterior() -> np.ndarray:
-        """The leaves' half-LLR posteriors; m_vc holds the tanh values."""
+        """The leaves' half-LLR posteriors, also written to half; m_vc
+        holds the tanh values."""
         msg = np.multiply.reduceat(m_vc[host_edges], host_ptr) * host_scale
         with np.errstate(divide="ignore"):
             np.arctanh(msg, out=msg)
-        return leaf_prior + np.clip(msg, -HALF_CLAMP, HALF_CLAMP, out=msg)
+        half[leaves] = msg = leaf_prior + np.clip(msg, -HALF_CLAMP, HALF_CLAMP, out=msg)
+        return msg
 
-    def parity_test(last: bool) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def parity_test(last: bool) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Per link whether its checks hold on the hard decision, and the
-        edge variables, reduceat offsets and targets of a few witnesses
-        that do not.  Before the last iteration a test that finds a
-        witness fails without the leaves, and their hosts' checks are
-        left untested (their links may then read as holding)."""
-        signs = (posterior < 0)[edge_var]
-        parity = np.zeros(graph.n_fac, bool)
-        for d, edges, facs, _ in buckets:
-            np.bitwise_xor.reduce(signs[edges].reshape(d, -1), axis=0, out=parity[facs])
-        bad = np.flatnonzero(parity[checks] != target)
-        if last or not witness_ok[checks[bad]].any():
-            parity[hosts] ^= leaf_posterior() < 0
-            bad = np.flatnonzero(parity[checks] != target)
-        bad_links = np.bincount(link[bad], minlength=len(links))
-        bad = bad[witness_ok[checks[bad]]][:WITNESSES]
-        w_edges, w_ptr = _slot_edges(buckets, checks[bad], table)
-        return bad_links == 0, (edge_var[w_edges], w_ptr, target[bad])
+        edge variables, one column per check, and targets of a few
+        witnesses that do not.  Before the last iteration the test stops
+        at the first block that has a witness that fails, and then takes
+        its witnesses from that block alone (the links read as failing)."""
+        for ev, facs, want, witness in blocks:
+            got = parity[facs]
+            np.bitwise_xor.reduce(posterior[ev] < 0, axis=0, out=got)
+            if not last:
+                bad = np.flatnonzero((got != want) & witness)[:WITNESSES]
+                if len(bad):
+                    return np.zeros(len(links), bool), (ev[:, bad], want[bad])
+        parity[hosts] ^= leaf_posterior() < 0
+        bad = parity[checks] != target_of_check
+        return stuck + np.bincount(link[bad], minlength=len(links)) == 0, no_witness
 
     m_cv = np.zeros(len(edge_var))
     p, live = hoist_unit_block(buckets, scale, m_cv)
@@ -254,7 +282,7 @@ def _sum_product(
         pair_prior = base[: 2 * nf].copy()
         cross, ext = np.zeros(2 * nf), np.empty(2 * nf)
         halves = ((ext[nf:], cross[:nf]), (ext[:nf], cross[nf:]))
-    w_var = np.zeros(0, np.intp)
+    w_var, w_target = no_witness
     for it in range(1, budget + 1):
         if nf:
             np.subtract(posterior[: 2 * nf], cross, out=ext)
@@ -272,14 +300,14 @@ def _sum_product(
         posterior, before = np.add(base, sums, out=before), posterior
         # Before the last iteration, a witness that still fails spares the
         # full test.
-        if it < budget and (not stop or len(w_var) and (
-                np.bitwise_xor.reduceat(posterior[w_var] < 0, w_ptr) != w_target).any()):
+        if it < budget and (not stop or len(w_target) and (
+                np.bitwise_xor.reduce(posterior[w_var] < 0, axis=0) != w_target).any()):
             continue
-        oks, (w_var, w_ptr, w_target) = parity_test(it == budget)
+        oks, (w_var, w_target) = parity_test(it == budget)
         if oks.all():
             break
+    # The loop ends on a full test that wrote the leaves' posteriors.
     half[loop_var] = posterior
-    half[leaves] = leaf_posterior()
     if len(partners):
         # The pair leaves' first ends take the pair update of the last
         # iteration, from their partners' posteriors at its start.
@@ -293,12 +321,10 @@ def _sum_product(
     live_edges = np.zeros(n_var, np.int64)
     live_edges[loop_var] = np.bincount(live_var, minlength=n_loop)
     live_edges[ends] += 1
-    bounds = np.cumsum([n for n, _ in links[:-1]])
-    return [DecodeResult((post < 0).astype(np.uint8), bool(ok), it, 2.0 * post,
-                         int(pins.sum()), int(edges.sum()))
-            for ok, post, pins, edges in zip(oks, np.split(half, bounds),
-                                             np.split(pinned, bounds),
-                                             np.split(live_edges, bounds))]
+    bounds = np.cumsum([0] + [n for n, _ in links])
+    return [DecodeResult((half[a:b] < 0).astype(np.uint8), bool(ok), it, 2.0 * half[a:b],
+                         int(np.count_nonzero(pinned[a:b])), int(live_edges[a:b].sum()))
+            for ok, a, b in zip(oks, bounds.tolist(), bounds[1:].tolist())]
 
 
 def _kept(keep: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -312,21 +338,13 @@ def _kept(keep: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.take(a, np.flatnonzero(keep), out=out, mode="wrap")
 
 
-def _bucket_table(buckets: tuple[Bucket, ...]) -> np.ndarray:
-    """Per slot-major bucket its first factor, degree, factor count and
-    first edge less first factor, as the rows of a (4, len(buckets))
-    array: slot j of its factor f is edge f + that offset + j * count."""
-    return np.array([(f.start, d, f.stop - f.start, e.start - f.start)
-                     for d, e, f, _ in buckets], np.intp).reshape(-1, 4).T
-
-
-def _slot_edges(
-    buckets: tuple[Bucket, ...], facs: np.ndarray, table: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _slot_edges(buckets: tuple[Bucket, ...], facs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The edges of the slot-major factors facs, factor by factor in slot
-    order, and the offset at which each factor's run starts; table is the
-    buckets' _bucket_table, built here when not given."""
-    first, degree, count, offset = _bucket_table(buckets) if table is None else table
+    order, and the offset at which each factor's run starts.  Per bucket
+    its first factor, degree, factor count and first edge less first
+    factor: slot j of its factor f is edge f + that offset + j * count."""
+    first, degree, count, offset = np.array([(f.start, d, f.stop - f.start, e.start - f.start)
+                                             for d, e, f, _ in buckets], np.intp).reshape(-1, 4).T
     b = np.searchsorted(first, facs, side="right") - 1
     degree, count = degree[b], count[b]
     ptr = np.cumsum(degree) - degree
@@ -376,21 +394,18 @@ def joint_sum_product_decode(
     early_stop=False always runs the whole budget.
     """
     q = _check_prob(q, "crossover", upper=0.5)
-    if max_iters < 1:
+    if _check_int(max_iters, "max_iters") < 1:
         raise ValueError("max_iters must be >= 1")
     s1, prior1 = _link_inputs(code1, code1.m, s1, prior1, "s1", "prior1")
     s2, prior2 = _link_inputs(code2, code2.m, s2, prior2, "s2", "prior2")
-    nc = min(code1.n, code2.n) if n_coupled is None else n_coupled
+    nc = min(code1.n, code2.n) if n_coupled is None else _check_int(n_coupled, "n_coupled")
     if not 0 <= nc <= min(code1.n, code2.n):
         raise ValueError(f"n_coupled={nc} must be in [0, {min(code1.n, code2.n)}]")
 
     # Coupling check i is (i, code1.n + i) with scale 1 - 2q.  The link
     # graph holds link 1's checks, then link 2's on variables shifted by
     # code1.n; each carries its syndrome sign 1 - 2s.
-    g1, g2 = code1.graph, code2.graph
-    links = SparseBipartiteGraph(n_var=code1.n + code2.n,
-                                 indptr=np.concatenate([g1.indptr, g1.n_edges + g2.indptr[1:]]),
-                                 indices=np.concatenate([g1.indices, code1.n + g2.indices]))
+    links = SparseBipartiteGraph.union(code1.graph, code2.graph)
     return tuple(_sum_product(links, 1.0 - 2.0 * np.concatenate([s1, s2]),
                               np.concatenate([prior1, prior2]), max_iters,
                               [(code1.n, code1.m), (code2.n, code2.m)],

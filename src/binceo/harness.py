@@ -8,7 +8,6 @@ Subcommands: bounds, optimize, simulate, sweep.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import numbers
 import os
 import sys
 import warnings
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as bounds_mod
-from .binmath import ChainParams
+from .binmath import ChainParams, _check_int
 from .bounds import InfeasibleRateError, TestChannelPair, bsc_bounds, mi_region_oracle
 from .codec import encode_joint, encode_successive
 from .decoders import (
@@ -91,9 +90,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for name in ("n", "trials", "base_seed", "biasprop_sweeps", "sp_iters", "jsp_iters"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+            _check_int(getattr(self, name), name)
         for name in ("p1", "p2", "d1", "d2"):
             v = getattr(self, name)
             if not 0.0 <= v <= 0.5:

@@ -210,6 +210,18 @@ def test_quantize_validation(compound_pair):
         )
 
 
+@pytest.mark.parametrize("value", [True, 2.5, 25.0])
+def test_quantize_rejects_a_budget_that_is_no_integer(compound_pair, value):
+    cc, _ = compound_pair
+    y = np.zeros(cc.n, dtype=np.uint8)
+    with pytest.raises(ValueError, match=f"^max_iters must be an integer, got {value!r}$"):
+        bias_propagation_quantize(cc.ldgm, y, 0.1, max_iters=value)
+    # A numpy integer is an integer.
+    want = bias_propagation_quantize(cc.ldgm, y, 0.1, max_iters=3)
+    got = bias_propagation_quantize(cc.ldgm, y, 0.1, max_iters=np.int64(3))
+    np.testing.assert_array_equal(got.info_bits, want.info_bits)
+
+
 def test_quantize_rejects_a_non_binary_observation(compound_pair):
     cc, _ = compound_pair
     y = _observation(cc.n, 39)

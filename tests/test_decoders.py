@@ -67,6 +67,27 @@ def test_sum_product_decode_validation(nested_code):
         sum_product_decode(comb, s, np.zeros(comb.n), max_iters=0)
 
 
+@pytest.mark.parametrize("value", [True, 2.5, 3.0])
+@pytest.mark.parametrize("arg", ["max_iters", "n_coupled"])
+@pytest.mark.parametrize("decoder", ["sum_product", "joint"])
+def test_decoders_reject_a_budget_that_is_no_integer(nested_code, decoder, arg, value):
+    comb = combined_syndrome_code(nested_code)
+    s, prior = np.zeros(comb.m, dtype=np.uint8), np.zeros(comb.n)
+
+    def decode(**kwargs):
+        if decoder == "joint":
+            return joint_sum_product_decode(comb, comb, s, s, q=0.3, **kwargs)
+        return (sum_product_decode(comb, s, prior, **kwargs),)
+
+    if decoder == "sum_product" and arg == "n_coupled":
+        return
+    with pytest.raises(ValueError, match=f"^{arg} must be an integer, got {value!r}$"):
+        decode(**{arg: value})
+    # A numpy integer is an integer.
+    for got, want in zip(decode(**{arg: np.int64(3)}), decode(**{arg: 3})):
+        assert got.posterior.tobytes() == want.posterior.tobytes()
+
+
 def test_sum_product_decode_with_side_information(nested_code, quantized):
     # Side information at crossover 0.1 is well inside the decode basin.
     u = quantized
@@ -511,6 +532,59 @@ def test_pair_leaves_match_the_generic_pair_update_bit_for_bit(seed, iters, stop
     live[np.concatenate(res_pairs[:2])] += 1
     assert [r.live_edges for r in res] == [live[:n1].sum(), live[n1:].sum()]
     assert [r.pinned for r in res] == [pinned[:n1].sum(), pinned[n1:].sum()]
+
+
+@given(seed=st.integers(0, 2**32 - 1), iters=st.integers(1, 12))
+def test_early_stop_is_the_first_iteration_whose_checks_hold(seed, iters):
+    # Link 1 has the anchor link's shape: unit checks on some of its first
+    # k1 variables, and rows that each hold some of those and one private
+    # variable.  Link 2 has checks of degree 2-4; soft factors on both
+    # links follow, some of them hosts of leaves.  Every check's target is
+    # the parity of one word that the priors lean to, so decodes stop
+    # early.  Pairs (i, n1 + i) couple the links; first ends on no factor
+    # have a prior of +-0 and are pair leaves.  The decode must stop at the
+    # first iteration after which every check holds, with the posteriors
+    # of the generic loop after that many iterations, bit for bit.
+    rng = np.random.default_rng(seed)
+    k1, n2 = int(rng.integers(4, 10)), int(rng.integers(6, 14))
+    n1 = k1 + int(rng.integers(1, 5))
+    n = n1 + n2
+    link1 = ([[v] for v in np.sort(rng.choice(k1, int(rng.integers(0, k1)), replace=False))]
+             + [[*np.sort(rng.choice(k1, int(rng.integers(1, 4)), replace=False)), v]
+                for v in range(k1, n1)])
+    link2 = [n1 + np.sort(rng.choice(n2, int(rng.integers(2, 5)), replace=False))
+             for _ in range(int(rng.integers(1, 7)))]
+    soft = [np.sort(rng.choice(n, int(rng.integers(3, 6)), replace=False))
+            for _ in range(int(rng.integers(0, 5)))]
+    g = csr(n, link1 + link2 + soft)
+    m1, m2 = len(link1), len(link2)
+    word = rng.integers(0, 2, n, dtype=np.uint8)
+    scale = np.concatenate([1.0 - 2.0 * g.factor_parity(word)[: m1 + m2],
+                            rng.uniform(-0.9, 0.9, len(soft))])
+    prior = (1.0 - 2.0 * word) * rng.normal(1.0, 1.5, n)
+    pairs = (int(rng.integers(1, min(n1, n2) + 1)), n1, rng.uniform(-0.95, 0.95))
+    # (An isolated variable keeps its prior, where the generic loop adds +0.)
+    bare = np.flatnonzero(np.bincount(g.indices, minlength=n)[: min(k1, pairs[0])] == 0)
+    prior[bare] = rng.choice([0.0, -0.0, 0.5], len(bare))
+    res = _sum_product(g, scale, prior, iters, [(n1, m1), (n2, m2)], pairs, stop=True)
+    _, residual, res_scale, res_prior, res_pairs, leaves = _residual_problem(
+        g, scale, prior, pairs)
+
+    def reference(k):
+        return _reference_sum_product(residual, res_scale, res_prior, k, res_pairs, leaves)
+
+    def holds(posterior, facs):
+        bits = posterior < 0
+        return all(bits[g.indices[g.indptr[f] : g.indptr[f + 1]]].sum() % 2 == (scale[f] < 0)
+                   for f in facs)
+
+    met = [_checks_hold(g, scale, m1 + m2, reference(k)) for k in range(1, iters + 1)]
+    used = met.index(True) + 1 if True in met else iters
+    want = reference(used)
+    assert [r.iterations_used for r in res] == [used, used]
+    assert [r.syndrome_satisfied for r in res] == [holds(want, range(m1)),
+                                                   holds(want, range(m1, m1 + m2))]
+    assert np.concatenate([r.posterior for r in res]).tobytes() == want.tobytes()
 
 
 def test_conflicting_unit_checks_fail_both_decoders():

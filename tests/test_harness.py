@@ -288,6 +288,48 @@ def test_joint_decode_work_is_pinned(p, live_edges, iterations_used):
     assert (rep.live_edges, rep.iterations_used) == (live_edges, iterations_used)
 
 
+# sha256 over each DecodeResult of trial 0 (posterior bytes, iterations
+# used, syndrome flag, pinned bits, live edges), link by link.  The CSV
+# holds hard decisions only; these pin every posterior bit of the decoders.
+DECODE_SHA256 = {
+    ("joint", 2000, 0.05, 11):
+        "37188ab492e2bc5388b166c205833c63b34fece02e77558e9d937c7f9385addc",
+    ("joint", 2000, 0.15, 11):
+        "5115dc67d0a7b01429c0d48b2b88df61dd3e17e0fc27e368404c812499e6492e",
+    ("joint", 2000, 0.25, 11):
+        "43cd7523114ffe2c1b4f9664580ed427fedd0ba16adea27ffd957474ee04d19e",
+    ("joint", 10_000, 0.15, 7):
+        "2139b46f85b769d9fad12f2948172b99750ecaae1e4ce8c5d6706e33fef5363a",
+    ("successive", 2000, 0.15, 11):
+        "b2790a98efc440cfa93ac445938df768ac7e9235abe372824714eabe891c78c2",
+    ("successive", 20_000, 0.15, 100003):
+        "687f046cd8ef2359b9e23c4cd90ef0cfc1e3f78390ef73648ce2c530ce8f72ec",
+}
+
+
+@pytest.mark.parametrize("scheme, n, p, seed", DECODE_SHA256)
+def test_decoder_outputs_are_pinned(scheme, n, p, seed, monkeypatch):
+    name = {"joint": "joint_sum_product_decode", "successive": "sum_product_decode"}[scheme]
+    real, results = getattr(harness, name), []
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        results.extend(out if scheme == "joint" else [out])
+        return out
+
+    monkeypatch.setattr(harness, name, recorded)
+    cfg = ExperimentConfig(p1=p, p2=p, n=n, trials=1, scheme=scheme, base_seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        {"joint": run_joint_trial, "successive": run_successive_trial}[scheme](cfg, 0)
+    digest = hashlib.sha256()
+    for res in results:
+        digest.update(res.posterior.tobytes())
+        digest.update(repr((res.iterations_used, res.syndrome_satisfied, res.pinned,
+                            res.live_edges)).encode())
+    assert digest.hexdigest() == DECODE_SHA256[scheme, n, p, seed]
+
+
 def test_simulate_raises_no_floating_point_fault():
     # Every floating-point fault is an error here.  Where a clamp absorbs
     # atanh(+-1) = +-inf, the code opts out locally: check_messages (the
