@@ -32,7 +32,7 @@ residual graph of the other variables.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -171,21 +171,18 @@ def variable_sums(
     return np.bincount(edge_var, weights=m_in, minlength=n_var)
 
 
-def row_runs(indptr: np.ndarray, most: int | None = None) -> tuple[Bucket, ...] | None:
+def row_runs(indptr: np.ndarray) -> tuple[Bucket, ...]:
     """The check kernel's buckets over the CSR rows indptr in row order:
     one (d, edges, factors, "F") per maximal run of consecutive factors of
     equal degree d > 0, in factor order, with the slices of the run's
     edges and factors.  A factor's messages depend on its own edges only,
-    so how a degree's factors split into runs changes no bit.  Given most,
-    None where the rows make more than most runs."""
+    so how a degree's factors split into runs changes no bit."""
     degrees = np.diff(indptr)
     # (np.diff with prepend is several times slower.)
     change = np.empty(len(degrees), bool)
     change[:1] = True
     np.not_equal(degrees[1:], degrees[:-1], out=change[1:])
     starts = np.flatnonzero(change)
-    if most is not None and len(starts) > most:
-        return None
     ends = [*starts[1:].tolist(), len(degrees)]
     return tuple((d, slice(e0, e1), slice(a, b), "F") for d, e0, e1, a, b in zip(
         degrees[starts].tolist(), indptr[starts].tolist(), indptr[ends].tolist(),
@@ -198,10 +195,9 @@ def slot_major(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[Bucket
     -> graph edge), fac_order (new factor -> graph factor) and the blocks'
     buckets, over factors and edges in the new order."""
     degrees = np.diff(indptr)
-    # A stable sort of 8- or 16-bit keys is a radix sort, one pass per byte.
-    top = degrees.max(initial=0)
-    fac_order = np.argsort(degrees.astype(np.uint8) if top < 1 << 8 else
-                           degrees.astype(np.uint16) if top < 1 << 16 else degrees, kind="stable")
+    # A stable sort of 16-bit keys is a radix sort.
+    fac_order = np.argsort(degrees.astype(np.uint16) if degrees.max(initial=0) < 1 << 16
+                           else degrees, kind="stable")
     perm, buckets, fac, edge = np.empty(indptr[-1], np.int64), [], 0, 0
     for d, count in enumerate(np.bincount(degrees).tolist()):
         if d and count:
@@ -236,13 +232,12 @@ def peel(
     # Sums over a factor pack counts below 2**shift under sums of indices.
     shift = int(degree.max(initial=0)).bit_length()
     mask = (1 << shift) - 1
-    # Sums run by run while the runs are few (16) or long (1,024 edges on average).
-    runs = row_runs(indptr, most=max(16, len(indices) >> 10))
+    runs = row_runs(indptr)
     is_hard, odd = np.abs(fac_scale) == 1.0, fac_scale < 0
     private = np.bincount(indices, minlength=n_var) == 1
     # Per hard factor (its index sum << shift) + its count of private variables.
     acc = row_sums((np.arange(n_var) << shift) + private, indices, indptr,
-                   runs and [r for r in runs if is_hard[r[2]].any()])
+                   [r for r in runs if is_hard[r[2]].any()])
     n_private = acc & mask
     rounds, deferred = is_hard & (n_private == 0), is_hard & (n_private == 1)
     del private, n_private, is_hard
@@ -257,7 +252,7 @@ def peel(
     # (A row of degree 1 is in the first round's front and needs no
     # update: it never joins a later front.)
     linked = rounds & (degree > 1)
-    var = indices[linked.repeat(degree)] if runs is None else np.concatenate(
+    var = np.concatenate(
         [indices[e] if linked[f].all() else indices[e].reshape(-1, d)[linked[f]].ravel()
          for d, e, f, _ in runs if d > 1 and linked[f].any()] or [indices[:0]])
     rounds = np.flatnonzero(rounds)
@@ -318,32 +313,24 @@ def peel(
 
 
 def row_sums(
-    code: np.ndarray, var: np.ndarray, ptr: np.ndarray, runs: tuple[Bucket, ...] | None = None
+    code: np.ndarray, var: np.ndarray, ptr: np.ndarray, runs: Sequence[Bucket] | None = None
 ) -> np.ndarray:
-    """Per CSR row (ptr, var) the int64 sum of code over its variables.
-    Given runs (row_runs(ptr), or some of them), each run's rows are summed
-    column by column and the rows outside them are 0; else a running total
-    over every edge gives the sums, which may wrap (a row's sum is exact
-    when it fits).  Per run is the faster when the runs are few and long."""
+    """Per CSR row (ptr, var) the int64 sum of code over its variables,
+    summed column by column over each of runs (row_runs(ptr) by default,
+    or some of them); the rows outside the runs read 0.  A per-run sum is
+    a few numpy calls per run, so the rows should make few runs, as
+    graphs with their factors sorted by degree do."""
     code = code.astype(np.int64, copy=False)
-    if runs is not None:
-        sums = np.zeros(len(ptr) - 1, np.int64)
-        for d, edges, facs, _ in runs:
-            col = code[var[edges]].reshape(-1, d).T
-            if d == 1:
-                sums[facs] = col[0]
-                continue
-            out = sums[facs]
-            np.add(col[0], col[1], out=out)
-            for row in col[2:]:
-                out += row
-        return sums
-    total = np.zeros(len(var) + 1, np.int64)
-    # In range, var never wraps; "wrap" fills total without a buffer.
-    np.take(code, var, out=total[1:], mode="wrap")
-    np.cumsum(total, out=total)
-    sums = total[ptr[1:]]
-    sums -= total[ptr[:-1]]
+    sums = np.zeros(len(ptr) - 1, np.int64)
+    for d, edges, facs, _ in row_runs(ptr) if runs is None else runs:
+        col = code[var[edges]].reshape(-1, d).T
+        if d == 1:
+            sums[facs] = col[0]
+            continue
+        out = sums[facs]
+        np.add(col[0], col[1], out=out)
+        for row in col[2:]:
+            out += row
     return sums
 
 

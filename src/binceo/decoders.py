@@ -203,7 +203,9 @@ def _sum_product(
     n_loop = len(loop_var)
     loop_id = np.zeros(n_var, np.intp)
     loop_id[loop_var] = np.arange(n_loop)
-    # In place: indices is this decode's own array.
+    # In place: indices is this decode's own array, and numpy's take reads
+    # index j before it writes output j (numpy only copies first when out
+    # overlaps the source; test_take_into_its_own_index_array_is_a_gather).
     np.take(loop_id, indices, out=indices, mode="wrap")
     del loop_id
 
@@ -212,7 +214,7 @@ def _sum_product(
     # message is atanh(host scale * the product of the tanh values on
     # them), taken slot by slot).
     perm, order, buckets = slot_major(np.concatenate(([0], np.add.accumulate(degree_of))))
-    edge_var = np.take(indices, perm, out=perm, mode="wrap")
+    edge_var = np.take(indices, perm, out=perm, mode="wrap")  # in place, as above
     del perm, indices, degree_of
     position = np.empty(len(order), np.intp)
     position[order] = np.arange(len(order))
@@ -405,7 +407,10 @@ def joint_sum_product_decode(
     # Coupling check i is (i, code1.n + i) with scale 1 - 2q.  The link
     # graph holds link 1's checks, then link 2's on variables shifted by
     # code1.n; each carries its syndrome sign 1 - 2s.
-    links = SparseBipartiteGraph.union(code1.graph, code2.graph)
+    g1, g2 = code1.graph, code2.graph
+    links = SparseBipartiteGraph(n_var=code1.n + code2.n,
+                                 indptr=np.concatenate([g1.indptr, g1.n_edges + g2.indptr[1:]]),
+                                 indices=np.concatenate([g1.indices, code1.n + g2.indices]))
     return tuple(_sum_product(links, 1.0 - 2.0 * np.concatenate([s1, s2]),
                               np.concatenate([prior1, prior2]), max_iters,
                               [(code1.n, code1.m), (code2.n, code2.m)],

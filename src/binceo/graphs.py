@@ -91,23 +91,6 @@ class SparseBipartiteGraph:
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
 
-    @classmethod
-    def union(cls, *graphs: SparseBipartiteGraph) -> SparseBipartiteGraph:
-        """The graphs side by side: each one's factors after the last's, on
-        its variables shifted past the last's.  Valid graphs make a valid
-        union, so it is built without a check."""
-        indptr = np.zeros(sum(g.n_fac for g in graphs) + 1, np.int64)
-        indices = np.empty(sum(g.n_edges for g in graphs), np.int64)
-        n_var = n_fac = n_edges = 0
-        for g in graphs:
-            np.add(g.indptr[1:], n_edges, out=indptr[n_fac + 1 : n_fac + 1 + g.n_fac])
-            np.add(g.indices, n_var, out=indices[n_edges : n_edges + g.n_edges])
-            n_var, n_fac, n_edges = n_var + g.n_var, n_fac + g.n_fac, n_edges + g.n_edges
-        union = object.__new__(cls)
-        for name, value in (("n_var", n_var), ("indptr", indptr), ("indices", indices)):
-            object.__setattr__(union, name, value)
-        return union
-
     @property
     def n_fac(self) -> int:
         return len(self.indptr) - 1

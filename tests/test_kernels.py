@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from binceo import _msgpass, decoders
+from binceo import decoders
 from binceo._msgpass import (HALF_CLAMP, LLR_CLAMP, bounded_check_update, check_messages,
                              hoist_unit_block, leave_one_out_products, peel, row_runs, row_sums,
                              slot_major)
@@ -402,26 +402,6 @@ def test_peel_matches_per_factor_loop(adj, data):
         np.testing.assert_array_equal(g.factor_parity(bits)[hard & done], target[hard & done])
 
 
-@given(adjacency(), st.data())
-def test_peel_is_the_same_per_run_and_by_running_total(adj, data):
-    # peel sums over runs when the rows make few, else by running totals;
-    # both give every output bit for bit.
-    n_var, adjs = adj
-    adjs = [[v] for v in data.draw(st.lists(st.integers(0, n_var - 1), max_size=6))] + adjs
-    g = csr(n_var, adjs)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    scale = np.where(rng.random(g.n_fac) < 0.7, rng.choice([-1.0, 1.0], g.n_fac), 0.5)
-    real = _msgpass.row_runs
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_msgpass, "row_runs", lambda indptr, most=None: real(indptr))
-        per_run = peel(g, scale)
-        mp.setattr(_msgpass, "row_runs", lambda indptr, most=None: None)
-        running = peel(g, scale)
-    for a, b in zip(per_run, running):
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
-
-
 def test_peel_matches_per_factor_loop_on_a_joint_decoder_graph(monkeypatch):
     # The union graph of a joint n = 2000 decode: every factor is a hard
     # check, and each mixed output is private to its factor.
@@ -469,23 +449,31 @@ def test_row_sums_match_a_per_row_sum(adj, data):
 
 
 @given(adjacency(), st.data())
-def test_row_sums_per_run_match_the_running_total(adj, data):
-    # Summed run by run, over all runs or some of them (the others' rows
-    # read 0), the sums are those of the running total.
+def test_row_sums_over_some_runs_leave_the_other_rows_zero(adj, data):
     n_var, adjs = adj
     g = csr(n_var, adjs)
     code = np.array(data.draw(st.lists(st.integers(-2**40, 2**40), min_size=n_var,
                                        max_size=n_var)))
-    want = row_sums(code, g.indices, g.indptr)
-    runs = row_runs(g.indptr)
-    some = [r for r in runs if data.draw(st.booleans())]
-    assert row_sums(code, g.indices, g.indptr, runs).tolist() == want.tolist()
-    got = row_sums(code, g.indices, g.indptr, some)
-    assert got.dtype == np.int64
+    some = [r for r in row_runs(g.indptr) if data.draw(st.booleans())]
     kept = np.zeros(g.n_fac, bool)
     for _, _, facs, _ in some:
         kept[facs] = True
-    assert got.tolist() == np.where(kept, want, 0).tolist()
+    got = row_sums(code, g.indices, g.indptr, some)
+    assert got.dtype == np.int64
+    assert got.tolist() == [sum(int(code[v]) for v in a) if k else 0
+                            for a, k in zip(adjs, kept)]
+
+
+@given(st.lists(st.integers(0, 63), max_size=200), st.integers(0, 2**32 - 1))
+def test_take_into_its_own_index_array_is_a_gather(idx, seed):
+    # The decoders' residual layout maps its edge arrays in place,
+    # np.take(x, i, out=i, mode="wrap"), which relies on numpy reading
+    # index j before it writes output j.
+    x = np.random.default_rng(seed).integers(0, 64, 64).astype(np.intp)
+    i = np.array(idx, np.intp)
+    want = x[i]
+    assert np.take(x, i, out=i, mode="wrap") is i
+    assert i.tolist() == want.tolist()
 
 
 def test_row_sums_of_rows_without_edges_are_zero():
