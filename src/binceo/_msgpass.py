@@ -14,11 +14,11 @@ is spent as the tanh buffer.  "F" views are strided, so tanh and atanh
 run per bucket and transpose: tanh writes a contiguous block into the
 bucket's span of the output, the products go to m_in's span, and atanh
 writes them back in row order; m_in ends up holding the products.  The
-clamp runs once over the run.  The decoders' loop runs the same "C"
-update as bounded_check_update, without the clamp (its inputs are
-clipped and its scales lie in [-1, 1], so no message can reach it): one
-tanh, the row-level multiplies of every bucket (product_ops) bound to
-their views once per decode, and one arctanh.  Each edge's
+clamp runs once over the run.  Both loops run the update as
+bounded_check_update, its views and the row-level multiplies of every
+bucket (product_ops) bound once per decode or quantizer call, without
+the clamp, which none of their messages can reach (the decoders clip
+their inputs, and the quantizer's scales are at most 0.998).  Each edge's
 leave-one-out product is its prefix product times its suffix product
 along the slots (the standard tanh-rule layout, Richardson & Urbanke,
 Modern Coding Theory, 2008), so exact zeros need no special case.  The
@@ -33,10 +33,12 @@ residual graph of the other variables.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import SparseBipartiteGraph
+if TYPE_CHECKING:  # graphs imports row_runs from here
+    from .graphs import SparseBipartiteGraph
 
 LLR_CLAMP = 30.0
 HALF_CLAMP = LLR_CLAMP / 2
@@ -104,29 +106,21 @@ def check_messages(
     alone) and m_in is spent as scratch, so a loop that reuses both
     allocates no per-edge array: for "C" buckets m_in ends up holding the
     tanh values, for "F" buckets the scaled products.  Any m_in and any
-    scale are allowed: every message is clamped to +-HALF_CLAMP, and
-    atanh(+-1) = +-inf is left to that clamp without a divide warning.
-    For bounded inputs the clamp cannot act (bounded_check_update).
+    scale are allowed: this is bounded_check_update followed by a clamp of
+    every message to +-HALF_CLAMP, and atanh(+-1) = +-inf is left to that
+    clamp without a divide warning.  For bounded inputs the clamp cannot
+    act (bounded_check_update).
     """
     scratch = np.empty_like(m_in) if out is None else m_in
     out = np.empty_like(m_in) if out is None else out
     if not buckets:
         return out
     run = slice(buckets[0][1].start, buckets[-1][1].stop)
+    if scratch is not m_in:
+        scratch[run] = m_in[run]
     # |scale * product| <= 1, and atanh(+-1) = +-inf is clamped to +-HALF_CLAMP.
     with np.errstate(divide="ignore"):
-        if buckets[0][3] == "C":
-            if scratch is not m_in:
-                scratch[run] = m_in[run]
-            bounded_check_update(scratch, out, fac_scale, buckets)()
-        else:
-            # Row-order blocks are strided; tanh transposes each into a
-            # contiguous block of out and atanh transposes it back.
-            for d, edges, facs, _ in buckets:
-                blk, res = out[edges].reshape(d, -1), scratch[edges].reshape(d, -1)
-                np.tanh(m_in[edges].reshape((d, -1), order="F"), out=blk)
-                leave_one_out_products(blk, res, fac_scale[facs])
-                np.arctanh(res, out=out[edges].reshape((d, -1), order="F"))
+        bounded_check_update(scratch, out, fac_scale, buckets)()
     np.clip(out[run], -HALF_CLAMP, HALF_CLAMP, out=out[run])
     return out
 
@@ -134,32 +128,50 @@ def check_messages(
 def bounded_check_update(
     m_in: np.ndarray, out: np.ndarray, fac_scale: np.ndarray, buckets: tuple[Bucket, ...]
 ) -> Callable[[], None]:
-    """check_messages(m_in, fac_scale, buckets, out=out) on slot-major
-    buckets, without the clamp, as a function that runs it on the current
-    values of m_in and out; m_in is spent as the tanh buffer.  Every
-    bucket's product_ops are bound here once, so a call is one tanh, those
-    row-level multiplies and one arctanh.
+    """check_messages(m_in, fac_scale, buckets, out=out) without the clamp,
+    as a function that runs it on the current values of m_in and out,
+    spending m_in as check_messages does.  Its views and every bucket's
+    product_ops are bound here once, so a call is the tanh calls, those
+    row-level multiplies and the arctanh calls: one tanh and one arctanh
+    over the run for "C" buckets, one of each per "F" bucket.
 
-    The clamp cannot act when every |m_in| <= HALF_CLAMP and every
-    |fac_scale| <= 1: each |tanh| <= T = tanh(HALF_CLAMP), and a product
+    The clamp cannot act when every |fac_scale| <= 1 and every |m_in| <=
+    HALF_CLAMP, or when every |fac_scale| <= T = tanh(HALF_CLAMP) and m_in
+    is finite: each |tanh| <= 1 (<= T in the first case), and a product
     of floats of magnitude <= 1 rounds to no more than any of them, so a
     factor of degree 2 or more sends at most atanh(T) = 14.99992.  A
     degree-1 factor sends atanh(scale) and needs |scale| <= T; the
-    decoders set those messages once (hoist_unit_block)."""
+    decoders set those messages once (hoist_unit_block).  The quantizer's
+    scales are at most 0.998 (codec.MIN_TARGET_D), so its messages stay
+    within atanh(0.998) = 3.45."""
     if not buckets:
         return lambda: None
-    run = slice(buckets[0][1].start, buckets[-1][1].stop)
-    tanh_run, msg_run = m_in[run], out[run]
-    ops = [op for d, edges, facs, _ in buckets
-           for op in product_ops(m_in[edges].reshape(d, -1), out[edges].reshape(d, -1),
-                                 fac_scale[facs])]
-    multiply = np.multiply  # looked up once per decode, not once per row
+    if buckets[0][3] == "C":
+        run = slice(buckets[0][1].start, buckets[-1][1].stop)
+        tanh_calls, atanh_calls = [(m_in[run], m_in[run])], [(out[run], out[run])]
+        blocks = [(m_in[e].reshape(d, -1), out[e].reshape(d, -1), fac_scale[f])
+                  for d, e, f, _ in buckets]
+    else:
+        # Row-order blocks are strided; tanh transposes each into a
+        # contiguous block of out, the products go to m_in's span and
+        # atanh transposes them back.
+        tanh_calls, atanh_calls, blocks = [], [], []
+        for d, e, f, _ in buckets:
+            blk, res = out[e].reshape(d, -1), m_in[e].reshape(d, -1)
+            tanh_calls.append((m_in[e].reshape((d, -1), order="F"), blk))
+            atanh_calls.append((res, out[e].reshape((d, -1), order="F")))
+            blocks.append((blk, res, fac_scale[f]))
+    ops = [op for blk, res, scale in blocks for op in product_ops(blk, res, scale)]
+    # Looked up once per binding, not once per row.
+    tanh, multiply, arctanh = np.tanh, np.multiply, np.arctanh
 
     def update() -> None:
-        np.tanh(tanh_run, out=tanh_run)
+        for x, res in tanh_calls:
+            tanh(x, out=res)
         for x, y, res in ops:
             multiply(x, y, res)
-        np.arctanh(msg_run, out=msg_run)
+        for x, res in atanh_calls:
+            arctanh(x, out=res)
 
     return update
 

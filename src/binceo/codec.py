@@ -8,8 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._msgpass import check_messages, hoist_unit_block, row_runs, variable_sums
-from .binmath import _check_bits, _check_int
+# perfbench's tracer wraps check_messages and variable_sums here, so the
+# quantizer calls them by these names.
+from ._msgpass import bounded_check_update, check_messages, row_runs, variable_sums
+from .binmath import _check_bits, _check_int, _check_prob
 from .bounds import TestChannelPair
 from .graphs import CompoundCode, LdgmCode, LdpcCode
 
@@ -49,6 +51,12 @@ def bias_propagation_quantize(
     converged flag.  The flag is therefore False whenever a coin decided an
     exact tie, which at the reference point is almost every call: it does
     not tell a quantizer that settled from one that did not.
+
+    target_d must lie in [0, 0.5] and floors at MIN_TARGET_D, so every
+    channel scale is at most tanh(ln(999) / 2) = 0.998 and every message
+    at most atanh(0.998) = 3.45 < HALF_CLAMP.  The sweeps therefore run
+    the row-order check update bound once per call
+    (_msgpass.bounded_check_update), without a clamp.
     """
     y = np.asarray(y)
     if y.shape != (code.n,):
@@ -56,8 +64,8 @@ def bias_propagation_quantize(
     _check_bits(y, "y")
     if _check_int(max_iters, "max_iters") < 1:
         raise ValueError("max_iters must be >= 1")
+    td = max(_check_prob(target_d, "target_d", upper=0.5), MIN_TARGET_D)
     rng = np.random.default_rng(seed)
-    td = min(max(float(target_d), MIN_TARGET_D), 0.5)
     # tanh of the channel half LLR, +-t by the observed bit (tanh is odd).
     t = np.tanh(0.5 * np.log((1.0 - td) / td))
     channel_tanh = np.where(y, -t, t)
@@ -66,15 +74,22 @@ def bias_propagation_quantize(
     graph = code.graph
     edge_var = graph.indices
     m_fv = np.zeros(graph.n_edges)
-    # The systematic outputs lead; their messages never change.  The loop
-    # runs on half LLRs in the graph's row order, so each variable adds its
-    # messages in graph order.
-    p, buckets = hoist_unit_block(row_runs(graph.indptr), channel_tanh, m_fv)
+    m_vf = np.empty(graph.n_edges)
+    # The systematic outputs lead; their messages never change and are
+    # set once here.  The loop runs on half LLRs in the graph's row order,
+    # so each variable adds its messages in graph order.
+    runs = row_runs(graph.indptr)
+    unit = runs[:1] if runs and runs[0][0] == 1 else ()
+    p = unit[0][1].stop if unit else 0
+    check_messages(np.zeros(p), channel_tanh, unit, out=m_fv)
+    buckets = runs[len(unit):]
+    check_update = bounded_check_update(m_vf, m_fv, channel_tanh, buckets)
     # The other messages start at 0, so sweep 0's check update sends +-0
     # out of a factor of degree >= 2, and a sum that adds +-0 to +0.0 is
     # unchanged; a degree-1 factor would send atanh of its scale.
     skip_first_update = all(d > 1 for d, *_ in buckets)
-    m_vf = np.empty(graph.n_edges)
+    # The edges past the systematic block, viewed once.
+    live_var, live_vf, live_fv = edge_var[p:], m_vf[p:], m_fv[p:]
     # Per bit, its fixed LLR plus the messages into it: the bias after a
     # check update, and the total the next sweep's messages leave from.
     total = np.zeros(k)
@@ -89,14 +104,15 @@ def bias_propagation_quantize(
             # Unclipped: only their tanh is read, and float64 tanh is
             # exactly +-1 from 19.06 up, so a clip at a fixed bit's 25
             # would change no tanh.
-            np.take(total, edge_var[p:], out=m_vf[p:], mode="wrap")
-            m_vf[p:] -= m_fv[p:]
-            check_messages(m_vf, channel_tanh, buckets, out=m_fv)
+            np.take(total, live_var, out=live_vf, mode="wrap")
+            np.subtract(live_vf, live_fv, out=live_vf)
+            check_update()
         total = variable_sums(m_fv, edge_var, k)
         total += fix_llr
 
         batch = -(-len(unfixed) // (max_iters - sweep))  # ceil division
-        mag = np.abs(total[unfixed])
+        mag = np.take(total, unfixed)
+        np.abs(mag, out=mag)
         pick, cut = _strongest(mag, batch)
         # A dead bias is chosen only if the cut is dead; then the batch is
         # put in selection order, in which its coins are drawn.
@@ -128,16 +144,20 @@ def bias_propagation_quantize(
 
 def _strongest(mag: np.ndarray, batch: int) -> tuple[np.ndarray, float]:
     """The positions of the batch largest entries of mag, ties to the lower
-    position, in no set order, and the batch-th largest entry.
+    position, ascending, and the batch-th largest entry.
 
-    A partition finds the batch-th largest magnitude; every entry above it
-    is taken, then the lowest-positioned entries equal to it.
+    A partition finds the batch-th largest magnitude; every entry at least
+    as large is taken, less the highest-positioned entries equal to it
+    beyond the batch.
     """
     kth = len(mag) - batch
     cut = np.partition(mag, kth)[kth]
-    above = np.flatnonzero(mag > cut)
-    tied = np.flatnonzero(mag == cut)[: batch - len(above)]
-    return np.concatenate([above, tied]), cut
+    pick = np.flatnonzero(mag >= cut)
+    surplus = len(pick) - batch
+    if surplus:
+        tied = np.flatnonzero(mag[pick] == cut)
+        pick = np.delete(pick, tied[-surplus:])
+    return pick, cut
 
 
 def _most_biased(unfixed: np.ndarray, mag: np.ndarray, batch: int) -> np.ndarray:

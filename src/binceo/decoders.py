@@ -179,6 +179,7 @@ def _sum_product(
 
     # Each leaf folds into its host's scale and leaves the graph: a host is
     # an alive factor of degree 3 or more with one edge to a lone variable.
+    end_degree = degree[ends]
     degree[ends] = 0
     lone = np.flatnonzero(degree[indices] == 1)
     fac = np.repeat(np.arange(len(alive)), degree_of)[lone]
@@ -199,7 +200,12 @@ def _sum_product(
     # The loop's variables: the two-way pair ends, the pair leaves'
     # partners, then the others with an edge.
     loop_var = np.concatenate([two_way, partners, np.flatnonzero(degree)])
-    del degree
+    # Per link its residual edges, a pair end's pair edge included; the
+    # degree-1 block's are taken off once it is laid out.
+    degree[ends] = end_degree + 1
+    bounds = np.cumsum([0] + [n for n, _ in links])
+    live_edges = np.add.reduceat(degree, bounds[:-1])
+    del degree, end_degree
     n_loop = len(loop_var)
     loop_id = np.zeros(n_var, np.intp)
     loop_id[loop_var] = np.arange(n_loop)
@@ -266,6 +272,8 @@ def _sum_product(
 
     m_cv = np.zeros(len(edge_var))
     p, live = hoist_unit_block(buckets, scale, m_cv)
+    live_edges -= np.bincount(np.searchsorted(bounds[1:], loop_var[edge_var[:p]], "right"),
+                              minlength=len(links))
     m_vc = np.empty(len(edge_var))
     # Every input is clipped to +-HALF_CLAMP and every scale lies in
     # [-1, 1], so no message needs a clamp or meets atanh(+-1).
@@ -320,13 +328,10 @@ def _sum_product(
         # Plus the prior, then the +0 of the end's empty bincount.
         half[partners - n1] = (half[partners - n1] + msg) + 0.0
     del m_cv, m_vc, live_in, live_out, check_update, before
-    live_edges = np.zeros(n_var, np.int64)
-    live_edges[loop_var] = np.bincount(live_var, minlength=n_loop)
-    live_edges[ends] += 1
-    bounds = np.cumsum([0] + [n for n, _ in links])
     return [DecodeResult((half[a:b] < 0).astype(np.uint8), bool(ok), it, 2.0 * half[a:b],
-                         int(np.count_nonzero(pinned[a:b])), int(live_edges[a:b].sum()))
-            for ok, a, b in zip(oks, bounds.tolist(), bounds[1:].tolist())]
+                         int(np.count_nonzero(pinned[a:b])), live)
+            for ok, a, b, live in zip(oks, bounds.tolist(), bounds[1:].tolist(),
+                                      live_edges.tolist())]
 
 
 def _kept(keep: np.ndarray, a: np.ndarray) -> np.ndarray:

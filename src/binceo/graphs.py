@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._msgpass import row_runs
 from .binmath import binary_entropy
 
 DUPLICATE_RETRY_CAP = 100
@@ -104,11 +105,20 @@ class SparseBipartiteGraph:
         bits = np.asarray(bits)
         if bits.shape != (self.n_var,):
             raise ValueError(f"bit length {bits.shape} does not match n_var={self.n_var}")
-        # acc[e] is the running XOR of the first e edge bits; a factor's
-        # parity is the XOR of acc at its two ends.
-        acc = np.zeros(self.n_edges + 1, dtype=np.uint8)
-        np.bitwise_xor.accumulate(bits[self.indices].astype(np.uint8), out=acc[1:])
-        return (acc[self.indptr[1:]] ^ acc[self.indptr[:-1]]) & 1
+        # Column by column over each run of equal-degree rows, as
+        # _msgpass.row_sums sums; a row without edges reads 0.
+        edge_bits = bits.astype(np.uint8, copy=False)[self.indices]
+        parity = np.zeros(self.n_fac, np.uint8)
+        for d, edges, facs, _ in row_runs(self.indptr):
+            col = edge_bits[edges].reshape(-1, d).T
+            if d == 1:
+                parity[facs] = col[0]
+                continue
+            out = parity[facs]
+            np.bitwise_xor(col[0], col[1], out=out)
+            for row in col[2:]:
+                out ^= row
+        return parity & 1
 
 
 def _degrees(

@@ -1,10 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from binceo import codec
-from binceo._msgpass import check_messages
+from binceo._msgpass import HALF_CLAMP, bounded_check_update
 from binceo.bounds import TestChannelPair
 from binceo.codec import (
     bias_propagation_quantize,
@@ -170,16 +171,68 @@ def test_quantize_runs_a_check_update_per_sweep_but_a_silent_first(monkeypatch, 
                                                                    updates):
     # Every message starts at 0, so sweep 0's check update changes nothing
     # unless a unit row outside the leading block sends atanh of its scale.
+    # The update is bound once per call and run once per sweep that needs it.
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return check_messages(*args, **kwargs)
+    def counted(*args):
+        update = bounded_check_update(*args)
 
-    monkeypatch.setattr(codec, "check_messages", counted)
+        def run():
+            calls.append(None)
+            update()
+
+        return run
+
+    monkeypatch.setattr(codec, "bounded_check_update", counted)
     code = ldgm(2000, 1)
     bias_propagation_quantize(code, _observation(code.n, 1), 0.1)
     assert len(calls) == updates
+
+
+@pytest.mark.parametrize("ldgm", [_reference_ldgm, _unit_rows_after_mixed_rows])
+@pytest.mark.parametrize("target_d", [0.0, codec.MIN_TARGET_D, 0.5])
+def test_quantize_messages_stay_below_the_clamp(monkeypatch, ldgm, target_d):
+    # The premise that lets the sweeps drop the clamp: every scale is at
+    # most t = tanh(ln(999) / 2), so every message, the systematic block's
+    # included, is at most atanh(t) = 3.45 < HALF_CLAMP.
+    peaks = []
+
+    def watched(m_in, out, *args):
+        update = bounded_check_update(m_in, out, *args)
+
+        def run():
+            update()
+            peaks.append(np.abs(out).max())
+
+        return run
+
+    monkeypatch.setattr(codec, "bounded_check_update", watched)
+    code = ldgm(2000, 1)
+    bias_propagation_quantize(code, _observation(code.n, 1), target_d)
+    td = max(target_d, codec.MIN_TARGET_D)
+    bound = np.arctanh(np.tanh(0.5 * np.log((1.0 - td) / td)))
+    assert len(peaks) >= 24 and max(peaks) <= bound < 3.46 < HALF_CLAMP
+
+
+# tracemalloc peak of the quantizer call below, with the check update
+# bound once per call: 735,039 bytes (731,895 when each sweep built its
+# views).  Traced sizes are deterministic, so a change that keeps another
+# per-edge array alive (23,272 edges, 186 kB each) fails here.
+QUANTIZE_PEAK_BYTES = int(0.71 * 2**20)
+
+
+def test_quantize_memory_peak_is_in_budget():
+    code = _reference_ldgm(10_000, 1)
+    y = _observation(code.n, 1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        bias_propagation_quantize(code, y, ExperimentConfig().d1, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= QUANTIZE_PEAK_BYTES
 
 
 def test_quantize_output_consistency(compound_pair):
@@ -208,6 +261,23 @@ def test_quantize_validation(compound_pair):
         bias_propagation_quantize(
             cc.ldgm, np.zeros(cc.n, dtype=np.uint8), 0.1, max_iters=0
         )
+
+
+@pytest.mark.parametrize("value", [float("nan"), -0.2, 0.7, float("inf")])
+def test_quantize_rejects_a_target_distortion_outside_0_to_half(compound_pair, value):
+    cc, _ = compound_pair
+    y = _observation(cc.n, 40)
+    with pytest.raises(ValueError, match=r"^target_d must be in \[0, 0.5\]"):
+        bias_propagation_quantize(cc.ldgm, y, value)
+
+
+def test_quantize_floors_a_small_target_distortion(compound_pair):
+    cc, _ = compound_pair
+    y = _observation(cc.n, 41)
+    want = bias_propagation_quantize(cc.ldgm, y, codec.MIN_TARGET_D).info_bits
+    for value in (0.0, 1e-4, np.float64(0.5e-3)):
+        np.testing.assert_array_equal(bias_propagation_quantize(cc.ldgm, y, value).info_bits,
+                                      want)
 
 
 @pytest.mark.parametrize("value", [True, 2.5, 25.0])

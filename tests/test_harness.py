@@ -228,6 +228,11 @@ SIMULATE_SEED11_SHA256 = "62b32511a8c86cfdbf06886fbac608dd710f3e435475931524db67
 # n = 10^4 takes the quantizer's partition path (k is about 5.6k, batches of
 # hundreds) and both decoder loops through many iterations.
 SIMULATE_N1E4_SEED7_SHA256 = "161f86ae6e240664ab77e40d488dcc66ba653dc38fcd8351e137cf5f98b5c0e3"
+# `simulate --scheme successive --n 100000 --trials 2 --seed 100003`: the
+# benchmark's successive block length, where the quantizer's row runs and
+# the decoder's peel are longest.
+SIMULATE_SUCCESSIVE_N1E5_SHA256 = (
+    "fac84f89af032fa27ed2fe5f1bc13b58d31043d798d7f22c0d61e2524c88670e")
 
 
 def test_simulate_csv_digest_is_pinned_and_run_is_silent():
@@ -242,6 +247,14 @@ def test_simulate_csv_digest_is_pinned_at_n1e4():
     cfg = ExperimentConfig(n=10_000, trials=1, scheme="both", base_seed=7)
     text = simulate(cfg)
     assert hashlib.sha256(text.encode()).hexdigest() == SIMULATE_N1E4_SEED7_SHA256
+
+
+def test_simulate_csv_digest_is_pinned_at_n1e5(capsys):
+    argv = ["simulate", "--scheme", "successive", "--n", "100000", "--trials", "2",
+            "--seed", "100003"]
+    assert main(argv) == EXIT_OK
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == SIMULATE_SUCCESSIVE_N1E5_SHA256
 
 
 def test_both_schemes_rows_equal_the_single_scheme_runs():

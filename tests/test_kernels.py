@@ -252,6 +252,37 @@ def test_bounded_check_update_matches_check_messages_bit_for_bit(adj, data):
         assert spent.tobytes() == np.tanh(m_in).tobytes()
 
 
+# Finite inputs of any size, and factor scales within tanh(HALF_CLAMP),
+# under which no message reaches the clamp whatever the degree.
+finite_llrs = st.one_of(st.sampled_from([0.0, -0.0, HALF_CLAMP, -80.0, 1e300]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+clamp_tanh = float(np.tanh(HALF_CLAMP))
+bounded_scales = st.one_of(st.sampled_from([clamp_tanh, -clamp_tanh, 0.0, -0.0]),
+                           st.floats(-clamp_tanh, clamp_tanh))
+
+
+@given(adjacency(max_degree=8), st.data())
+def test_row_order_bounded_check_update_matches_check_messages_bit_for_bit(adj, data):
+    # The quantizer's update: row-order runs of any degree, 1 and 2 included.
+    n_var, adjs = adj
+    g = csr(n_var, adjs)
+    buckets = row_runs(g.indptr)
+    scale = np.array(data.draw(st.lists(bounded_scales, min_size=g.n_fac, max_size=g.n_fac)))
+    spent, out = np.full(g.n_edges, np.nan), np.full(g.n_edges, np.nan)
+    update = bounded_check_update(spent, out, scale, buckets)
+    # The update reads the buffers' values at each call.
+    for _ in range(2):
+        m_in = np.array(data.draw(st.lists(finite_llrs, min_size=g.n_edges,
+                                           max_size=g.n_edges)))
+        want_spent, want = m_in.copy(), np.full_like(m_in, np.nan)
+        check_messages(want_spent, scale, buckets, out=want)
+        spent[:] = m_in
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            update()
+        assert out.tobytes() == want.tobytes()
+        assert spent.tobytes() == want_spent.tobytes()
+
+
 def test_bounded_check_update_allocates_no_edge_array():
     # Slot-major blocks of degrees 1-8 over 2 * 10^5 edges or more, with
     # inputs and scales within the update's bounds: one update runs its
