@@ -81,15 +81,6 @@ def product_ops(blk: np.ndarray, res: np.ndarray, scale: np.ndarray | float) -> 
     return ops + [(res, scale, res)]
 
 
-def leave_one_out_products(
-    blk: np.ndarray, res: np.ndarray, scale: np.ndarray | float = 1.0
-) -> None:
-    """Write into res[j] scale times the product of blk's rows other than
-    row j, by running product_ops(blk, res, scale) once."""
-    for x, y, out in product_ops(blk, res, scale):
-        np.multiply(x, y, out)
-
-
 def check_messages(
     m_in: np.ndarray,
     fac_scale: np.ndarray,
@@ -140,8 +131,8 @@ def bounded_check_update(
     is finite: each |tanh| <= 1 (<= T in the first case), and a product
     of floats of magnitude <= 1 rounds to no more than any of them, so a
     factor of degree 2 or more sends at most atanh(T) = 14.99992.  A
-    degree-1 factor sends atanh(scale) and needs |scale| <= T; the
-    decoders set those messages once (hoist_unit_block).  The quantizer's
+    degree-1 factor sends atanh(scale) and needs |scale| <= T; the loops
+    set those messages once, with check_messages.  The quantizer's
     scales are at most 0.998 (codec.MIN_TARGET_D), so its messages stay
     within atanh(0.998) = 3.45."""
     if not buckets:
@@ -345,17 +336,3 @@ def row_sums(
             out += row
     return sums
 
-
-def hoist_unit_block(
-    buckets: tuple[Bucket, ...], fac_scale: np.ndarray, messages: np.ndarray
-) -> tuple[int, tuple[Bucket, ...]]:
-    """If the first bucket is of degree 1, write its messages into messages
-    and return the edge where it ends and the buckets after it; else 0
-    and all buckets.  A degree-1 factor's leave-one-out product is 1, so
-    its message depends on its scale alone and a loop can set it once and
-    run the kernels on the other edges only."""
-    if not buckets or buckets[0][0] != 1:
-        return 0, buckets
-    # The update reads its input on the bucket's edges only.
-    check_messages(np.zeros(buckets[0][1].stop), fac_scale, buckets[:1], out=messages)
-    return buckets[0][1].stop, buckets[1:]

@@ -17,8 +17,7 @@ import numpy as np
 
 # perfbench's tracer wraps check_messages here, so the name stays.
 from ._msgpass import (HALF_CLAMP, LLR_CLAMP, Bucket, bounded_check_update,
-                       check_messages, extrinsic_messages, hoist_unit_block, peel, slot_major,
-                       variable_sums)
+                       check_messages, extrinsic_messages, peel, slot_major, variable_sums)
 from .binmath import ChainParams, _check_bits, _check_int, _check_prob, chain_posterior_table
 from .graphs import CompoundCode, LdpcCode, SparseBipartiteGraph
 
@@ -75,6 +74,8 @@ def sum_product_decode(
     flag, not an error.
     """
     leaf_scale = np.zeros(0) if leaf_scale is None else np.asarray(leaf_scale, dtype=float)
+    if leaf_scale.ndim != 1 or len(leaf_scale) > code.m:
+        raise ValueError(f"leaf_scale must be 1-D with at most m={code.m} entries")
     m = code.m - len(leaf_scale)
     syndrome, prior = _link_inputs(code, m, syndrome, prior, "syndrome", "prior")
     if _check_int(max_iters, "max_iters") < 1:
@@ -111,25 +112,24 @@ def _sum_product(
     pair whose first end has no residual edge and a prior of +-0 is a
     pair leaf: that end sends +-0 and then exactly +0, so its partner's
     base is its prior + 0 and the pair leaves the loop; the end's
-    posterior is the last iteration's pair update, computed once from its
-    partner's posterior at that iteration's start.  A leaf is an unpinned
-    variable with one residual edge that is no end of a pair left, alone
-    as such on a factor with at least two more edges.  It always sends
-    that factor tanh of its clamped prior, so that term folds into the
-    factor's scale, and its posterior is computed from the factor's other
-    tanh values when needed.  The loop runs on the other variables with
-    an edge, the two-way pairs' ends first, then the pair leaves'
-    partners.  Every iteration updates the two-way pairs from the
-    extrinsic beliefs, then all residual factors from the refreshed
-    beliefs (without pairs, flooding).  With
-    stop, the checks are tested on the hard decision after every
-    iteration (else after the last), and the loop ends at the first
-    iteration at which every link's checks hold.  Before a full test the
-    loop re-tests a few checks the last one found violated and skips the
-    full test while any of them still is; a full test before the last
-    iteration stops at the first degree block, highest degree first, with
-    a violated check that has no leaf, and keeps a few of that block's as
-    the next witnesses.
+    posterior is the last iteration's message from its partner, computed
+    once from the partner's posterior at that iteration's start.  Every
+    other free pair is a residual factor of degree 2.  A leaf is an
+    unpinned variable with one residual edge that is no pair leaf's
+    partner, alone as such on a factor with at least two more edges.  It
+    always sends that factor tanh of its clamped prior, so that term folds
+    into the factor's scale, and its posterior is computed from the
+    factor's other tanh values when needed.  The loop runs on the other
+    variables with an edge, the pair leaves' partners first.  Every
+    iteration updates all residual factors from the posteriors at its
+    start (flooding).  With stop, the checks are tested on the hard
+    decision after every iteration (else after the last), and the loop
+    ends at the first iteration at which every link's checks hold.  Before
+    a full test the loop re-tests a few checks the last one found violated
+    and skips the full test while any of them still is; a full test before
+    the last iteration stops at the first degree block, highest degree
+    first, with a violated check that has no leaf, and keeps a few of that
+    block's as the next witnesses.
     """
     n_var = graph.n_var
     # The residual graph: each factor's unpinned variables, and its scale
@@ -140,14 +140,12 @@ def _sum_product(
     alive = np.flatnonzero(fac_degree)
     sign = 1.0 - 2.0 * flip
     scale, degree_of = fac_scale[alive] * sign[alive], fac_degree[alive]
-    # A check without edges holds when its scale so flipped is positive;
-    # the alive checks' parity targets are taken before leaves fold into
-    # their scales.  Check f is on link searchsorted(check_end, f, "right").
+    # A check without edges holds when its scale so flipped is positive.
+    # Check f is on link searchsorted(check_end, f, "right").
     check_end = np.cumsum([m for _, m in links])
     n_checks = int(check_end[-1])
     stuck = (fac_degree[:n_checks] == 0) & (fac_scale[:n_checks] * sign[:n_checks] < 0)
     stuck = np.array([np.count_nonzero(stuck[b - m : b]) for (_, m), b in zip(links, check_end)])
-    target = scale < 0
     del fac_degree, flip, sign
     # The loop runs on half LLRs.
     half = 0.5 * prior
@@ -155,7 +153,7 @@ def _sum_product(
     half[fixed] = HALF_CLAMP * (1.0 - 2.0 * bits[fixed])
     del fixed
     degree = np.bincount(indices, minlength=n_var)
-    ends = two_way = partners = np.zeros(0, np.int64)
+    ends = partners = np.zeros(0, np.int64)
     if pairs is not None:
         nc, n1, coupling = pairs
         first, second = pinned[:nc], pinned[n1 : n1 + nc]
@@ -167,15 +165,26 @@ def _sum_product(
             msg = np.clip(np.arctanh(coupling * np.array([1.0, -1.0])), -HALF_CLAMP, HALF_CLAMP)
         half[dst] += msg[bits[src]]
         free = np.flatnonzero(~(first | second))
-        ends = np.concatenate([free, n1 + free])
         # A pair leaf's first end has no residual edge and a prior of +-0,
         # so from the second iteration on its extrinsic is +0 and it sends
         # +0: its partner's base is its prior + 0 (the first iteration's
         # +-0 changes no posterior) and the pair leaves the loop.
         leaf = (degree[free] == 0) & (half[free] == 0.0)
-        two_way, partners = np.concatenate([free[~leaf], n1 + free[~leaf]]), n1 + free[leaf]
+        ends = np.concatenate([free[leaf], n1 + free[leaf]])
+        partners = ends[len(ends) // 2 :]
         half[partners] += 0.0
-    nf = len(two_way) // 2
+        # Every other free pair is a residual factor of degree 2; its id
+        # n_checks makes it no witness.
+        two_way = free[~leaf]
+        if len(two_way):
+            pair_var = np.stack([two_way, n1 + two_way], axis=1).ravel()
+            indices = np.concatenate([indices, pair_var])
+            degree[pair_var] += 1
+            degree_of = np.concatenate([degree_of, np.full(len(two_way), 2)])
+            scale = np.concatenate([scale, np.full(len(two_way), coupling)])
+            alive = np.concatenate([alive, np.full(len(two_way), n_checks)])
+    # The parity targets, taken before leaves fold into the scales.
+    target = scale < 0
 
     # Each leaf folds into its host's scale and leaves the graph: a host is
     # an alive factor of degree 3 or more with one edge to a lone variable.
@@ -197,11 +206,11 @@ def _sum_product(
         indices = _kept(keep, indices)
         del keep
     del lone
-    # The loop's variables: the two-way pair ends, the pair leaves'
-    # partners, then the others with an edge.
-    loop_var = np.concatenate([two_way, partners, np.flatnonzero(degree)])
-    # Per link its residual edges, a pair end's pair edge included; the
-    # degree-1 block's are taken off once it is laid out.
+    # The loop's variables: the pair leaves' partners, then the others with
+    # an edge.
+    loop_var = np.concatenate([partners, np.flatnonzero(degree)])
+    # Per link its residual edges, a pair leaf's ends counting one each;
+    # the degree-1 block's are taken off once it is laid out.
     degree[ends] = end_degree + 1
     bounds = np.cumsum([0] + [n for n, _ in links])
     live_edges = np.add.reduceat(degree, bounds[:-1])
@@ -270,39 +279,25 @@ def _sum_product(
         bad = parity[checks] != target_of_check
         return stuck + np.bincount(link[bad], minlength=len(links)) == 0, no_witness
 
+    # A degree-1 factor's message depends on its scale alone, so it is set once.
     m_cv = np.zeros(len(edge_var))
-    p, live = hoist_unit_block(buckets, scale, m_cv)
+    unit = buckets[:1] if buckets and buckets[0][0] == 1 else ()
+    p = unit[0][1].stop if unit else 0
+    check_messages(np.zeros(p), scale, unit, out=m_cv)
     live_edges -= np.bincount(np.searchsorted(bounds[1:], loop_var[edge_var[:p]], "right"),
                               minlength=len(links))
     m_vc = np.empty(len(edge_var))
     # Every input is clipped to +-HALF_CLAMP and every scale lies in
     # [-1, 1], so no message needs a clamp or meets atanh(+-1).
-    check_update = bounded_check_update(m_vc, m_cv, scale, live)
+    check_update = bounded_check_update(m_vc, m_cv, scale, buckets[len(unit):])
     # The edges past the degree-1 block, viewed once.  The posteriors are
     # double-buffered, so that after the loop `before` holds those at the
     # start of the last iteration.
     live_var, live_in, live_out = edge_var[p:], m_cv[p:], m_vc[p:]
     base = half[loop_var]
-    posterior, before, sums = base.copy(), np.empty(n_loop), np.zeros(n_loop)
-    if nf:
-        # The messages into the two-way pairs' first ends, then their second
-        # ends; each end's message is the coupling times the tanh of the
-        # other end's.  (One multiply over a row-reversed view would make
-        # numpy buffer a copy of it.)
-        pair_prior = base[: 2 * nf].copy()
-        cross, ext = np.zeros(2 * nf), np.empty(2 * nf)
-        halves = ((ext[nf:], cross[:nf]), (ext[:nf], cross[nf:]))
+    posterior, before = base.copy(), np.empty(n_loop)
     w_var, w_target = no_witness
     for it in range(1, budget + 1):
-        if nf:
-            np.subtract(posterior[: 2 * nf], cross, out=ext)
-            np.clip(ext, -HALF_CLAMP, HALF_CLAMP, out=ext)
-            np.tanh(ext, out=ext)
-            for other, into in halves:
-                np.multiply(other, coupling, out=into)
-            np.arctanh(cross, out=cross)
-            np.add(pair_prior, cross, out=base[: 2 * nf])
-            np.add(base[: 2 * nf], sums[: 2 * nf], out=posterior[: 2 * nf])
         # posterior holds base plus the sums of the current factor messages.
         extrinsic_messages(posterior, live_var, live_in, out=live_out)
         check_update()
@@ -319,9 +314,9 @@ def _sum_product(
     # The loop ends on a full test that wrote the leaves' posteriors.
     half[loop_var] = posterior
     if len(partners):
-        # The pair leaves' first ends take the pair update of the last
-        # iteration, from their partners' posteriors at its start.
-        msg = np.clip(before[2 * nf : 2 * nf + len(partners)], -HALF_CLAMP, HALF_CLAMP)
+        # The pair leaves' first ends take their partners' last messages,
+        # from the partners' posteriors at the last iteration's start.
+        msg = np.clip(before[: len(partners)], -HALF_CLAMP, HALF_CLAMP)
         np.tanh(msg, out=msg)
         msg *= coupling
         np.arctanh(msg, out=msg)
@@ -394,8 +389,8 @@ def joint_sum_product_decode(
     coupled symbol pair (i, i), i < n_coupled, modelling the BSC(q)
     between the quantized sequences.  That factor is a degree-2 parity
     check with scale 1 - 2q: its message is 2*atanh((1 - 2q) tanh(m/2)).
-    Every iteration updates the coupling checks first and then, from the
-    refreshed beliefs, all link checks at once.  The decoder runs at most
+    Every iteration updates the coupling checks and the link checks at
+    once, from the beliefs at its start (flooding).  The decoder runs at most
     max_iters iterations.  With early_stop it returns after the first
     iteration whose hard decisions satisfy both syndromes;
     early_stop=False always runs the whole budget.

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from binceo._msgpass import (LLR_CLAMP, check_messages, extrinsic_messages, peel,
@@ -19,7 +19,9 @@ from binceo.decoders import (
     side_info_prior,
     sum_product_decode,
 )
-from binceo.graphs import CompoundCode, LdgmCode, LdpcCode, SparseBipartiteGraph, build_compound
+from binceo.graphs import (CompoundCode, GraphConstructionError, LdgmCode, LdpcCode,
+                           SparseBipartiteGraph, build_anchor_compound, build_compound,
+                           design_rates)
 from brute_force import csr, exact_marginals, tree_code
 
 
@@ -65,6 +67,11 @@ def test_sum_product_decode_validation(nested_code):
         sum_product_decode(comb, s, np.zeros(comb.n - 1))
     with pytest.raises(ValueError):
         sum_product_decode(comb, s, np.zeros(comb.n), max_iters=0)
+    # More leaf scales than factors once read as a syndrome of length
+    # (0,) against m=-3, and a 2-D array failed inside np.concatenate.
+    for syndrome, leaf_scale in ((s[:0], np.zeros(comb.m + 3)), (s[2:], np.zeros((2, 3)))):
+        with pytest.raises(ValueError, match="leaf_scale"):
+            sum_product_decode(comb, syndrome, np.zeros(comb.n), leaf_scale=leaf_scale)
 
 
 @pytest.mark.parametrize("value", [True, 2.5, 3.0])
@@ -279,12 +286,11 @@ def _random_code(rng, n: int, m: int) -> LdpcCode:
                             for _ in range(m)]))
 
 
-def test_joint_decode_updates_coupling_before_link_checks():
+def test_joint_decode_floods_coupling_and_link_checks():
     # The joint schedule written out per factor on two loopy codes: every
     # iteration sends each coupling message from the other link's extrinsic
-    # belief, and then every link-check message from beliefs that already
-    # hold this iteration's coupling messages.  Flooding both at once gives
-    # other posteriors after the first iteration.
+    # belief and every link-check message from the beliefs at the
+    # iteration's start, both at once.
     rng = np.random.default_rng(61)
     codes = [_random_code(rng, 12, 8), _random_code(rng, 10, 7)]
     syns = [c.syndrome(rng.integers(0, 2, c.n, dtype=np.uint8)) for c in codes]
@@ -297,11 +303,12 @@ def test_joint_decode_updates_coupling_before_link_checks():
         return priors[k] + cross[k] + np.bincount(codes[k].graph.indices, msgs[k], codes[k].n)
 
     for _ in range(iters):
-        ext = [np.clip(belief(k) - cross[k], -LLR_CLAMP, LLR_CLAMP) for k in (0, 1)]
+        tots = [belief(k) for k in (0, 1)]
+        ext = [np.clip(tots[k] - cross[k], -LLR_CLAMP, LLR_CLAMP) for k in (0, 1)]
         for k in (0, 1):
             cross[k][:nc] = 2 * np.arctanh((1 - 2 * q) * np.tanh(ext[1 - k][:nc] / 2))
         for k, (code, syn) in enumerate(zip(codes, syns)):
-            g, tot, new = code.graph, belief(k), np.empty_like(msgs[k])
+            g, tot, new = code.graph, tots[k], np.empty_like(msgs[k])
             for f in range(g.n_fac):
                 e = np.arange(g.indptr[f], g.indptr[f + 1])
                 t = np.tanh(np.clip(tot[g.indices[e]] - msgs[k][e], -LLR_CLAMP, LLR_CLAMP) / 2)
@@ -317,30 +324,28 @@ def test_joint_decode_updates_coupling_before_link_checks():
 def _reference_sum_product(graph, fac_scale, prior, iters, pairs, leaves=()):
     """The loop of _sum_product on the same slot-major edge layout, with
     every factor's messages, degree-1 factors included, recomputed in
-    every iteration, and the pairs, if any, run before them as a generic
-    degree-2 layer: gathered extrinsics, the kernel and a bincount.  pairs
-    is (first ends, second ends, scale).  Each absorbed leaf (variable,
-    host factor, host scale before the fold) gets, after the last
-    iteration, its prior plus atanh(host scale * the product of tanh of
-    the host's last messages in, taken slot by slot)."""
-    perm, fac_order, buckets = slot_major(graph.indptr)
-    layers = [(graph.indices[perm], fac_scale[fac_order], buckets)]
+    every iteration by flooding: gathered extrinsics, the kernel and a
+    bincount.  pairs, if any, is (first ends, second ends, scale); each
+    pair (first[i], second[i]) is one more factor of degree 2 after the
+    graph's.  Each absorbed leaf (variable, host factor, host scale before
+    the fold) gets, after the last iteration, its prior plus atanh(host
+    scale * the product of tanh of the host's last messages in, taken
+    slot by slot)."""
+    indptr, indices = graph.indptr, graph.indices
     if pairs is not None:
         first, second, scale = pairs
-        layers.insert(0, (np.concatenate([first, second]), np.full(len(first), scale),
-                          ((2, slice(0, 2 * len(first)), slice(0, len(first)), "C"),)))
+        indptr = np.concatenate([indptr, indptr[-1] + 2 * np.arange(1, len(first) + 1)])
+        indices = np.concatenate([indices, np.stack([first, second], axis=1).ravel()])
+        fac_scale = np.concatenate([fac_scale, np.full(len(first), scale)])
+    perm, fac_order, buckets = slot_major(indptr)
+    edge_var, scale = indices[perm], fac_scale[fac_order]
     half = prior / 2
-    m_cv = [np.zeros(len(edge_var)) for edge_var, _, _ in layers]
-    sums = [np.zeros(len(prior)) for _ in layers]
+    m_cv = np.zeros(len(edge_var))
     posterior = half.copy()
     for _ in range(iters):
-        for layer, (edge_var, scale, bks) in enumerate(layers):
-            m_vc = extrinsic_messages(posterior, edge_var, m_cv[layer])
-            m_cv[layer] = check_messages(m_vc, scale, bks)
-            sums[layer] = variable_sums(m_cv[layer], edge_var, len(prior))
-            posterior = half + sums[0]
-            for layer_sums in sums[1:]:
-                posterior += layer_sums
+        m_vc = extrinsic_messages(posterior, edge_var, m_cv)
+        m_cv = check_messages(m_vc, scale, buckets)
+        posterior = half + variable_sums(m_cv, edge_var, len(prior))
     if leaves:
         tanh, slot = np.tanh(m_vc), np.argsort(perm)  # graph edge -> slot-major edge
         prods = []
@@ -405,7 +410,7 @@ def test_sum_product_sets_unit_factor_messages_once_bit_for_bit(seed, iters, cou
     # The graph has factors of degree 0-4 in any order, with runs of
     # degree-1 ones; scales are signs (hard factors, which peel) or
     # fractions.  Pinning the peeled bits, absorbing the leaves, setting
-    # the residual degree-1 factors' messages once and updating the pairs
+    # the residual degree-1 factors' messages once and flooding the pairs
     # (i, n1 + i) left by index, adjacent (nc = n1) or apart (nc < n1), at
     # a soft scale or at scale 1 (q = 0), must give the posteriors of the
     # generic loop on the residual problem, bit for bit, and +-LLR_CLAMP on
@@ -482,8 +487,8 @@ def test_pair_leaves_match_the_generic_pair_update_bit_for_bit(seed, iters, stop
     # on no factor, and unit checks pin some ends, so that two-way pairs,
     # pinned partners and pair leaves mix.  Each link has hard checks
     # (scale +-1) and the graph soft factors after them.  The posteriors,
-    # leaf ends included, must be those of the generic loop that runs every
-    # pair update, bit for bit, after the iterations the decoder used: all
+    # leaf ends included, must be those of the generic loop that floods
+    # every pair as a factor, bit for bit, after the iterations used: all
     # of them without stop, else the first after which every check holds.
     rng = np.random.default_rng(seed)
     n1, n2 = int(rng.integers(6, 14)), int(rng.integers(6, 14))
@@ -621,6 +626,30 @@ def test_combined_syndrome_code_structure(nested_code):
     absorbed = combined_syndrome_code(nested_code, absorb_leaves=True)
     assert (absorbed.n, absorbed.m) == (k, m + n - k)
     np.testing.assert_array_equal(absorbed.syndrome(b), np.concatenate([s[:m], u[k:]]))
+
+
+@given(n=st.integers(100, 3000), gamma_share=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+       d1=st.floats(0.01, 0.3), seed=st.integers(0, 2**32 - 1))
+def test_peel_leaves_only_the_anchor_links_uncoded_bits(n, gamma_share, d1, seed):
+    # The anchor's degree-1 checks pin its checked prefix, and the peel
+    # then pins every mixed output.  What is left are the gamma uncoded
+    # information bits, which lie on no factor: with a zero prior each of
+    # their coupling pairs is a pair leaf or has a pinned end, so the joint
+    # decoder never meets a free pair that is no pair leaf.
+    g1 = design_rates(0.15, 0.15, d1, d1, 0.05, 0.0)[0]  # the default LDGM margin
+    try:
+        cc = build_anchor_compound(n, g1, gamma_share * g1, seed=seed)
+    except GraphConstructionError:  # too few mixed-output edges at small n
+        assume(False)
+    k, m = cc.ldgm.k, cc.ldpc.m
+    assert k - m == round(n * gamma_share * g1)
+    u = cc.ldgm.encode(np.random.default_rng(seed).integers(0, 2, k, dtype=np.uint8))
+    comb = combined_syndrome_code(cc)
+    syn = combined_syndrome(cc, cc.ldpc.syndrome(u))
+    pinned, bits, _, _ = peel(comb.graph, 1.0 - 2.0 * syn)
+    np.testing.assert_array_equal(np.flatnonzero(~pinned), np.arange(m, k))
+    np.testing.assert_array_equal(bits[pinned], u[pinned])
+    assert not ((comb.graph.indices >= m) & (comb.graph.indices < k)).any()
 
 
 def _compound(k: int, checks: list, mixed: list) -> CompoundCode:

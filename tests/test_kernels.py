@@ -10,9 +10,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from binceo import decoders
-from binceo._msgpass import (HALF_CLAMP, LLR_CLAMP, bounded_check_update, check_messages,
-                             hoist_unit_block, leave_one_out_products, peel, row_runs, row_sums,
-                             slot_major)
+from binceo._msgpass import (HALF_CLAMP, LLR_CLAMP, bounded_check_update, check_messages, peel,
+                             product_ops, row_runs, row_sums, slot_major)
 from binceo.codec import DECIMATION_BIAS_FLOOR, _most_biased
 from binceo.graphs import DegreeDistribution, SparseBipartiteGraph, _apportion, sample_graph
 from binceo.harness import ExperimentConfig, run_joint_trial
@@ -90,6 +89,12 @@ def draw_messages(data, g):
     return m_in, scale
 
 
+def leave_one_out_products(blk, res):
+    """Write into res[j] the product of blk's rows other than row j."""
+    for x, y, out in product_ops(blk, res, 1.0):
+        np.multiply(x, y, out)
+
+
 @given(adjacency(), st.data())
 def test_leave_one_out_matches_per_factor_loop(adj, data):
     n_var, adjs = adj
@@ -165,25 +170,6 @@ def test_degree1_check_messages_do_not_depend_on_m_in(n, data):
     bucket = ((1, slice(0, n), slice(0, n), "C"),)
     got = check_messages(m_a, scale, bucket)
     np.testing.assert_array_equal(check_messages(m_b, scale, bucket), got)
-
-
-@given(adjacency(), st.data())
-def test_hoist_unit_block_sets_the_leading_degree1_bucket_once(adj, data):
-    n_var, adjs = adj
-    lead = data.draw(st.lists(st.integers(0, n_var - 1).map(lambda v: [v]), max_size=6))
-    g = csr(n_var, lead + adjs)
-    scale = np.array(data.draw(st.lists(scale_values, min_size=g.n_fac, max_size=g.n_fac)))
-    for buckets in (row_runs(g.indptr), slot_major(g.indptr)[2]):
-        messages = np.full(g.n_edges, np.nan)
-        p, live = hoist_unit_block(buckets, scale, messages)
-        # Only the leading degree-1 bucket, if any, is written and dropped.
-        hoisted = buckets[: len(buckets) - len(live)]
-        assert live == buckets[len(hoisted):] and [d for d, *_ in hoisted] in ([], [1])
-        assert p == (hoisted[0][1].stop if hoisted else 0)
-        assert bool(hoisted) == (g.n_edges > 0 and buckets[0][0] == 1)
-        want = check_messages(np.zeros(g.n_edges), scale, hoisted)
-        np.testing.assert_array_equal(messages[:p], want[:p])
-        assert np.isnan(messages[p:]).all()
 
 
 @given(adjacency(), st.data())
