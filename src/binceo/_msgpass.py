@@ -235,7 +235,7 @@ def peel(
     # Sums over a factor pack counts below 2**shift under sums of indices.
     shift = int(degree.max(initial=0)).bit_length()
     mask = (1 << shift) - 1
-    runs = row_runs(indptr)
+    runs = graph.runs
     is_hard, odd = np.abs(fac_scale) == 1.0, fac_scale < 0
     private = np.bincount(indices, minlength=n_var) == 1
     # Per hard factor (its index sum << shift) + its count of private variables.
@@ -245,7 +245,7 @@ def peel(
     rounds, deferred = is_hard & (n_private == 0), is_hard & (n_private == 1)
     del private, n_private, is_hard
     # Per variable its bit once pinned, 2 before.
-    bits = np.full(n_var, 2, np.int64)
+    bits = np.full(n_var, 2, np.int8)
 
     # The rounds, on the hard rows without a private variable, numbered in
     # order.  Per row acc = (the count of its unresolved variables << top)

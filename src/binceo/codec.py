@@ -10,7 +10,7 @@ import numpy as np
 
 # perfbench's tracer wraps check_messages and variable_sums here, so the
 # quantizer calls them by these names.
-from ._msgpass import bounded_check_update, check_messages, row_runs, variable_sums
+from ._msgpass import bounded_check_update, check_messages, variable_sums
 from .binmath import _check_bits, _check_int, _check_prob
 from .bounds import TestChannelPair
 from .graphs import CompoundCode, LdgmCode, LdpcCode
@@ -68,28 +68,30 @@ def bias_propagation_quantize(
     rng = np.random.default_rng(seed)
     # tanh of the channel half LLR, +-t by the observed bit (tanh is odd).
     t = np.tanh(0.5 * np.log((1.0 - td) / td))
-    channel_tanh = np.where(y, -t, t)
 
     k = code.k
     graph = code.graph
     edge_var = graph.indices
     m_fv = np.zeros(graph.n_edges)
-    m_vf = np.empty(graph.n_edges)
-    # The systematic outputs lead; their messages never change and are
-    # set once here.  The loop runs on half LLRs in the graph's row order,
-    # so each variable adds its messages in graph order.
-    runs = row_runs(graph.indptr)
+    # The systematic outputs lead: their p edges end at factor q, and their
+    # messages never change and are set once here.  The loop runs on half
+    # LLRs in the graph's row order, so each variable adds its messages in
+    # graph order.
+    runs = graph.runs
     unit = runs[:1] if runs and runs[0][0] == 1 else ()
-    p = unit[0][1].stop if unit else 0
-    check_messages(np.zeros(p), channel_tanh, unit, out=m_fv)
-    buckets = runs[len(unit):]
-    check_update = bounded_check_update(m_vf, m_fv, channel_tanh, buckets)
+    p, q = (unit[0][1].stop, unit[0][2].stop) if unit else (0, 0)
+    check_messages(np.zeros(p), np.where(y[:q], -t, t), unit, out=m_fv)
+    # The check update holds only the edges and scales past the systematic
+    # block, so its buckets count them from p and q.
+    buckets = tuple((d, slice(e.start - p, e.stop - p), slice(f.start - q, f.stop - q), o)
+                    for d, e, f, o in runs[len(unit):])
+    live_var, live_fv = edge_var[p:], m_fv[p:]
+    live_vf = np.empty(len(live_var))
+    check_update = bounded_check_update(live_vf, live_fv, np.where(y[q:], -t, t), buckets)
     # The other messages start at 0, so sweep 0's check update sends +-0
     # out of a factor of degree >= 2, and a sum that adds +-0 to +0.0 is
     # unchanged; a degree-1 factor would send atanh of its scale.
     skip_first_update = all(d > 1 for d, *_ in buckets)
-    # The edges past the systematic block, viewed once.
-    live_var, live_vf, live_fv = edge_var[p:], m_vf[p:], m_fv[p:]
     # Per bit, its fixed LLR plus the messages into it: the bias after a
     # check update, and the total the next sweep's messages leave from.
     total = np.zeros(k)

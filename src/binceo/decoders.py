@@ -45,7 +45,8 @@ def _link_inputs(
     if syndrome.shape != (m,):
         raise ValueError(f"{s_name} length {syndrome.shape} does not match m={m}")
     _check_bits(syndrome, s_name)
-    prior = np.zeros(code.n) if prior is None else np.asarray(prior, dtype=float)
+    # No prior reads as zeros that take no memory.
+    prior = np.broadcast_to(0.0, code.n) if prior is None else np.asarray(prior, dtype=float)
     if prior.shape != (code.n,):
         raise ValueError(f"{p_name} length {prior.shape} does not match n={code.n}")
     # The loop clips +-inf, but a NaN passes the clip and spreads.
@@ -84,10 +85,11 @@ def sum_product_decode(
     if not (np.abs(leaf_scale) <= 1.0).all():
         raise ValueError("leaf_scale must hold finite values in [-1, 1] only")
 
-    # Check f's parity target as a sign (1 - 2s_f), then the leaf scales.
-    fac_scale = np.concatenate([1.0 - 2.0 * syndrome.astype(float), leaf_scale])
-    return _sum_product(code.graph, fac_scale, prior, max_iters, [(code.n, m)],
-                        stop=early_stop)[0]
+    # Check f's parity target as a sign (1 - 2s_f), then the leaf scales;
+    # passed unnamed, so the decoder frees them after its set-up.
+    return _sum_product(code.graph,
+                        np.concatenate([1.0 - 2.0 * syndrome.astype(float), leaf_scale]),
+                        prior, max_iters, [(code.n, m)], stop=early_stop)[0]
 
 
 # Violated checks (without a leaf) that a failed stop test keeps to re-test.
@@ -137,6 +139,10 @@ def _sum_product(
     # (alive ones) reach the loop, so only their scales are taken.
     pinned, bits, fac_degree, flip = peel(graph, fac_scale)
     indices = _kept((~pinned)[graph.indices], graph.indices)
+    # graph, fac_scale, prior, pinned and bits are each dropped after their
+    # last read, which frees what a caller passed unnamed (every scale
+    # array, a joint decode's union graph and priors).
+    del graph
     alive = np.flatnonzero(fac_degree)
     sign = 1.0 - 2.0 * flip
     scale, degree_of = fac_scale[alive] * sign[alive], fac_degree[alive]
@@ -146,9 +152,13 @@ def _sum_product(
     n_checks = int(check_end[-1])
     stuck = (fac_degree[:n_checks] == 0) & (fac_scale[:n_checks] * sign[:n_checks] < 0)
     stuck = np.array([np.count_nonzero(stuck[b - m : b]) for (_, m), b in zip(links, check_end)])
-    del fac_degree, flip, sign
+    del fac_degree, flip, sign, fac_scale
+    # Per link the bound of its variables, and how many of them are pinned.
+    bounds = np.cumsum([0] + [n for n, _ in links]).tolist()
+    n_pinned = [int(np.count_nonzero(pinned[a:b])) for a, b in zip(bounds, bounds[1:])]
     # The loop runs on half LLRs.
     half = 0.5 * prior
+    del prior
     fixed = np.flatnonzero(pinned)
     half[fixed] = HALF_CLAMP * (1.0 - 2.0 * bits[fixed])
     del fixed
@@ -183,6 +193,9 @@ def _sum_product(
             degree_of = np.concatenate([degree_of, np.full(len(two_way), 2)])
             scale = np.concatenate([scale, np.full(len(two_way), coupling)])
             alive = np.concatenate([alive, np.full(len(two_way), n_checks)])
+            del pair_var
+        del first, second, i, src, dst, msg, free, leaf, two_way
+    del pinned, bits
     # The parity targets, taken before leaves fold into the scales.
     target = scale < 0
 
@@ -212,7 +225,6 @@ def _sum_product(
     # Per link its residual edges, a pair leaf's ends counting one each;
     # the degree-1 block's are taken off once it is laid out.
     degree[ends] = end_degree + 1
-    bounds = np.cumsum([0] + [n for n, _ in links])
     live_edges = np.add.reduceat(degree, bounds[:-1])
     del degree, end_degree
     n_loop = len(loop_var)
@@ -324,9 +336,9 @@ def _sum_product(
         half[partners - n1] = (half[partners - n1] + msg) + 0.0
     del m_cv, m_vc, live_in, live_out, check_update, before
     return [DecodeResult((half[a:b] < 0).astype(np.uint8), bool(ok), it, 2.0 * half[a:b],
-                         int(np.count_nonzero(pinned[a:b])), live)
-            for ok, a, b, live in zip(oks, bounds.tolist(), bounds[1:].tolist(),
-                                      live_edges.tolist())]
+                         pins, live)
+            for ok, a, b, pins, live in zip(oks, bounds, bounds[1:], n_pinned,
+                                            live_edges.tolist())]
 
 
 def _kept(keep: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -406,15 +418,17 @@ def joint_sum_product_decode(
 
     # Coupling check i is (i, code1.n + i) with scale 1 - 2q.  The link
     # graph holds link 1's checks, then link 2's on variables shifted by
-    # code1.n; each carries its syndrome sign 1 - 2s.
+    # code1.n; each carries its syndrome sign 1 - 2s.  The union graph, its
+    # scales and priors are passed unnamed, so the decoder frees them once
+    # its residual graph is laid out.
     g1, g2 = code1.graph, code2.graph
-    links = SparseBipartiteGraph(n_var=code1.n + code2.n,
-                                 indptr=np.concatenate([g1.indptr, g1.n_edges + g2.indptr[1:]]),
-                                 indices=np.concatenate([g1.indices, code1.n + g2.indices]))
-    return tuple(_sum_product(links, 1.0 - 2.0 * np.concatenate([s1, s2]),
-                              np.concatenate([prior1, prior2]), max_iters,
-                              [(code1.n, code1.m), (code2.n, code2.m)],
-                              (nc, code1.n, 1.0 - 2.0 * q), stop=early_stop))
+    return tuple(_sum_product(
+        SparseBipartiteGraph(n_var=code1.n + code2.n,
+                             indptr=np.concatenate([g1.indptr, g1.n_edges + g2.indptr[1:]]),
+                             indices=np.concatenate([g1.indices, code1.n + g2.indices])),
+        1.0 - 2.0 * np.concatenate([s1, s2]), np.concatenate([prior1, prior2]), max_iters,
+        [(code1.n, code1.m), (code2.n, code2.m)], (nc, code1.n, 1.0 - 2.0 * q),
+        stop=early_stop))
 
 
 def combined_syndrome_code(cc: CompoundCode, absorb_leaves: bool = False) -> LdpcCode:

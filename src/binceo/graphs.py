@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._msgpass import row_runs
+from ._msgpass import Bucket, row_runs
 from .binmath import binary_entropy
 
 DUPLICATE_RETRY_CAP = 100
@@ -82,12 +83,13 @@ class SparseBipartiteGraph:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        indptr = np.asarray(self.indptr, dtype=np.int64)
-        indices = np.asarray(self.indices, dtype=np.int64)
-        degrees = np.diff(indptr)
-        if indptr[0] != 0 or np.any(degrees < 0) or indptr[-1] != len(indices):
+        indptr = _index_array(self.indptr, "indptr")
+        indices = _index_array(self.indices, "indices")
+        if (not len(indptr) or indptr[0] != 0 or indptr[-1] != len(indices)
+                or (indptr[1:] < indptr[:-1]).any()):
             raise GraphConstructionError("indptr must rise from 0 to len(indices)")
-        if np.any((indices < 0) | (indices >= self.n_var)):
+        # min and max allocate nothing per edge.
+        if len(indices) and (indices.min() < 0 or indices.max() >= self.n_var):
             raise GraphConstructionError(f"variable index outside [0, {self.n_var})")
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
@@ -100,6 +102,11 @@ class SparseBipartiteGraph:
     def n_edges(self) -> int:
         return len(self.indices)
 
+    @cached_property
+    def runs(self) -> tuple[Bucket, ...]:
+        """row_runs(indptr), found once per graph."""
+        return row_runs(self.indptr)
+
     def factor_parity(self, bits: np.ndarray) -> np.ndarray:
         """Mod-2 sum of bits over each factor's neighborhood."""
         bits = np.asarray(bits)
@@ -109,7 +116,7 @@ class SparseBipartiteGraph:
         # _msgpass.row_sums sums; a row without edges reads 0.
         edge_bits = bits.astype(np.uint8, copy=False)[self.indices]
         parity = np.zeros(self.n_fac, np.uint8)
-        for d, edges, facs, _ in row_runs(self.indptr):
+        for d, edges, facs, _ in self.runs:
             col = edge_bits[edges].reshape(-1, d).T
             if d == 1:
                 parity[facs] = col[0]
@@ -119,6 +126,21 @@ class SparseBipartiteGraph:
             for row in col[2:]:
                 out ^= row
         return parity & 1
+
+
+def _index_array(values, name: str) -> np.ndarray:
+    """values as a 1-D int64 array; GraphConstructionError unless they are
+    1-D and integers (integral floats and bools count)."""
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise GraphConstructionError(f"{name} must be 1-D, got shape {a.shape}")
+    if a.dtype.kind in "iu":
+        return a.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        out = a.astype(np.int64) if a.dtype.kind in "bf" else None
+    if out is None or not np.array_equal(out, a):
+        raise GraphConstructionError(f"{name} must hold integers, got {a.dtype} values")
+    return out
 
 
 def _degrees(
@@ -341,7 +363,8 @@ def build_compound(
     sub = np.random.SeedSequence(seed).generate_state(3)
     ldgm = _systematic_ldgm(n, k, k, ldgm_dist, seed=int(sub[0]))
     if not m:
-        no_checks = SparseBipartiteGraph(n_var=n, indptr=np.zeros(1), indices=np.zeros(0))
+        no_checks = SparseBipartiteGraph(n_var=n, indptr=np.zeros(1, np.int64),
+                                         indices=np.zeros(0, np.int64))
         return CompoundCode(ldgm=ldgm, ldpc=LdpcCode(graph=no_checks))
 
     rng = np.random.default_rng(int(sub[1]))

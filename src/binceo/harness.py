@@ -267,15 +267,14 @@ def run_joint_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
     )
     comb1 = combined_syndrome_code(cc1)
     comb2 = combined_syndrome_code(cc2)
-    res1, res2 = joint_sum_product_decode(
-        comb1, comb2,
-        combined_syndrome(cc1, syn1),
-        combined_syndrome(cc2, syn2),
-        q=chain.u1_to_u2,
-        max_iters=cfg.jsp_iters,
-    )
+    s1, s2 = combined_syndrome(cc1, syn1), combined_syndrome(cc2, syn2)
+    # From here on the codes are read only for their check counts.
+    m1, m2 = cc1.ldpc.m, cc2.ldpc.m
+    del cc1, cc2
+    res1, res2 = joint_sum_product_decode(comb1, comb2, s1, s2, q=chain.u1_to_u2,
+                                          max_iters=cfg.jsp_iters)
     recons = reconstruct_soft(res1.u_hat, res2.u_hat, chain)
-    rates = empirical_rates_joint(cc1.ldpc.m, cc2.ldpc.m, cfg.n)
+    rates = empirical_rates_joint(m1, m2, cfg.n)
     report = report_run(
         "joint", trial, x, recons, rates, tc, cfg.p1, cfg.p2,
         res1.u_hat, q1.quantized, res2.u_hat, q2.quantized,
@@ -299,18 +298,25 @@ def run_successive_trial(cfg: ExperimentConfig, trial: int) -> RunReport:
         seed=component_seed(cfg.base_seed, "quant", trial),
         biasprop_sweeps=cfg.biasprop_sweeps,
     )
+    # From here on link 2's code is read only for its k.
+    k2 = cc2.ldgm.k
+    del cc2
     # The receiver re-encodes q2.info_bits; the quantizer already has, so
     # q2.quantized is that bit-exact reconstruction of u2.
     u2 = q2.quantized
     # Link 1's mixed outputs are leaves here: decode the information bits
-    # with the leaves absorbed, then re-encode u1.
+    # with the leaves absorbed, then re-encode u1.  The decoder graph's rows
+    # past link 1's m1 checks are its LDGM's mixed rows, so it re-encodes
+    # them, and link 1's code is read no more.
     comb1 = combined_syndrome_code(cc1, absorb_leaves=True)
     info_prior, leaf_scale = combined_prior(cc1, side_info_prior(u2, chain.u1_to_u2))
+    m1 = cc1.ldpc.m
+    del cc1
     res = sum_product_decode(comb1, syn1, info_prior, max_iters=cfg.sp_iters,
                              leaf_scale=leaf_scale)
-    u1_hat = cc1.ldgm.encode(res.u_hat)
+    u1_hat = np.concatenate([res.u_hat, comb1.graph.factor_parity(res.u_hat)[m1:]])
     recons = reconstruct_soft_successive(u1_hat, u2, chain)
-    rates = empirical_rates_successive(cc1.ldpc.m, cc2.ldgm.k, cfg.n)
+    rates = empirical_rates_successive(m1, k2, cfg.n)
     report = report_run(
         "successive", trial, x, recons, rates, tc, cfg.p1, cfg.p2,
         u1_hat, q1.quantized, u2, q2.quantized,

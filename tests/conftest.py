@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 from hypothesis import settings
 
@@ -19,3 +21,16 @@ def pytest_report_header(config):
     features = _multiarray_umath.__cpu_features__
     levels = [t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t)]
     return f"numpy {np.__version__}, dispatched x86 levels: {' '.join(levels) or 'none'}"
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak of what it allocated, in bytes
+    above what tracemalloc traced when it started."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

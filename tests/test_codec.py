@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from binceo.graphs import (DegreeDistribution, LdgmCode, build_anchor_compound,
                            build_compound, design_rates)
 from binceo.harness import ExperimentConfig
 from brute_force import csr
+from conftest import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -214,24 +214,17 @@ def test_quantize_messages_stay_below_the_clamp(monkeypatch, ldgm, target_d):
     assert len(peaks) >= 24 and max(peaks) <= bound < 3.46 < HALF_CLAMP
 
 
-# tracemalloc peak of the quantizer call below, with the check update
-# bound once per call: 735,039 bytes (731,895 when each sweep built its
-# views).  Traced sizes are deterministic, so a change that keeps another
-# per-edge array alive (23,272 edges, 186 kB each) fails here.
-QUANTIZE_PEAK_BYTES = int(0.71 * 2**20)
+# tracemalloc peak of the quantizer call below: 735,039 bytes while its
+# check update held every edge and scale, 646,690 since it holds the mixed
+# outputs' only.  Traced sizes are deterministic, so a change that keeps
+# another per-edge array alive (23,272 edges, 186 kB each) fails here.
+QUANTIZE_PEAK_BYTES = int(0.63 * 2**20)
 
 
 def test_quantize_memory_peak_is_in_budget():
     code = _reference_ldgm(10_000, 1)
     y = _observation(code.n, 1)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        bias_propagation_quantize(code, y, ExperimentConfig().d1, seed=1)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(bias_propagation_quantize, code, y, ExperimentConfig().d1, seed=1)
     assert peak <= QUANTIZE_PEAK_BYTES
 
 

@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from binceo import graphs
+from binceo._msgpass import row_runs
 from binceo.binmath import binary_convolution, binary_entropy
 from binceo.decoders import combined_syndrome_code
 from binceo.graphs import (
@@ -20,6 +22,7 @@ from binceo.graphs import (
     design_rates,
     sample_graph,
 )
+from binceo.harness import ExperimentConfig, run_successive_trial
 
 
 def factors(g: SparseBipartiteGraph) -> list[np.ndarray]:
@@ -95,6 +98,39 @@ def test_graph_rejects_malformed_csr():
         SparseBipartiteGraph(n_var=3, indptr=[0, 2, 1], indices=[0])
     with pytest.raises(GraphConstructionError):
         SparseBipartiteGraph(n_var=2, indptr=[0, 1], indices=[2])
+    with pytest.raises(GraphConstructionError, match="indptr must rise"):
+        SparseBipartiteGraph(n_var=2, indptr=[], indices=[])
+    with pytest.raises(GraphConstructionError, match="indptr must be 1-D"):
+        SparseBipartiteGraph(n_var=2, indptr=[[0, 1], [1, 2]], indices=[0, 1])
+    with pytest.raises(GraphConstructionError, match="indptr must hold integers"):
+        SparseBipartiteGraph(n_var=2, indptr=[0, 1.5], indices=[0])
+    with pytest.raises(GraphConstructionError, match="indices must hold integers"):
+        SparseBipartiteGraph(n_var=2, indptr=[0, 1], indices=[0.7])
+    for bad in (np.nan, np.inf, "0"):
+        with pytest.raises(GraphConstructionError, match="indices must hold integers"):
+            SparseBipartiteGraph(n_var=2, indptr=[0, 1], indices=np.array([bad]))
+    with pytest.raises(GraphConstructionError, match="indices must be 1-D"):
+        SparseBipartiteGraph(n_var=2, indptr=[0, 1], indices=np.array(0))
+    # Integral floats, an empty float list and other integer dtypes are
+    # integers, stored as int64.
+    g = SparseBipartiteGraph(n_var=2, indptr=np.array([0.0, 1.0, 1.0]),
+                             indices=np.array([1], np.uint8))
+    assert (g.indptr.dtype, g.indices.dtype) == (np.int64, np.int64)
+    assert g.indptr.tolist() == [0, 1, 1] and g.indices.tolist() == [1]
+    assert SparseBipartiteGraph(n_var=2, indptr=[0], indices=[]).n_edges == 0
+
+
+def test_graph_runs_are_its_row_runs_found_once(monkeypatch):
+    g = SparseBipartiteGraph(n_var=4, indptr=[0, 1, 2, 5, 8, 10],
+                             indices=[0, 1, 0, 1, 2, 1, 2, 3, 0, 3])
+    assert g.runs == row_runs(g.indptr) and g.runs is g.runs
+    # A successive trial finds the runs of its five graphs (two LDGMs, link
+    # 1's LDPC, link 2's check-free one and the decoder graph) once each,
+    # though the quantizers, the encoders and the peel all read them.
+    calls = []
+    monkeypatch.setattr(graphs, "row_runs", lambda ptr: calls.append(1) or row_runs(ptr))
+    run_successive_trial(ExperimentConfig(n=2000, scheme="successive"), 0)
+    assert len(calls) == 5
 
 
 def test_ldgm_encode_linear():

@@ -3,7 +3,6 @@ import hashlib
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from binceo.harness import (
     run_successive_trial,
     simulate,
 )
+from conftest import traced_peak
 
 
 def test_component_seed_deterministic_and_distinct():
@@ -440,10 +440,12 @@ def test_pinned_bits_are_the_encoders_bits(monkeypatch):
     assert successive.pinned == {1: pinned_succ.sum()}
 
 
-# tracemalloc peak of the successive decode below before the decoder peeled
-# its hard checks: 2,460,701 bytes.  Traced sizes are deterministic, so a
-# change that keeps more per-edge arrays alive fails here in seconds.
-SUCCESSIVE_DECODE_PEAK_BYTES = int(2.35 * 2**20)
+# tracemalloc peak of the successive decode below: 2,460,701 bytes before
+# the decoder peeled its hard checks, 1,828,487 while it held its scales
+# through the loop, 1,648,941 since it drops each set-up array after its
+# last read.  Traced sizes are deterministic, so a change that keeps more
+# per-edge arrays alive fails here in seconds.
+SUCCESSIVE_DECODE_PEAK_BYTES = int(1.6 * 2**20)
 
 
 def test_successive_decode_memory_peak_is_in_budget(monkeypatch):
@@ -451,14 +453,9 @@ def test_successive_decode_memory_peak_is_in_budget(monkeypatch):
     real = harness.sum_product_decode
 
     def traced(*args, **kwargs):
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        try:
-            return real(*args, **kwargs)
-        finally:
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-            tracemalloc.stop()
+        result, peak = traced_peak(real, *args, **kwargs)
+        peaks.append(peak)
+        return result
 
     monkeypatch.setattr(harness, "sum_product_decode", traced)
     run_successive_trial(ExperimentConfig(n=20_000, scheme="successive"), 0)
@@ -466,10 +463,12 @@ def test_successive_decode_memory_peak_is_in_budget(monkeypatch):
     assert peak <= SUCCESSIVE_DECODE_PEAK_BYTES
 
 
-# tracemalloc peak of the joint decode below when peeling still sorted
-# each round: 3,280,546 bytes.  Its small per-round arrays grew the heap,
-# so a change that brings them back fails here.
-JOINT_DECODE_PEAK_BYTES = int(3.13 * 2**20)
+# tracemalloc peak of the joint decode below: 3,280,546 bytes when peeling
+# still sorted each round, 2,723,847 while the decoder held the union
+# graph, its scales and priors through the loop, 2,369,282 since it drops
+# them once the residual graph is laid out.  A change that brings back
+# the per-round arrays or holds those fails here.
+JOINT_DECODE_PEAK_BYTES = int(2.3 * 2**20)
 
 
 def test_joint_decode_memory_peak_is_in_budget(monkeypatch):
@@ -477,19 +476,27 @@ def test_joint_decode_memory_peak_is_in_budget(monkeypatch):
     real = harness.joint_sum_product_decode
 
     def traced(*args, **kwargs):
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        try:
-            return real(*args, **kwargs)
-        finally:
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-            tracemalloc.stop()
+        result, peak = traced_peak(real, *args, **kwargs)
+        peaks.append(peak)
+        return result
 
     monkeypatch.setattr(harness, "joint_sum_product_decode", traced)
     run_joint_trial(ExperimentConfig(n=10_000, scheme="joint"), 0)
     (peak,) = peaks
     assert peak <= JOINT_DECODE_PEAK_BYTES
+
+
+# tracemalloc peak of the whole successive trial below: 4,297,938 bytes
+# while each stage held every array the trial had made, 2,787,941 once
+# each is dropped after its last read.  The n = 2000 trial first makes
+# the one-time allocations of a process's first trial (about 1.9 MB).
+SUCCESSIVE_TRIAL_PEAK_BYTES = int(2.7 * 2**20)
+
+
+def test_successive_trial_memory_peak_is_in_budget():
+    run_successive_trial(ExperimentConfig(n=2000, scheme="successive"), 0)
+    _, peak = traced_peak(run_successive_trial, ExperimentConfig(n=20_000, scheme="successive"), 0)
+    assert peak <= SUCCESSIVE_TRIAL_PEAK_BYTES
 
 
 def test_cli_simulate_to_file(tmp_path):

@@ -2,7 +2,6 @@
 per-factor loops and dense GF(2) arithmetic."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from binceo.codec import DECIMATION_BIAS_FLOOR, _most_biased
 from binceo.graphs import DegreeDistribution, SparseBipartiteGraph, _apportion, sample_graph
 from binceo.harness import ExperimentConfig, run_joint_trial
 from brute_force import csr
+from conftest import traced_peak
 
 # The largest float below 1: the full-LLR reference kernel clips to it.
 TANH_CLIP = 1.0 - 1e-16
@@ -283,12 +283,7 @@ def test_bounded_check_update_allocates_no_edge_array():
     update = bounded_check_update(spent, out, rng.uniform(-t, t, len(degrees)), buckets)
     update()
     spent[:] = m_in
-    tracemalloc.start()
-    try:
-        update()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(update)
     assert peak < m_in.nbytes / 10
 
 
@@ -342,12 +337,7 @@ def test_row_order_check_messages_into_out_allocate_no_edge_array(adj, data):
     m_in, scale = draw_messages(data, g)
     buckets, out = row_runs(g.indptr), np.empty_like(m_in)
     check_messages(m_in.copy(), scale, buckets, out=out)
-    tracemalloc.start()
-    try:
-        check_messages(m_in, scale, buckets, out=out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(check_messages, m_in, scale, buckets, out=out)
     assert peak < m_in.nbytes / 10
 
 
